@@ -94,20 +94,23 @@ def format_scaling_table(
     return "\n".join(lines)
 
 
-def format_batch_sweep(results: Mapping[str, RunResult]) -> str:
-    """Throughput-vs-batch-size table with speedups over the per-event baseline."""
+def format_batch_sweep(results: Mapping[str, tuple[RunResult, float | None]]) -> str:
+    """Throughput-vs-batch-size table: speedup over the per-event baseline and
+    the share of events that ran through numpy kernels."""
     baseline = results.get("dbtoaster")
-    base_rate = baseline.refresh_rate if baseline else 0.0
+    base_rate = baseline[0].refresh_rate if baseline else 0.0
     lines = [
-        f"{'mode':>14} {'events':>8} {'time (s)':>10} {'refreshes/s':>14} {'speedup':>9}"
+        f"{'mode':>14} {'events':>8} {'time (s)':>10} {'refreshes/s':>14} "
+        f"{'speedup':>9} {'vector':>8}"
     ]
-    for label, result in results.items():
+    for label, (result, vector_fraction) in results.items():
         speedup = (
             f"{result.refresh_rate / base_rate:.2f}x" if base_rate > 0 else "-"
         )
+        vector = f"{vector_fraction:.0%}" if vector_fraction is not None else "-"
         lines.append(
             f"{label:>14} {result.events_processed:>8} {result.elapsed_seconds:>10.2f} "
-            f"{_format_rate(result.refresh_rate):>14} {speedup:>9}"
+            f"{_format_rate(result.refresh_rate):>14} {speedup:>9} {vector:>8}"
         )
     return "\n".join(lines)
 

@@ -186,53 +186,45 @@ def run_batch_size_sweep(
     events: int = 3000,
     max_seconds_per_run: float = 10.0,
     seed: int = 7,
-    backends: Sequence[str] = ("scalar", "vector"),
-) -> dict[str, RunResult]:
+) -> dict[str, tuple[RunResult, float | None]]:
     """Throughput of delta-batched execution as the batch size grows.
 
-    Returns one entry per batch size (labelled ``batch-<n>``) plus the
-    per-event ``dbtoaster`` baseline, all replaying the same agenda.  The
-    interesting shape: large batches amortize per-event trigger overhead and
-    should beat the baseline by >= 2x on linear TPC-H views.
-
-    For each backend in ``backends`` the sweep adds staged compiled runs
-    (``staged-<n>`` for scalar, ``vector-<n>`` for the columnar numpy
-    backend) timed through ``stage``/``apply_staged``: these two series
-    share one methodology, so their intersection is the crossover point
-    where vectorization starts beating scalar fusion.
+    Returns one ``(run, vector fraction)`` entry per batch size (labelled
+    ``batch-<n>``) plus the per-event ``dbtoaster`` baseline (fraction
+    ``None``), all replaying the same agenda end to end — fold included.
+    The vector fraction is the share of events whose group ran at least one
+    numpy kernel: it rises from 0 as folded groups grow past the dispatch
+    cutoff, which is where the batched rate pulls away from the baseline.
     """
     spec = workload(query)
     agenda, static = _prepare(spec, events, None, seed)
     translated = spec.query_factory()
-    results: dict[str, RunResult] = {}
+    results: dict[str, tuple[RunResult, float | None]] = {}
     baseline = build_engine("dbtoaster", translated)
-    results["dbtoaster"] = measure_refresh_rate(
-        baseline,
-        agenda,
-        static,
-        max_seconds=max_seconds_per_run,
-        strategy="dbtoaster",
-        query=query,
+    results["dbtoaster"] = (
+        measure_refresh_rate(
+            baseline,
+            agenda,
+            static,
+            max_seconds=max_seconds_per_run,
+            strategy="dbtoaster",
+            query=query,
+        ),
+        None,
     )
     for batch_size in batch_sizes:
+        label = f"batch-{batch_size}"
         engine = build_engine("dbtoaster-batch", translated, batch_size=batch_size)
-        results[f"batch-{batch_size}"] = measure_refresh_rate(
+        run = measure_refresh_rate(
             engine,
             agenda,
             static,
             max_seconds=max_seconds_per_run,
-            strategy=f"batch-{batch_size}",
+            strategy=label,
             query=query,
         )
-    labels = {"scalar": "staged", "vector": "vector"}
-    for backend in backends:
-        for batch_size in batch_sizes:
-            label = f"{labels.get(backend, backend)}-{batch_size}"
-            run, _ = _measure_staged_run(
-                translated, agenda, static, query, max_seconds_per_run,
-                batch_size, backend, label, retries=1,
-            )
-            results[label] = run
+        vector_events = engine.statistics()["batching"]["vector_events"]
+        results[label] = (run, vector_events / max(1, run.events_processed))
     return results
 
 
@@ -405,7 +397,7 @@ def _paired_overhead(measure_baseline, measure_instrumented, target, retries):
 #: Delta batch size of the headline columnar-backend measurement.  Array
 #: kernels amortize their per-batch dispatch over the whole batch, so the
 #: vector axis is measured at a large batch (and a larger replayed agenda);
-#: ``run_batch_size_sweep`` shows the crossover at small sizes.
+#: ``run_batch_size_sweep`` shows where vector dispatch starts at small sizes.
 VECTOR_BATCH_SIZE = 10_000
 
 #: Events replayed for the vector axis (larger than the per-event axes so
@@ -414,7 +406,7 @@ VECTOR_EVENTS = 30_000
 
 
 def _measure_staged_run(translated, agenda, static, name, max_seconds,
-                        batch_size, backend, strategy, retries=3):
+                        batch_size, strategy, retries=3):
     """Best-of-N batched run timed through the staged ingest path.
 
     Staging (fold + columnarization) happens outside the timed region —
@@ -426,10 +418,7 @@ def _measure_staged_run(translated, agenda, static, name, max_seconds,
     events = list(agenda)
     chunks = [events[i:i + batch_size] for i in range(0, len(events), batch_size)]
     for _ in range(max(1, retries)):
-        engine = build_engine(
-            "dbtoaster-batch", translated,
-            batch_size=batch_size, compiled=True, backend=backend,
-        )
+        engine = build_engine("dbtoaster-batch", translated, batch_size=batch_size)
         try:
             for relation, rows in (static or {}).items():
                 engine.load_static(relation, rows)
@@ -508,14 +497,14 @@ def run_codegen_sweep(
     in-memory fused run, retried while it exceeds ``wal_overhead_target``
     (the ``--max-wal-overhead`` CI gate).
 
-    Finally the ``vector`` axis: the columnar numpy backend
-    (``repro.codegen.vector``) driven through the staged batch path at
+    Finally the ``vector`` axis: the batched engine (numpy kernels from
+    ``repro.codegen.vector`` on large groups) driven through the staged path at
     ``vector_batch_size`` over a ``vector_events``-long replay of the same
     stream.  ``vector_speedup`` is its rate over the best fused rate and is
     only recorded for queries where at least one statement actually
     vectorized; otherwise the recorded ``vector_reason`` says why (numpy
     missing, no vectorizable statements, or every folded group below the
-    ``min_vector_rows`` dispatch cutoff).  Pass ``vector_batch_size=None``
+    ``DEFAULT_MIN_VECTOR_ROWS`` dispatch cutoff).  Pass ``vector_batch_size=None``
     to skip the axis.
     """
     runs = (
@@ -597,7 +586,7 @@ def run_codegen_sweep(
             vector_agenda, _ = _prepare(spec, vector_events, None, seed)
             vector_run, vector_stats = _measure_staged_run(
                 translated, vector_agenda, static, name, max_seconds_per_run,
-                vector_batch_size, "vector", "vector", retries=vector_retries,
+                vector_batch_size, "vector", retries=vector_retries,
             )
         per_query["fused"] = fused
 

@@ -11,10 +11,11 @@ dbtoaster-comp   HO-IVM with triggers compiled to specialized Python code
                  per trigger, per-statement interpreter fallback; pass
                  ``fused=False`` for per-statement dispatch — the baseline
                  the fusion regression gate compares against)
-dbtoaster-batch  HO-IVM with delta-batched trigger execution
-                 (:class:`repro.exec.BatchedEngine`)
-dbtoaster-par    HO-IVM hash-partitioned across engines with merge-on-read
-                 (:class:`repro.exec.PartitionedEngine`)
+dbtoaster-batch  HO-IVM with delta-batched trigger execution over a
+                 compiled inner engine (:class:`repro.exec.BatchedEngine`;
+                 large folded groups run numpy kernels when numpy is present)
+dbtoaster-par    HO-IVM hash-partitioned across compiled engines with
+                 merge-on-read (:class:`repro.exec.PartitionedEngine`)
 naive            the naive viewlet transform (no decomposition /
                  simplification)
 ivm              classical first-order IVM on DBToaster's runtime (depth-1)
@@ -135,26 +136,10 @@ def _dbtoaster_comp(query: TranslatedQuery, fused: bool = True, telemetry=None):
     return CompiledEngine(_dbtoaster_program(query), fuse=fused, telemetry=telemetry)
 
 
-def _dbtoaster_batch(
-    query: TranslatedQuery,
-    batch_size: int | None = None,
-    compiled: bool = False,
-    backend: str = "scalar",
-    telemetry=None,
-):
+def _dbtoaster_batch(query: TranslatedQuery, batch_size: int | None = None, telemetry=None):
     if batch_size is None:
         batch_size = DEFAULT_BATCH_SIZE
-    if backend in ("sequential", "process"):
-        # Executor-backend names (the partitioned engine's axis) mean
-        # "scalar" here, so one --backend flag can drive either strategy.
-        backend = "scalar"
-    return BatchedEngine(
-        _dbtoaster_program(query),
-        batch_size,
-        compiled=compiled,
-        backend=backend,
-        telemetry=telemetry,
-    )
+    return BatchedEngine(_dbtoaster_program(query), batch_size, telemetry=telemetry)
 
 
 def _dbtoaster_par(
@@ -162,7 +147,6 @@ def _dbtoaster_par(
     partitions: int | None = None,
     batch_size: int | None = None,
     backend: str = "sequential",
-    compiled: bool = False,
 ):
     if partitions is None:
         partitions = DEFAULT_PARTITIONS
@@ -171,7 +155,6 @@ def _dbtoaster_par(
         partitions=partitions,
         backend=backend,
         batch_size=batch_size,
-        compiled=compiled,
     )
 
 

@@ -31,11 +31,7 @@ lowering rules, the fusion/dedup rules and the fallback policy.
 """
 
 from repro.codegen.engine import CompiledEngine, CompiledExecutor
-from repro.codegen.statement import (
-    StatementKernel,
-    compile_scalar_kernel,
-    try_compile_statement,
-)
+from repro.codegen.statement import StatementKernel, try_compile_statement
 from repro.codegen.trigger import TriggerKernel, try_fuse_trigger
 
 __all__ = [
@@ -43,7 +39,6 @@ __all__ = [
     "CompiledExecutor",
     "StatementKernel",
     "TriggerKernel",
-    "compile_scalar_kernel",
     "try_compile_statement",
     "try_fuse_trigger",
 ]

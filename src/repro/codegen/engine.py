@@ -51,17 +51,17 @@ from repro.runtime.maps import MapStore
 
 
 class _TriggerPlan:
-    """Per-(sign, relation) execution plan: compiled runners plus fallbacks."""
+    """Per-(sign, relation) execution plan: one bound runner per statement."""
 
     __slots__ = ("increments", "assigns", "arity")
 
     def __init__(self) -> None:
-        # (statement, runner | None); runner signature is (values, scale).
-        self.increments: list[tuple[Statement, Callable[[tuple, Any], None] | None]] = []
-        # ``:=`` statements compile too (range-probe era); same pairing.
-        self.assigns: list[tuple[Statement, Callable[[tuple, Any], None] | None]] = []
-        # Relation arity, validated before compiled runners index the event
-        # tuple positionally (None for triggers with no statements, where the
+        # ``(values, scale)`` runners in statement order, linked by
+        # :meth:`CompiledExecutor.rebind`.
+        self.increments: list[Callable[[tuple, Any], None]] = []
+        self.assigns: list[Callable[[tuple, Any], None]] = []
+        # Relation arity, validated before runners index the event tuple
+        # positionally (None for triggers with no statements, where the
         # interpreter performs no arity check either).
         self.arity: int | None = None
 
@@ -69,10 +69,9 @@ class _TriggerPlan:
 class CompiledExecutor:
     """Applies stream events through compiled kernels, interpreting the rest.
 
-    Exposes the same surface as :class:`TriggerExecutor` (``apply``,
-    ``execute_increment``, ``execute_assign``, ``evaluator``,
-    ``maintained_relations``) so the batched execution subsystem can drive a
-    compiled engine exactly like an interpreted one.  ``fuse=False`` disables
+    Every statement has a ``(values, scale)`` runner (:meth:`runner_for`):
+    its bound kernel, or a closure handing the statement to the interpreter
+    when it is outside the codegen fragment.  ``fuse=False`` disables
     whole-trigger fusion and dispatches per statement — the benchmark
     baseline fused execution is gated against.
     """
@@ -132,10 +131,6 @@ class CompiledExecutor:
                 else:
                     self.fallback_statements += 1
                     fully_compiled = False
-                if stmt.operation == ASSIGN:
-                    plan.assigns.append((stmt, None))  # bound below
-                else:
-                    plan.increments.append((stmt, None))
             key = (trigger.sign, trigger.relation)
             self._plans[key] = plan
             if self._fuse and fully_compiled:
@@ -158,46 +153,63 @@ class CompiledExecutor:
         same store is a cheap identity check, not a re-``exec``.
         """
         self._runners.clear()
-        for key, kernel in self._kernels.items():
-            self._runners[key] = kernel.bind(self._maps, self._database)
-        for plan in self._plans.values():
+        for trigger in self._program.triggers.values():
+            plan = self._plans[(trigger.sign, trigger.relation)]
             plan.increments = [
-                (stmt, self._runners.get(id(stmt))) for stmt, _ in plan.increments
+                self._bind(stmt) for stmt in trigger.statements if stmt.operation != ASSIGN
             ]
             plan.assigns = [
-                (stmt, self._runners.get(id(stmt))) for stmt, _ in plan.assigns
+                self._bind(stmt) for stmt in trigger.statements if stmt.operation == ASSIGN
             ]
         self._fused = {
             key: (kernel.bind(self._maps, self._database), kernel.arity)
             for key, kernel in self._trigger_kernels.items()
         }
 
+    def _bind(self, stmt: Statement) -> Callable[[tuple, Any], None]:
+        kernel = self._kernels.get(id(stmt))
+        runner = (
+            kernel.bind(self._maps, self._database)
+            if kernel is not None
+            else self._interpreting_runner(stmt)
+        )
+        self._runners[id(stmt)] = runner
+        return runner
+
+    def _interpreting_runner(self, stmt: Statement) -> Callable[[tuple, Any], None]:
+        """A ``(values, scale)`` runner for a statement outside the fragment."""
+        trigger_vars = stmt.event.trigger_vars
+        interpreter = self._interpreter
+        if stmt.operation == ASSIGN:
+            def run(values: tuple, scale: Any) -> None:
+                self.fallback_hits += 1
+                interpreter.execute_assign(stmt, dict(zip(trigger_vars, values)))
+        else:
+            def run(values: tuple, scale: Any) -> None:
+                self.fallback_hits += 1
+                interpreter.execute_increment(
+                    stmt, dict(zip(trigger_vars, values)), scale=scale
+                )
+        return run
+
     def kernel_for(self, stmt: Statement) -> statement_compiler.StatementKernel | None:
         """The compiled kernel of one statement (None when it interprets)."""
         return self._kernels.get(id(stmt))
 
-    def runner_for(self, stmt: Statement) -> Callable[[tuple, Any], None] | None:
-        """The bound ``(values, scale)`` runner of one statement, if compiled.
+    def runner_for(self, stmt: Statement) -> Callable[[tuple, Any], None]:
+        """The bound ``(values, scale)`` runner of one statement.
 
-        Lets the batched execution subsystem feed folded event tuples to the
-        kernel directly instead of round-tripping them through a bindings
-        dictionary per item.
+        The batched execution subsystem feeds folded ``(values,
+        multiplicity)`` pairs straight to it; a statement outside the
+        codegen fragment gets a runner that interprets.
         """
-        return self._runners.get(id(stmt))
+        return self._runners[id(stmt)]
 
     def trigger_kernel_for(self, sign: int, relation: str) -> trigger_compiler.TriggerKernel | None:
         """The fused kernel of one trigger (None when it dispatches per statement)."""
         return self._trigger_kernels.get((sign, relation))
 
-    # -- TriggerExecutor surface --------------------------------------------
-    @property
-    def evaluator(self):
-        return self._interpreter.evaluator
-
-    @property
-    def maintained_relations(self) -> frozenset[str]:
-        return self._maintained
-
+    # -- event application ------------------------------------------------
     def apply(self, event: StreamEvent) -> None:
         """Apply one event: the fused kernel when the trigger has one, else
         compiled runners in statement order with interpreter fallbacks."""
@@ -220,59 +232,19 @@ class CompiledExecutor:
             values = event.values
             if plan.arity is not None and len(values) != plan.arity:
                 # Same error surface as TriggerEvent.bindings_for on the
-                # interpreted path; compiled runners index positionally and
-                # must not accept malformed events the interpreter rejects.
+                # interpreted path; runners index positionally and must not
+                # accept malformed events the interpreter rejects.
                 raise ValueError(
                     f"event arity {len(values)} does not match relation arity "
                     f"{plan.arity}"
                 )
-            for stmt, runner in plan.increments:
-                if runner is not None:
-                    runner(values, 1)
-                else:
-                    self.fallback_hits += 1
-                    self._interpreter.execute_increment(
-                        stmt, stmt.event.bindings_for(event)
-                    )
+            for runner in plan.increments:
+                runner(values, 1)
         if event.relation in self._maintained:
             self._database.apply(event)
         if plan is not None:
-            for stmt, runner in plan.assigns:
-                if runner is not None:
-                    runner(event.values, 1)
-                else:
-                    self.fallback_hits += 1
-                    self._interpreter.execute_assign(stmt, stmt.event.bindings_for(event))
-
-    def execute_increment(
-        self,
-        statement: Statement,
-        bindings: Mapping[str, Any],
-        scale: Any = 1,
-        memo: dict | None = None,
-    ) -> None:
-        """Run one ``+=`` statement under explicit bindings (batched execution).
-
-        Compiled statements rebuild the positional value tuple from the
-        bindings and ignore ``memo`` (the kernels do not share evaluation
-        state — they do not need to); everything else interprets.
-        """
-        runner = self._runners.get(id(statement))
-        if runner is not None:
-            values = tuple(bindings[v] for v in statement.event.trigger_vars)
-            runner(values, scale)
-            return
-        self.fallback_hits += 1
-        self._interpreter.execute_increment(statement, bindings, scale=scale, memo=memo)
-
-    def execute_assign(self, statement: Statement, bindings: Mapping[str, Any]) -> None:
-        runner = self._runners.get(id(statement))
-        if runner is not None:
-            values = tuple(bindings[v] for v in statement.event.trigger_vars)
-            runner(values, 1)
-            return
-        self.fallback_hits += 1
-        self._interpreter.execute_assign(statement, bindings)
+            for runner in plan.assigns:
+                runner(event.values, 1)
 
     # -- reporting ----------------------------------------------------------
     def codegen_statistics(self) -> dict[str, object]:

@@ -8,12 +8,14 @@ map to the native operators, ``/`` to the library's :func:`repro.core.values.div
 types that flow through the runtime, including the ``TypeError`` on ordering
 a number against a string).
 
-Anything outside the fragment a caller supports raises :class:`Unsupported`,
-which the statement compiler turns into an interpreter fallback.  External
-functions (``VFunc``) are only lowered when the caller opts in
-(``allow_functions=True``, used by the batched scalar fast path); the
-per-event statement compiler leaves them to the interpreter by policy so the
-fallback path stays exercised.
+External functions (``VFunc``) lower to a direct call: the function is
+resolved from the registry once, at kernel build, and pinned into the
+kernel's namespace — so re-registering a name afterwards
+(``register_function(..., overwrite=True)``) is seen by the interpreter but
+not by kernels already built.
+
+Anything outside the fragment raises :class:`Unsupported`, which the
+statement compiler turns into an interpreter fallback.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.agca.ast import VArith, VConst, VFunc, VVar, ValueExpr
+from repro.agca.functions import lookup_function
 from repro.errors import EvaluationError
 
 
@@ -70,12 +73,7 @@ def const_source(value: Any, env: SourceEnv) -> str:
     return env.add("c", value)
 
 
-def lower_value(
-    vexpr: ValueExpr,
-    names: Mapping[str, str],
-    env: SourceEnv,
-    allow_functions: bool = False,
-) -> str:
+def lower_value(vexpr: ValueExpr, names: Mapping[str, str], env: SourceEnv) -> str:
     """Python expression source computing ``vexpr`` over the locals in ``names``.
 
     ``names`` maps every bound variable to the generated local holding its
@@ -91,22 +89,18 @@ def lower_value(
             raise Unsupported(f"variable {vexpr.name!r} is not bound at this point")
         return local
     if isinstance(vexpr, VArith):
-        left = lower_value(vexpr.left, names, env, allow_functions)
-        right = lower_value(vexpr.right, names, env, allow_functions)
+        left = lower_value(vexpr.left, names, env)
+        right = lower_value(vexpr.right, names, env)
         if vexpr.op == "/":
             return f"_div({left}, {right})"
         return f"({left} {vexpr.op} {right})"
     if isinstance(vexpr, VFunc):
-        if not allow_functions:
-            raise Unsupported(f"external function {vexpr.name!r}")
-        from repro.agca.functions import lookup_function
-
         try:
             fn = lookup_function(vexpr.name)
         except EvaluationError:
             raise Unsupported(f"unknown scalar function {vexpr.name!r}") from None
         handle = env.add("fn", fn)
-        args = ", ".join(lower_value(a, names, env, allow_functions) for a in vexpr.args)
+        args = ", ".join(lower_value(a, names, env) for a in vexpr.args)
         return f"{handle}({args})"
     raise Unsupported(f"not a value expression: {vexpr!r}")
 
@@ -117,12 +111,11 @@ def lower_condition(
     right: ValueExpr,
     names: Mapping[str, str],
     env: SourceEnv,
-    allow_functions: bool = False,
 ) -> str:
     """Python boolean expression source for the comparison ``left op right``."""
     py_op = CMP_OPS.get(op)
     if py_op is None:
         raise Unsupported(f"comparison operator {op!r}")
-    lhs = lower_value(left, names, env, allow_functions)
-    rhs = lower_value(right, names, env, allow_functions)
+    lhs = lower_value(left, names, env)
+    rhs = lower_value(right, names, env)
     return f"({lhs} {py_op} {rhs})"

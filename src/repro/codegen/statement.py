@@ -72,8 +72,8 @@ Exact-equivalence notes (each mirrors a specific interpreter behaviour):
   same-key map additions happen in the same order.
 
 The **capability check** is the compile attempt itself: any construct outside
-the fragment — external functions (by policy), sums nested under products,
-lifts over grouped aggregates, unbound value variables — raises
+the fragment — sums nested under products, lifts over grouped aggregates,
+grouped aggregates below the top level, unbound value variables — raises
 :class:`~repro.codegen.lowering.Unsupported` and the statement stays on the
 interpreter.  Fallback is per statement, never per program, so one hard
 statement does not slow down its siblings.
@@ -1406,118 +1406,3 @@ def try_compile_statement(
     return StatementKernel(
         statement, source, context.env.env, context.tables, ir.count_ops(nodes)
     )
-
-
-def compile_scalar_kernel(statement: Statement, columns: Sequence[str] | None = None):
-    """Compile a map-free statement into the batched per-tuple fast path.
-
-    Applies when the right-hand side is a product of scalar values and
-    comparisons over the trigger variables only (external functions allowed —
-    they are pinned into the kernel's namespace) and every target key is a
-    trigger variable: the shape of all aggregate-only statements, e.g. the
-    whole of TPC-H Q1.  Returns ``run(table, items)`` folding a delta group's
-    ``(values, multiplicity)`` pairs straight into the target table, or None
-    when the statement is outside the fragment.
-
-    ``columns`` are the target table's stored column names (the map
-    declaration's keys); when given, the kernel prebuilds sorted key rows
-    instead of paying the table's per-add key normalization.
-
-    The expression lowering and the IR/emission stages are shared with the
-    per-event statement compiler, and the generated kernel multiplies
-    factors in the interpreter's exact order (factors first, fold
-    multiplicity last).
-    """
-    if statement.operation != INCREMENT:
-        return None
-    expr = statement.expr
-    factors = expr.terms if isinstance(expr, Product) else (expr,)
-    trigger_vars = statement.event.trigger_vars
-    names = {var: f"_v{i}" for i, var in enumerate(trigger_vars)}
-    env = SourceEnv(_BASE_ENV)
-
-    used: set[str] = set()
-    acc_factors: list[str] = []
-    steps: list[ir.Node] = []
-    counter = 0
-    try:
-        # Steps stay in term order: the interpreter evaluates factors left to
-        # right and a zero value factor empties the result before later terms
-        # are ever looked at, so reordering could change which expression
-        # raises on ill-typed data.
-        for node in factors:
-            if isinstance(node, Value):
-                deps = value_variables(node.vexpr)
-                if not deps <= set(trigger_vars):
-                    raise Unsupported("free variable outside trigger vars")
-                used.update(deps)
-                if isinstance(node.vexpr, VConst):
-                    const = normalize_number(node.vexpr.value)
-                    if is_zero(const):
-                        return None  # statement is a constant no-op
-                    if const == 1 and not isinstance(const, float):
-                        continue
-                source = lower_value(node.vexpr, names, env, allow_functions=True)
-                local = f"_s{counter}"
-                counter += 1
-                steps.append(ir.Norm(local, source))
-                steps.append(ir.GuardZero(local))
-                acc_factors.append(local)
-            elif isinstance(node, Cmp):
-                deps = value_variables(node.left) | value_variables(node.right)
-                if not deps <= set(trigger_vars):
-                    raise Unsupported("free variable outside trigger vars")
-                used.update(deps)
-                check = lower_condition(
-                    node.left, node.op, node.right, names, env, allow_functions=True
-                )
-                steps.append(ir.GuardCond(check))
-            else:
-                raise Unsupported("not a scalar-only statement")
-        key_positions = []
-        for key in statement.target_keys:
-            if key not in trigger_vars:
-                raise Unsupported("target key is not a trigger variable")
-            key_positions.append(trigger_vars.index(key))
-            used.add(key)
-    except Unsupported:
-        return None
-
-    loop_body: list[ir.Node] = []
-    for var in sorted(used, key=trigger_vars.index):
-        i = trigger_vars.index(var)
-        loop_body.append(ir.Let(f"_v{i}", f"_vals[{i}]"))
-    loop_body.extend(steps)
-    if acc_factors:
-        loop_body.append(ir.Let("_acc", " * ".join(acc_factors)))
-        loop_body.append(ir.GuardZero("_acc"))
-    else:
-        loop_body.append(ir.Let("_acc", "1"))
-    if columns is not None and len(columns) == len(key_positions):
-        key_entries = sorted(
-            (column, f"_v{position}")
-            for column, position in zip(columns, key_positions)
-        )
-        if key_entries:
-            inner = ", ".join(f"({col!r}, {local})" for col, local in key_entries)
-            key = f"_Row(({inner},))"
-        else:
-            key = "_EMPTY_ROW"
-    elif key_positions:
-        # Without the table schema, hand the table a positional tuple and let
-        # it normalize the key itself.
-        key = "(" + ", ".join(f"_v{p}" for p in key_positions) + ",)"
-    else:
-        key = "_EMPTY_ROW"
-    loop_body.append(ir.AddDelta("_add", key, "_acc", "_mult"))
-
-    body: list[ir.Node] = [
-        ir.BindMethod("_add", "_table", "add"),
-        ir.PairLoop("_vals", "_mult", "_items", loop_body),
-    ]
-    source = emit_function("_kernel", ("_table", "_items"), body, abort="return")
-    namespace = dict(env.env)
-    exec(compile(source, f"<repro.codegen:batch:{statement.target}>", "exec"), namespace)
-    kernel = namespace["_kernel"]
-    kernel.source = source  # type: ignore[attr-defined]
-    return kernel

@@ -9,9 +9,9 @@ and a segmented seeded-cumsum sink that reproduces the scalar add chain.
 
 Fast-numeric regime and the bit-identity contract
 -------------------------------------------------
-Default-mode results must stay bit-identical — values *and* types — to the
-scalar backend.  The vector path therefore runs in an explicit **fast-numeric
-regime** (mirroring ``OrderedRangeIndex``'s exact-regime split):
+Results must stay bit-identical — values *and* types — to the scalar
+statement kernels.  The vector path therefore runs in an explicit
+**fast-numeric regime** (mirroring ``OrderedRangeIndex``'s exact-regime split):
 
 * all value arithmetic is computed in float64.  IEEE double addition and
   multiplication agree bit-for-bit with the interpreter's mixed int/float
@@ -34,7 +34,7 @@ list before touching any table, so a failed statement is replayed through
 the scalar path with the state exactly as it was before the statement.
 
 numpy is optional: when it cannot be imported (or ``REPRO_NO_NUMPY`` is set,
-the CI no-numpy leg), the backend auto-disables and the reason is surfaced
+the CI no-numpy leg), no vector kernel compiles and the reason is surfaced
 through ``describe()`` and the batching statistics.
 """
 

@@ -18,6 +18,7 @@ compilations emulating classical IVM / re-evaluation — base stream relations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.agca.ast import Expr, Relation, maps_of, relations_of, walk
@@ -151,9 +152,18 @@ class TriggerProgram:
             out.update(stmt.reads_relations())
         return frozenset(out)
 
-    def requires_base_relations(self) -> frozenset[str]:
-        """Stream relations that must be maintained as base tables at runtime."""
+    @cached_property
+    def _base_relations(self) -> frozenset[str]:
         return self.referenced_relations() & frozenset(self.stream_relations)
+
+    def requires_base_relations(self) -> frozenset[str]:
+        """Stream relations that must be maintained as base tables at runtime.
+
+        Computed once: a program is not modified after compilation, the
+        answer walks every statement's expression, and the code generator
+        asks once per statement it plans.
+        """
+        return self._base_relations
 
     def map_count(self) -> int:
         """Number of materialized views (including roots)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Number
-from typing import Any
+from typing import Any, Mapping
 
 #: Absolute tolerance used when deciding that a float multiplicity is zero.
 ZERO_EPSILON = 1e-12
@@ -109,3 +109,26 @@ def compare(left: Any, op: str, right: Any) -> bool:
 def comparison_holds(left: Any, op: str, right: Any) -> int:
     """Return 1/0 multiplicity for a condition, as the AGCA semantics does."""
     return 1 if compare(left, op, right) else 0
+
+
+#: Tag wrapping non-JSON-native rational values.
+FRACTION_TAG = "__fraction__"
+
+
+def encode_value(value: Any) -> Any:
+    """A JSON-representable stand-in for one engine value.
+
+    Everything except :class:`~fractions.Fraction` maps 1:1 onto JSON; the
+    wire protocol and the write-ahead log both encode values this way.
+    """
+    if isinstance(value, Fraction):
+        return {FRACTION_TAG: [value.numerator, value.denominator]}
+    return value
+
+
+def decode_value(value: Any) -> Any:
+    """Invert :func:`encode_value`."""
+    if isinstance(value, Mapping) and FRACTION_TAG in value:
+        numerator, denominator = value[FRACTION_TAG]
+        return Fraction(numerator, denominator)
+    return value

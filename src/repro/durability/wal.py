@@ -56,10 +56,10 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterator, Sequence
 
+from repro.core.values import decode_value, encode_value
 from repro.delta.events import StreamEvent
 from repro.durability.faults import maybe_crash
 from repro.errors import DurabilityError
-from repro.service.wire import decode_value, encode_value
 
 #: Default bytes after which an append-heavy segment rotates on its own
 #: (checkpoint cuts rotate explicitly; this bounds segment size between cuts).
@@ -381,32 +381,26 @@ class WriteAheadLog:
         """
         segments = self.segments()
         removed = 0
-        for index, (start, path) in enumerate(segments):
+        pruned_to = 0
+        for index, (_, path) in enumerate(segments):
             if index + 1 >= len(segments):
                 break  # never remove the active segment
             next_start = segments[index + 1][0]
             if next_start <= keep_from_offset and path != self._segment_path:
-                self._drop_batch_ids(start, path)
                 path.unlink()
                 removed += 1
+                pruned_to = next_start
         if removed:
+            # Segments are contiguous: the batches that lived in the removed
+            # ones are exactly the indexed ids ending at or below ``pruned_to``.
+            self._batch_index = {
+                batch_id: entry
+                for batch_id, entry in self._batch_index.items()
+                if entry[1] > pruned_to
+            }
             maybe_crash("wal.pruned")
             fsync_directory(self.directory)
         return removed
-
-    def _drop_batch_ids(self, start: int, path: Path) -> None:
-        """Forget the batch ids of a segment about to be deleted."""
-        try:
-            with open(path, "rb") as handle:
-                for line in handle:
-                    try:
-                        record = _decode_record(line)
-                    except Exception:
-                        break
-                    if record.batch_id is not None:
-                        self._batch_index.pop(record.batch_id, None)
-        except OSError:
-            pass
 
     def align_to(self, offset: int) -> None:
         """Restart the log at ``offset`` when it is behind the restored state.

@@ -1,12 +1,11 @@
 """Batched delta execution: apply triggers once per delta batch, not per event.
 
-The per-event :class:`~repro.runtime.engine.IncrementalEngine` runs every
-trigger statement once per stream event.  At production rates most of the
-per-event cost in this interpreter is fixed overhead — trigger lookup,
-binding construction, evaluator setup — that is identical across events.
-This module coalesces a slice of the agenda into per-relation *delta GMRs*
-(Section 3.4's bulk updates made concrete: tuple -> folded multiplicity) and
-applies each trigger once per batch.
+A per-event engine runs every trigger statement once per stream event, and
+much of that cost is fixed overhead — trigger lookup, dispatch, key-row
+construction — that is identical across events.  This module coalesces a
+slice of the agenda into per-relation *delta GMRs* (Section 3.4's bulk
+updates made concrete: tuple -> folded multiplicity) and applies each trigger
+once per batch.
 
 Exactness is never traded for speed.  A static analysis decides, per trigger,
 whether bulk application is equivalent to sequential application:
@@ -29,14 +28,13 @@ foldable groups.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.agca.ast import free_variables
-from repro.codegen.statement import compile_scalar_kernel
+from repro.codegen.engine import CompiledEngine
 from repro.codegen.vector import (
     ColumnBatch,
     VectorFallback,
-    numpy_available,
     try_compile_vector,
     vector_unavailable_reason,
 )
@@ -45,7 +43,6 @@ from repro.core.gmr import GMR
 from repro.core.rows import Row
 from repro.delta.events import StreamEvent
 from repro.errors import ExecutionError
-from repro.runtime.engine import IncrementalEngine
 
 #: Default number of events coalesced into one delta batch.
 DEFAULT_BATCH_SIZE = 100
@@ -54,7 +51,8 @@ DEFAULT_BATCH_SIZE = 100
 #: fixed numpy kernel-invocation cost (array wrapping, mask allocation, probe
 #: setup) exceeds the scalar loop's total work, so tiny groups — the common
 #: shape when interleaved multi-relation streams fold into many short runs —
-#: stay on the scalar path.  Breakeven sits around 6-10 rows per group.
+#: stay on the compiled statement runners.  Breakeven sits around 6-10 rows
+#: per group.
 DEFAULT_MIN_VECTOR_ROWS = 16
 
 #: How many trailing groups the folder scans for a commuting merge target.
@@ -64,12 +62,7 @@ TriggerKey = tuple[str, int]
 
 
 class TriggerAnalysis:
-    """Static bulk-safety and statement classification for one trigger.
-
-    Map-free statements compile into per-tuple fast-path kernels through the
-    shared expression lowering in :mod:`repro.codegen.statement` (the
-    batching subsystem used to carry its own closure builder for this).
-    """
+    """Static bulk-safety and statement classification for one trigger."""
 
     def __init__(self, program: TriggerProgram, relation: str, sign: int) -> None:
         self.relation = relation
@@ -90,18 +83,6 @@ class TriggerAnalysis:
         self.safe = self._bulk_safe()
         self._program = program
         self._vector: dict[int, Any] | None = None
-        self.fast_increments: list[tuple[Statement, Callable]] = []
-        self.slow_increments: list[Statement] = []
-        if self.safe:
-            for statement in self.increments:
-                decl = program.maps.get(statement.target)
-                compiled = compile_scalar_kernel(
-                    statement, decl.keys if decl is not None else None
-                )
-                if compiled is not None:
-                    self.fast_increments.append((statement, compiled))
-                else:
-                    self.slow_increments.append(statement)
 
     def vector_kernels(self) -> dict[int, Any]:
         """Columnar batch kernels by ``id(statement)`` (compiled lazily).
@@ -109,7 +90,8 @@ class TriggerAnalysis:
         Only bulk-safe triggers qualify (vector application is one pass per
         statement over the folded delta, which is exactly the bulk
         contract); within them, any ``+=`` statement the vector emitter can
-        lower gets a kernel, the rest stay on their scalar paths.
+        lower gets a kernel, the rest stay on their statement runners.
+        Without numpy nothing compiles and the dictionary is empty.
         """
         if self._vector is None:
             kernels: dict[int, Any] = {}
@@ -239,38 +221,20 @@ class BatchedEngine:
     triggers replay their events in order inside the batch).
     """
 
-    BACKENDS = ("scalar", "vector")
-
     def __init__(
         self,
         program: TriggerProgram,
         batch_size: int = DEFAULT_BATCH_SIZE,
         plan: BatchPlan | None = None,
-        compiled: bool = False,
         telemetry=None,
-        backend: str = "scalar",
-        min_vector_rows: int | None = None,
     ) -> None:
         if batch_size < 1:
             raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
-        if backend not in self.BACKENDS:
-            raise ExecutionError(
-                f"unknown batch backend {backend!r}; expected one of {self.BACKENDS}"
-            )
-        self.backend = backend
-        self.vector_reason: str | None = None
-        if backend == "vector" and not numpy_available():
-            # Auto-disable instead of failing: numpy is optional, and the
-            # scalar path is the semantics of record anyway.
-            self.vector_reason = vector_unavailable_reason()
-            backend = "scalar"
-        self.backend_active = backend
-        self.min_vector_rows = (
-            DEFAULT_MIN_VECTOR_ROWS if min_vector_rows is None else min_vector_rows
-        )
+        # Why vector dispatch is off (numpy missing or REPRO_NO_NUMPY), else
+        # None: the statement runners are the semantics of record anyway.
+        self.vector_reason: str | None = vector_unavailable_reason()
         self.program = program
         self.batch_size = batch_size
-        self.compiled = compiled
         if telemetry is None:
             from repro.telemetry import current
 
@@ -280,12 +244,7 @@ class BatchedEngine:
         # it and are accounted through count_bulk_events — summed at scrape,
         # events in == events accounted, nothing counted twice.
         self.telemetry = telemetry
-        if compiled:
-            from repro.codegen.engine import CompiledEngine
-
-            self.engine: IncrementalEngine = CompiledEngine(program, telemetry=telemetry)
-        else:
-            self.engine = IncrementalEngine(program, telemetry=telemetry)
+        self.engine = CompiledEngine(program, telemetry=telemetry)
         self.plan = plan if plan is not None and plan.program is program else BatchPlan(program)
         self._buffer: list[StreamEvent] = []
         self._stream_relations = frozenset(program.stream_relations)
@@ -399,17 +358,17 @@ class BatchedEngine:
         self.vector_fallbacks[reason] = self.vector_fallbacks.get(reason, 0) + 1
 
     def _try_vector(self, kernel, statement: Statement, batch) -> bool:
-        """Run one statement through its vector kernel; False demands scalar replay.
+        """Run one statement through its vector kernel; False demands the runner.
 
         ``compute`` touches no engine state, so a failure at any point —
         regime violation, overflow risk, or an unexpected error a masked-out
         scalar path would never hit — leaves the tables untouched and the
-        scalar replay produces the exact sequential result.
+        statement runner produces the exact sequential result.
         """
         table = self.engine.maps.table(statement.target)
         if table._watcher is not None:
             # set_total skips no-op notifications the per-tuple path would
-            # emit; keep dirty-delta tracking exact by staying scalar.
+            # emit; keep dirty-delta tracking exact on the statement runner.
             self._note_fallback("watcher")
             return False
         try:
@@ -427,6 +386,7 @@ class BatchedEngine:
         self.groups_applied += 1
         engine = self.engine
         if group.events is not None:
+            # Bulk-unsafe: in-order replay through the fused trigger kernels.
             self.fallback_events += group.count
             for event in group.events:
                 engine.apply(event)
@@ -435,7 +395,7 @@ class BatchedEngine:
         self.bulk_events += group.count
         engine.count_bulk_events(group.sign, group.relation, group.count)
         analysis = self.plan.analysis(group.relation, group.sign)
-        executor = engine.executor
+        runner_for = engine.codegen.runner_for
         folded = group.folded
         # Materialized lazily: a fully-vectorized group never needs the
         # per-tuple list, and building it costs ~50ns/event at large batches.
@@ -455,20 +415,20 @@ class BatchedEngine:
                 len(folded),
             )
 
-        # Vector dispatch: per statement, in exactly the scalar order (slow
-        # then fast), try the columnar kernel and replay that one statement
-        # through its scalar path on any fallback.  Provenance groups stay
-        # scalar wholesale — set_total does not record transitions.
+        # Per statement, in trigger order: the bound vector kernel when the
+        # group reaches the cutoff, else (or on any vector fallback) the
+        # compiled executor's statement runner over the folded pairs.
+        # Provenance groups skip vector dispatch wholesale — set_total does
+        # not record transitions.
         vec: dict[int, Any] = {}
-        if self.backend_active == "vector" and prov is None:
+        if prov is None:
             vec = self._vector_bindings(analysis)
         batch = prebuilt
         if vec and batch is None:
-            if len(folded) < self.min_vector_rows:
+            if len(folded) < DEFAULT_MIN_VECTOR_ROWS:
                 # Tiny folded groups (interleaved multi-relation streams fold
                 # into runs of a handful of tuples) pay more in per-call
-                # numpy overhead than vectorization saves; the scalar loop
-                # wins below the cutoff.
+                # numpy overhead than vectorization saves.
                 self._note_fallback("small-group")
                 vec = {}
             else:
@@ -476,38 +436,16 @@ class BatchedEngine:
                 batch = ColumnBatch(items)
         vectorized = False
 
-        memo: dict = {}
-        runner_for = getattr(executor, "runner_for", None)
-        for statement in analysis.slow_increments:
+        for statement in analysis.increments:
             kernel = vec.get(id(statement))
             if kernel is not None and self._try_vector(kernel, statement, batch):
                 vectorized = True
                 continue
             if items is None:
                 items = list(folded.items())
-            # A compiled inner engine takes the folded tuples directly; the
-            # interpreter needs per-item bindings dictionaries.
-            runner = runner_for(statement) if runner_for is not None else None
-            if runner is not None:
-                for values, multiplicity in items:
-                    runner(values, multiplicity)
-                continue
-            trigger_vars = statement.event.trigger_vars
+            run = runner_for(statement)
             for values, multiplicity in items:
-                executor.execute_increment(
-                    statement,
-                    dict(zip(trigger_vars, values)),
-                    scale=multiplicity,
-                    memo=memo,
-                )
-        for statement, run in analysis.fast_increments:
-            kernel = vec.get(id(statement))
-            if kernel is not None and self._try_vector(kernel, statement, batch):
-                vectorized = True
-                continue
-            if items is None:
-                items = list(folded.items())
-            run(engine.maps.table(statement.target), items)
+                run(values, multiplicity)
         if vectorized:
             self.vector_events += group.count
 
@@ -518,10 +456,10 @@ class BatchedEngine:
             for values, multiplicity in items:
                 table.add(values, group.sign * multiplicity)
 
+        # Bulk-safe ``:=`` statements do not depend on the trigger variables:
+        # once per group, under any one of its tuples.
         for statement in analysis.assigns:
-            trigger_vars = statement.event.trigger_vars
-            first = next(iter(folded))
-            executor.execute_assign(statement, dict(zip(trigger_vars, first)))
+            runner_for(statement)(next(iter(folded)), 1)
 
         engine.events_processed += group.count
 
@@ -544,10 +482,10 @@ class BatchedEngine:
         staged: list[tuple[DeltaGroup, Any]] = []
         for group in groups:
             batch = None
-            if group.folded is not None and self.backend_active == "vector":
+            if group.folded is not None and len(group.folded) >= DEFAULT_MIN_VECTOR_ROWS:
                 analysis = self.plan.analysis(group.relation, group.sign)
                 kernels = analysis.vector_kernels()
-                if kernels and len(group.folded) >= self.min_vector_rows:
+                if kernels:
                     batch = ColumnBatch(list(group.folded.items()))
                     for kernel in kernels.values():
                         batch.prewarm(kernel.uses)
@@ -603,27 +541,18 @@ class BatchedEngine:
         """Inner-engine statistics plus batching counters."""
         self.flush()
         stats = self.engine.statistics()
-        if self.backend_active == "vector":
-            vector_statements = sum(
-                len(analysis.vector_kernels())
-                for analysis in self.plan._analyses.values()
-            )
-        else:
-            vector_statements = sum(
-                len(analysis._vector or ())
-                for analysis in self.plan._analyses.values()
-            )
+        vector_statements = sum(
+            len(analysis.vector_kernels())
+            for analysis in self.plan._analyses.values()
+        )
         stats["batching"] = {
             "batch_size": self.batch_size,
             "batches_flushed": self.batches_flushed,
             "groups_applied": self.groups_applied,
             "bulk_events": self.bulk_events,
             "fallback_events": self.fallback_events,
-            "backend": self.backend,
-            "backend_active": self.backend_active,
             "vector_reason": self.vector_reason,
             "vector_statements": vector_statements,
-            "min_vector_rows": self.min_vector_rows,
             "vector_events": self.vector_events,
             "vector_fallbacks": dict(self.vector_fallbacks),
         }

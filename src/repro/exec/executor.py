@@ -27,11 +27,9 @@ from repro.delta.events import StreamEvent
 from repro.errors import ExecutionError, ReproError
 
 
-def _build_partition_engine(
-    program: TriggerProgram, batch_size: int | None, compiled: bool = False
-):
+def _build_partition_engine(program: TriggerProgram, batch_size: int | None):
+    from repro.codegen.engine import CompiledEngine
     from repro.exec.batching import BatchedEngine
-    from repro.runtime.engine import IncrementalEngine
     from repro.telemetry import Telemetry
 
     # Partition engines always run with telemetry disabled: events are
@@ -40,12 +38,8 @@ def _build_partition_engine(
     # inside every partition).
     disabled = Telemetry(enabled=False)
     if batch_size is not None and batch_size > 1:
-        return BatchedEngine(program, batch_size, compiled=compiled, telemetry=disabled)
-    if compiled:
-        from repro.codegen.engine import CompiledEngine
-
-        return CompiledEngine(program, telemetry=disabled)
-    return IncrementalEngine(program, telemetry=disabled)
+        return BatchedEngine(program, batch_size, telemetry=disabled)
+    return CompiledEngine(program, telemetry=disabled)
 
 
 class Backend(Protocol):
@@ -85,16 +79,10 @@ class Backend(Protocol):
 class SequentialBackend:
     """All partition engines hosted in the calling process."""
 
-    def __init__(
-        self,
-        program: TriggerProgram,
-        count: int,
-        batch_size: int | None = None,
-        compiled: bool = False,
-    ):
+    def __init__(self, program: TriggerProgram, count: int, batch_size: int | None = None):
         self.count = count
         self._engines = [
-            _build_partition_engine(program, batch_size, compiled) for _ in range(count)
+            _build_partition_engine(program, batch_size) for _ in range(count)
         ]
 
     def load_static(self, relation: str, rows: list) -> int:
@@ -110,8 +98,7 @@ class SequentialBackend:
 
     def sync(self) -> None:
         for engine in self._engines:
-            if hasattr(engine, "flush"):
-                engine.flush()
+            engine.flush()
 
     def result_items(self, index: int, name: str) -> list[tuple[tuple, Any]]:
         return list(self._engines[index].result_dict(name).items())
@@ -145,15 +132,13 @@ class SequentialBackend:
         pass
 
 
-def _worker_main(
-    connection, program_bytes: bytes, batch_size: int | None, compiled: bool = False
-) -> None:
+def _worker_main(connection, program_bytes: bytes, batch_size: int | None) -> None:
     """Worker loop: rebuild the engine, then serve commands until ``stop``.
 
-    Compiled workers recompile their kernels from the unpickled trigger
-    program — pickled state never carries code objects.
+    Workers recompile their kernels from the unpickled trigger program —
+    pickled state never carries code objects.
     """
-    engine = _build_partition_engine(pickle.loads(program_bytes), batch_size, compiled)
+    engine = _build_partition_engine(pickle.loads(program_bytes), batch_size)
     while True:
         try:
             command, payload = connection.recv()
@@ -166,8 +151,7 @@ def _worker_main(
             relation, rows = payload
             connection.send(engine.load_static(relation, rows))
         elif command == "sync":
-            if hasattr(engine, "flush"):
-                engine.flush()
+            engine.flush()
             connection.send(engine.events_processed)
         elif command == "result_items":
             connection.send(list(engine.result_dict(payload).items()))
@@ -203,13 +187,7 @@ def _worker_main(
 class MultiprocessBackend:
     """One worker process per partition for real parallel execution."""
 
-    def __init__(
-        self,
-        program: TriggerProgram,
-        count: int,
-        batch_size: int | None = None,
-        compiled: bool = False,
-    ):
+    def __init__(self, program: TriggerProgram, count: int, batch_size: int | None = None):
         import multiprocessing
 
         self.count = count
@@ -224,7 +202,7 @@ class MultiprocessBackend:
             parent, child = context.Pipe()
             process = context.Process(
                 target=_worker_main,
-                args=(child, program_bytes, batch_size, compiled),
+                args=(child, program_bytes, batch_size),
                 daemon=True,
             )
             process.start()
@@ -324,7 +302,6 @@ def make_backend(
     program: TriggerProgram,
     count: int,
     batch_size: int | None = None,
-    compiled: bool = False,
 ) -> Backend:
     """Instantiate a backend by name (``"sequential"`` or ``"process"``)."""
     try:
@@ -333,4 +310,4 @@ def make_backend(
         raise ExecutionError(
             f"unknown backend {kind!r}; expected one of {sorted(BACKENDS)}"
         ) from None
-    return factory(program, count, batch_size=batch_size, compiled=compiled)
+    return factory(program, count, batch_size=batch_size)

@@ -354,7 +354,6 @@ class PartitionedEngine:
         backend: str = "sequential",
         batch_size: int | None = None,
         route_buffer: int = 256,
-        compiled: bool = False,
         telemetry=None,
     ) -> None:
         from repro.exec.executor import make_backend
@@ -364,9 +363,7 @@ class PartitionedEngine:
         # Events are accounted once, at this routing layer; the backend's
         # inner engines run with telemetry disabled (see executor.py), so a
         # process-global enabled default cannot double count.
-        self._backend = make_backend(
-            backend, program, partitions, batch_size=batch_size, compiled=compiled
-        )
+        self._backend = make_backend(backend, program, partitions, batch_size=batch_size)
         self.backend_name = backend
         self._buffers: list[list[StreamEvent]] = [[] for _ in range(partitions)]
         self._buffered = 0

@@ -176,23 +176,16 @@ def render_explain_text(report: Mapping[str, Any]) -> str:
             line += (
                 f" bulk_events={batching.get('bulk_events', 0)}"
                 f" fallback_events={batching.get('fallback_events', 0)}"
+                f" vector_events={batching.get('vector_events', 0)}"
             )
-            if batching.get("backend", "scalar") != "scalar" or batching.get(
-                "vector_reason"
-            ):
-                line += (
-                    f" backend={batching.get('backend_active', batching['backend'])}"
-                    f" vector_events={batching.get('vector_events', 0)}"
+            fallbacks = batching.get("vector_fallbacks") or {}
+            if fallbacks:
+                detail = ",".join(
+                    f"{reason}x{count}" for reason, count in sorted(fallbacks.items())
                 )
-                fallbacks = batching.get("vector_fallbacks") or {}
-                if fallbacks:
-                    detail = ",".join(
-                        f"{reason}x{count}"
-                        for reason, count in sorted(fallbacks.items())
-                    )
-                    line += f" vector_fallbacks={detail}"
-                if batching.get("vector_reason"):
-                    line += f" vector_disabled={batching['vector_reason']!r}"
+                line += f" vector_fallbacks={detail}"
+            if batching.get("vector_reason"):
+                line += f" vector_disabled={batching['vector_reason']!r}"
         if "partitioning" in observed and observed["partitioning"]:
             line += f" partitions={observed['partitioning'].get('partitions')}"
         lines.append(line)

@@ -141,15 +141,13 @@ class TriggerExecutor:
         statement: Statement,
         bindings: Mapping[str, Any],
         scale: Any = 1,
-        memo: dict | None = None,
     ) -> None:
         """Run one ``+=`` statement under explicit trigger-variable bindings.
 
         ``scale`` multiplies every produced delta (used by batched execution to
-        fold repeated identical events); ``memo`` optionally shares evaluation
-        results of context-independent subexpressions across calls.
+        fold repeated identical events).
         """
-        result = self._evaluator.evaluate(statement.expr, bindings, memo=memo)
+        result = self._evaluator.evaluate(statement.expr, bindings)
         if not result:
             return
         table = self._maps.table(statement.target)

@@ -49,9 +49,10 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help="partition count (partitioned engine)")
     parser.add_argument("--backend", choices=["sequential", "process", "vector"],
                         default="sequential",
-                        help="partitioned-engine executor (sequential/process) "
-                             "or the batched engine's columnar numpy backend "
-                             "(vector, with --engine batched)")
+                        help="partitioned-engine executor (sequential/process); "
+                             "'vector' is accepted with --engine batched and "
+                             "does nothing (the batched engine vectorizes large "
+                             "groups whenever numpy is present)")
     parser.add_argument("--checkpoint-dir", default=None,
                         help="directory for durable checkpoints")
     parser.add_argument("--wal-dir", default=None,

@@ -87,22 +87,14 @@ def engine_for_mode(
 
         return CompiledEngine(program, telemetry=telemetry)
     if mode == "batched":
+        # ``backend`` names the partitioned engine's executor; the batched
+        # engine picks vector dispatch on its own, so any value is accepted.
         return BatchedEngine(
             program,
             DEFAULT_BATCH_SIZE if batch_size is None else batch_size,
-            # "sequential"/"process" are the partitioned engine's executor
-            # names; the batched engine's axis is scalar-vs-vector, so only
-            # "vector" routes through (one --backend flag serves both modes).
-            backend="vector" if backend == "vector" else "scalar",
             telemetry=telemetry,
         )
     if mode == "partitioned":
-        if backend == "vector":
-            raise ServiceError(
-                "backend 'vector' belongs to the batched engine "
-                "(mode='batched'); partitioned backends are "
-                "'sequential' or 'process'"
-            )
         return PartitionedEngine(
             program,
             partitions=DEFAULT_PARTITIONS if partitions is None else partitions,

@@ -15,28 +15,10 @@ JSONL adapter representation from :mod:`repro.streams.adapters`
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
+from repro.core.values import FRACTION_TAG, decode_value, encode_value  # noqa: F401
 from repro.errors import ServiceError
-
-#: Tag wrapping non-JSON-native rational values.
-FRACTION_TAG = "__fraction__"
-
-
-def encode_value(value: Any) -> Any:
-    """A JSON-representable stand-in for one engine value."""
-    if isinstance(value, Fraction):
-        return {FRACTION_TAG: [value.numerator, value.denominator]}
-    return value
-
-
-def decode_value(value: Any) -> Any:
-    """Invert :func:`encode_value`."""
-    if isinstance(value, Mapping) and FRACTION_TAG in value:
-        numerator, denominator = value[FRACTION_TAG]
-        return Fraction(numerator, denominator)
-    return value
 
 
 def encode_entries(entries: Mapping[tuple, Any]) -> list[list[Any]]:

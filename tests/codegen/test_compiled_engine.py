@@ -95,13 +95,31 @@ def test_streams_used_here_contain_deletes():
 
 
 def test_linear_tpch_views_compile_fully(cases):
-    """The headline queries must run entirely on generated code."""
-    for name in ("Q1", "Q3", "Q6"):
+    """The headline queries must run entirely on generated code — including
+    the ones whose statements call external functions (Q12/Q14/Q19)."""
+    for name in ("Q1", "Q3", "Q6", "Q12", "Q14", "Q19"):
         _, _, program, _, _ = cases(name)
         engine = CompiledEngine(program)
         stats = engine.codegen.codegen_statistics()
         assert stats["fallback_statements"] == 0, stats["fallbacks"]
         assert stats["compiled_statements"] > 0
+        nonempty = sum(1 for trigger in program.triggers.values() if trigger.statements)
+        assert stats["fused_kernels"] == nonempty, name
+
+
+def test_no_workload_statement_falls_back_on_an_external_function():
+    """External functions are inside the codegen fragment on every path."""
+    from repro.codegen.describe import describe_program
+
+    for name in ALL_QUERIES:
+        _, _, program, _ = _build_case(name)
+        reasons = [
+            statement["fallback_reason"]
+            for trigger in describe_program(program)["triggers"]
+            for statement in trigger["statements"]
+            if not statement["compiled"]
+        ]
+        assert not any("function" in reason for reason in reasons), (name, reasons)
 
 
 def test_forced_full_fallback_is_still_identical(cases, monkeypatch):

@@ -193,9 +193,7 @@ def test_process_backend_recompiles_fused_kernels(cases):
     from repro.exec import PartitionedEngine
 
     spec, translated, program, events, expected = cases("Q3")
-    engine = PartitionedEngine(
-        program, partitions=2, backend="process", compiled=True
-    )
+    engine = PartitionedEngine(program, partitions=2, backend="process")
     try:
         got = _views(engine, translated, spec, program, events)
         _assert_bit_identical(expected, got, "Q3/process-fused")
@@ -203,9 +201,7 @@ def test_process_backend_recompiles_fused_kernels(cases):
     finally:
         engine.close()
 
-    restored = PartitionedEngine(
-        program, partitions=2, backend="process", compiled=True
-    )
+    restored = PartitionedEngine(program, partitions=2, backend="process")
     try:
         restored.restore_state(state)
         got = {root: restored.result_dict(root) for root in translated.roots()}

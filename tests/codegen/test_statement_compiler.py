@@ -17,7 +17,7 @@ from repro.agca.ast import (
     VFunc,
     VVar,
 )
-from repro.codegen.statement import compile_scalar_kernel, try_compile_statement
+from repro.codegen.statement import try_compile_statement
 from repro.compiler.program import (
     ASSIGN,
     INCREMENT,
@@ -243,7 +243,6 @@ def test_trigger_var_conditions_hoist_above_scans(simple):
 @pytest.mark.parametrize(
     "expr",
     [
-        Value(VFunc("listmax", (VConst(1), VVar("r_b")))),       # external function
         Product((Value(VVar("unbound_var")),)),                  # unbound variable
         Lift("z", AggSum(("r_a",), Value(VVar("r_b")))),         # lift over grouped agg
         Product((Product((Value(VVar("r_b")),)),)),              # nested product
@@ -294,11 +293,28 @@ def test_division_uses_zero_denominator_semantics(simple):
 
 
 # ---------------------------------------------------------------------------
-# The batched scalar fast path reuses the same lowering
+# One capability set: what the batched fast path used to compile on its own
 # ---------------------------------------------------------------------------
 
 
-def test_scalar_kernel_folds_items(simple):
+def _entries(table):
+    return {tuple(key[c] for c in table.columns): value for key, value in table.items()}
+
+
+def _fold(stmt, program, items):
+    """Feed folded ``(values, multiplicity)`` pairs to the statement's runner."""
+    store = MapStore()
+    for decl in program.maps.values():
+        store.declare(decl.name, decl.keys)
+    kernel = try_compile_statement(stmt, program)
+    assert kernel is not None
+    runner = kernel.bind(store, Database())
+    for values, multiplicity in items:
+        runner(values, multiplicity)
+    return store.table(stmt.target), kernel
+
+
+def test_statement_kernel_folds_items_with_prebuilt_key_rows(simple):
     event, maps, schemas = simple
     stmt = Statement(
         target="T",
@@ -307,20 +323,18 @@ def test_scalar_kernel_folds_items(simple):
         expr=Product((Cmp(VVar("r_b"), ">=", VConst(0)), Value(VVar("r_b")))),
         event=event,
     )
-    kernel = compile_scalar_kernel(stmt, columns=("k",))
-    assert kernel is not None
-    assert "def _kernel(_table, _items):" in kernel.source
-    from repro.runtime.maps import IndexedTable
-
-    table = IndexedTable(("k",))
-    kernel(table, [((1, 5), 2), ((1, -3), 7), ((2, 4), 1)])
-    assert {tuple(k[c] for c in ("k",)): v for k, v in table.items()} == {
-        (1,): 10,
-        (2,): 4,
-    }
+    table, kernel = _fold(
+        stmt, make_program([stmt], maps, schemas),
+        [((1, 5), 2), ((1, -3), 7), ((2, 4), 1)],
+    )
+    # The key row is built sorted at codegen time, not normalized per add.
+    assert "_Row((('k', _v0),))" in kernel.source
+    assert _entries(table) == {(1,): 10, (2,): 4}
 
 
-def test_scalar_kernel_allows_external_functions(simple):
+def test_external_function_compiles_bit_identical_to_interpreter(simple):
+    from repro.runtime.interpreter import TriggerExecutor
+
     event, maps, schemas = simple
     stmt = Statement(
         target="T",
@@ -329,19 +343,41 @@ def test_scalar_kernel_allows_external_functions(simple):
         expr=Value(VFunc("listmax", (VConst(1), VVar("r_b")))),
         event=event,
     )
-    kernel = compile_scalar_kernel(stmt, columns=("k",))
-    assert kernel is not None
-    from repro.runtime.maps import IndexedTable
+    program = make_program([stmt], maps, schemas)
+    items = [((1, 7), 1), ((2, -5), 3), ((3, 2.5), 1), ((1, 0.5), 2)]
+    table, kernel = _fold(stmt, program, items)
+    assert "_fn" in kernel.source  # pinned into the kernel namespace at build
 
-    table = IndexedTable(("k",))
-    kernel(table, [((1, 7), 1), ((2, -5), 1)])
-    assert {tuple(k[c] for c in ("k",)): v for k, v in table.items()} == {
-        (1,): 7,
-        (2,): 1,
+    store = MapStore()
+    for decl in program.maps.values():
+        store.declare(decl.name, decl.keys)
+    interpreter = TriggerExecutor(program, Database(), store)
+    for values, multiplicity in items:
+        interpreter.execute_increment(
+            stmt, dict(zip(event.trigger_vars, values)), scale=multiplicity
+        )
+    expected = _entries(store.table("T"))
+    assert _entries(table) == expected == {(1,): 9, (2,): 3, (3,): 2.5}
+    assert {k: type(v) for k, v in _entries(table).items()} == {
+        k: type(v) for k, v in expected.items()
     }
 
 
-def test_scalar_kernel_keeps_term_order_short_circuit(simple):
+def test_zero_constant_statement_is_a_noop(simple):
+    event, maps, schemas = simple
+    stmt = Statement(
+        target="T",
+        target_keys=("r_a",),
+        operation=INCREMENT,
+        expr=Product((Value(VConst(0)), Value(VVar("r_b")))),
+        event=event,
+    )
+    table, kernel = _fold(stmt, make_program([stmt], maps, schemas), [((1, 5), 2)])
+    assert len(table) == 0
+    assert "sink_add" not in kernel.ir_ops  # the dead term emits no IR at all
+
+
+def test_statement_kernel_keeps_term_order_short_circuit(simple):
     """A zero value factor must skip later terms, exactly like the evaluator.
 
     The comparison after the zero factor is ill-typed for the data (number
@@ -359,22 +395,5 @@ def test_scalar_kernel_keeps_term_order_short_circuit(simple):
         )),
         event=event,
     )
-    kernel = compile_scalar_kernel(stmt, columns=("k",))
-    assert kernel is not None
-    from repro.runtime.maps import IndexedTable
-
-    table = IndexedTable(("k",))
-    kernel(table, [((1, 3), 1)])  # must not raise TypeError
-    assert len(table) == 0
-
-
-def test_scalar_kernel_rejects_map_reads(simple):
-    event, maps, schemas = simple
-    stmt = Statement(
-        target="T",
-        target_keys=("r_a",),
-        operation=INCREMENT,
-        expr=MapRef("M", ("r_a",)),
-        event=event,
-    )
-    assert compile_scalar_kernel(stmt, columns=("k",)) is None
+    table, _ = _fold(stmt, make_program([stmt], maps, schemas), [((1, 3), 1)])
+    assert len(table) == 0  # and no TypeError on the way

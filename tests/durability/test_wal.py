@@ -1,12 +1,16 @@
 """Write-ahead log unit tests: append/replay round trips, group fsync,
 torn-tail truncation, segment rotation and GC, and the batch-id dedup index."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from repro.delta.events import delete, insert
 from repro.durability import WriteAheadLog
+from repro.durability import wal as wal_module
 from repro.errors import DurabilityError
 
 
@@ -145,6 +149,36 @@ def test_rotate_seals_segments_and_prune_drops_checkpointed_ones(tmp_path):
         wal.append(6, batch(6))  # still appendable at the tip
 
 
+def test_prune_forgets_pruned_batch_ids_without_reading_any_segment(tmp_path, monkeypatch):
+    ids = ("b0", "b1", "b2", "kept", "tail")
+    with WriteAheadLog(tmp_path) as wal:
+        fill(wal, 3, batch_ids=True)  # segment 0 holds b0..b2 (versions 0..6)
+        wal.rotate()
+        wal.append(6, batch(6), batch_id="kept")
+        wal.rotate()
+        wal.append(8, batch(8), batch_id="tail")
+        before = {batch_id: wal.seen_batch(batch_id) for batch_id in ids}
+        assert None not in before.values()
+
+        opened = []
+        real_open = open
+
+        def spying_open(path, mode="r", *args, **kwargs):
+            opened.append((os.fspath(path), mode))
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(wal_module, "open", spying_open, raising=False)
+        assert wal.prune(keep_from_offset=7) == 1  # only the 0..6 segment goes
+        monkeypatch.undo()
+        assert opened == [], "prune forgets ids from the index, not by re-reading"
+
+        after = {batch_id: wal.seen_batch(batch_id) for batch_id in ids}
+        assert after == {**before, "b0": None, "b1": None, "b2": None}
+    # The live index equals what a scan of the retained segments rebuilds.
+    with WriteAheadLog(tmp_path) as reopened:
+        assert {batch_id: reopened.seen_batch(batch_id) for batch_id in ids} == after
+
+
 def test_prune_never_removes_the_active_segment(tmp_path):
     with WriteAheadLog(tmp_path) as wal:
         fill(wal, 2)
@@ -188,3 +222,17 @@ def test_batch_index_survives_reopen(tmp_path):
     assert reopened.seen_batch("beta") == (2, 5)
     assert reopened.seen_batch("gamma") is None
     reopened.close()
+
+
+# -- import order ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.durability", "repro.durability.wal", "repro.service"]
+)
+def test_packages_import_first_in_a_fresh_interpreter(module):
+    """No service<->durability cycle: either side may be the first import."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    subprocess.run([sys.executable, "-c", f"import {module}"], check=True, env=env)

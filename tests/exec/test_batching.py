@@ -38,19 +38,17 @@ def test_linear_tpch_triggers_are_bulk_safe():
     plan = BatchPlan(program)
     assert plan.analysis("Lineitem", 1).safe
     assert plan.analysis("Lineitem", -1).safe
-    # Q1's statements are scalar (map-free), so they all compile to closures.
-    assert plan.analysis("Lineitem", 1).fast_increments
-    assert not plan.analysis("Lineitem", 1).slow_increments
+    assert plan.analysis("Lineitem", 1).increments
 
 
 def test_join_trigger_reading_foreign_maps_is_bulk_safe():
     _, program = _program("Q3")
     plan = BatchPlan(program)
     # The Lineitem trigger reads Orders/Customer-derived maps but writes only
-    # Lineitem-derived ones: bulk-safe, slow path (map lookups involved).
+    # Lineitem-derived ones: bulk-safe despite the map lookups.
     analysis = plan.analysis("Lineitem", 1)
     assert analysis.safe
-    assert analysis.slow_increments
+    assert analysis.reads_maps and not analysis.reads_maps & analysis.writes
 
 
 def test_self_join_trigger_falls_back_to_per_event():
@@ -126,6 +124,31 @@ def test_delta_gmr_folds_signed_multiplicities():
 # ---------------------------------------------------------------------------
 # BatchedEngine behaviour
 # ---------------------------------------------------------------------------
+
+
+def test_constructor_surfaces_have_no_execution_path_knobs():
+    """Inner engines are always compiled and vector dispatch is automatic:
+    nothing on these signatures selects an execution path."""
+    import inspect
+
+    from repro.codegen.engine import CompiledEngine
+    from repro.exec import PartitionedEngine, make_backend
+    from repro.exec.executor import MultiprocessBackend, SequentialBackend
+
+    def parameters(fn):
+        return [name for name in inspect.signature(fn).parameters if name != "self"]
+
+    assert parameters(BatchedEngine.__init__) == [
+        "program", "batch_size", "plan", "telemetry",
+    ]
+    for factory in (
+        PartitionedEngine.__init__, make_backend,
+        SequentialBackend.__init__, MultiprocessBackend.__init__,
+    ):
+        assert "compiled" not in parameters(factory)
+    _, program = _program("Q1")
+    assert isinstance(BatchedEngine(program, 10).engine, CompiledEngine)
+    assert not hasattr(BatchedEngine, "BACKENDS")
 
 
 def test_batched_engine_rejects_non_stream_relations():

@@ -1,7 +1,7 @@
-"""Tests for the columnar vector backend: bit-identity, fallbacks, staging.
+"""Tests for the columnar vector kernels: bit-identity, fallbacks, staging.
 
-The contract under test is the one DESIGN.md states for ``backend="vector"``:
-default-mode results are bit-identical to the scalar backend — values *and*
+The contract under test is the one DESIGN.md states for vector dispatch:
+results are bit-identical to the interpreted per-event engine — values *and*
 types — with the vector path falling back per statement per batch whenever a
 batch leaves the fast-numeric regime (int64 overflow, Fractions, mixed
 columns), and disabling itself entirely (with a reason) when numpy is
@@ -20,8 +20,9 @@ from repro.codegen import vector
 from repro.compiler.hoivm import compile_query
 from repro.core.rows import Row
 from repro.delta.events import delete, insert
-from repro.errors import ExecutionError, ServiceError
-from repro.exec import BatchedEngine
+from repro.errors import ExecutionError
+from repro.exec import BatchedEngine, batching
+from repro.runtime.engine import IncrementalEngine
 from repro.runtime.maps import IndexedTable
 from repro.sql import Catalog, parse_sql_query
 from repro.workloads import all_workloads, workload
@@ -32,7 +33,7 @@ needs_numpy = pytest.mark.skipif(
 )
 
 #: Workloads whose lineitem-style triggers are known to vectorize (the
-#: regression canary: losing one of these to the scalar path is a bug).
+#: regression canary: losing one of these to the statement runners is a bug).
 VECTORIZED_WORKLOADS = ("Q1", "Q6", "VWAP")
 
 CATALOG = Catalog.from_dict({"R": ("k", "grp", "x", "s")})
@@ -54,21 +55,30 @@ def _custom_program(sql):
     return translated, compile_query(translated.roots(), translated.schemas())
 
 
-def _run(program, static, events, backend, batch_size, compiled=True):
-    # min_vector_rows=1 disables the small-group dispatch cutoff so tiny
-    # test batches still exercise the vector kernels (the default cutoff
-    # has its own test below).
-    engine = BatchedEngine(
-        program, batch_size=batch_size, compiled=compiled, backend=backend,
-        min_vector_rows=1,
-    )
+@pytest.fixture()
+def vector_everywhere(monkeypatch):
+    """Drop the small-group dispatch cutoff so tiny test batches still reach
+    the vector kernels (the default cutoff has its own test below)."""
+    monkeypatch.setattr(batching, "DEFAULT_MIN_VECTOR_ROWS", 1)
+
+
+def _replay(engine, program, static, events):
     for relation, rows in static.items():
         engine.load_static(relation, rows)
     for event in events:
         engine.apply(event)
     engine.flush()
-    results = {root: engine.result_dict(root) for root in program.roots}
-    return engine, results
+    return {root: engine.result_dict(root) for root in program.roots}
+
+
+def _run(program, static, events, batch_size):
+    engine = BatchedEngine(program, batch_size=batch_size)
+    return engine, _replay(engine, program, static, events)
+
+
+def _reference(program, static, events):
+    """The interpreted per-event engine: the semantics of record."""
+    return _replay(IncrementalEngine(program), program, static, events)
 
 
 def _assert_bit_identical(reference, observed, context=""):
@@ -79,12 +89,12 @@ def _assert_bit_identical(reference, observed, context=""):
         for key, value in expected.items():
             assert type(got[key]) is type(value), (
                 f"{context}: {root}{key!r} is {type(got[key]).__name__}, "
-                f"scalar has {type(value).__name__}"
+                f"interpreted has {type(value).__name__}"
             )
 
 
 # ---------------------------------------------------------------------------
-# Cross-backend bit-identity property suite
+# Vector-vs-interpreter bit-identity property suite
 # ---------------------------------------------------------------------------
 
 _EVENTS = 240
@@ -92,51 +102,42 @@ _scenario_cache = {}
 
 
 def _scenario(name):
-    """(program, static, events, scalar reference results) per workload."""
+    """(program, static, events, interpreted reference results) per workload."""
     cached = _scenario_cache.get(name)
     if cached is None:
         spec, translated, program = _workload_program(name)
         agenda, static = _prepare(spec, _EVENTS, None, 7)
         events = list(agenda)
-        _, reference = _run(program, static, events, "scalar", 7)
+        reference = _reference(program, static, events)
         cached = _scenario_cache[name] = (program, static, events, reference)
     return cached
 
 
 @needs_numpy
 @pytest.mark.parametrize("name", sorted(all_workloads()))
-def test_vector_backend_bit_identical_across_batch_sizes(name):
+def test_vector_backend_bit_identical_across_batch_sizes(name, vector_everywhere):
     program, static, events, reference = _scenario(name)
     for batch_size in (1, 7, 100):
-        engine, results = _run(program, static, events, "vector", batch_size)
+        engine, results = _run(program, static, events, batch_size)
         _assert_bit_identical(reference, results, f"{name} bs={batch_size}")
 
 
 @needs_numpy
 @pytest.mark.parametrize("name", VECTORIZED_WORKLOADS)
-def test_known_vectorizable_workloads_take_the_vector_path(name):
+def test_known_vectorizable_workloads_take_the_vector_path(name, vector_everywhere):
     program, static, events, _ = _scenario(name)
-    engine, _results = _run(program, static, events, "vector", 100)
+    engine, _results = _run(program, static, events, 100)
     stats = engine.statistics()["batching"]
     assert stats["vector_statements"] > 0
     assert stats["vector_events"] > 0
 
 
 @needs_numpy
-def test_range_probe_workload_vectorizes():
+def test_range_probe_workload_vectorizes(vector_everywhere):
     """VWAP's correlated range condition runs through the prefix-sum probe."""
     program, static, events, reference = _scenario("VWAP")
-    engine, results = _run(program, static, events, "vector", 100)
+    engine, results = _run(program, static, events, 100)
     _assert_bit_identical(reference, results, "VWAP range probes")
-    assert engine.statistics()["batching"]["vector_events"] > 0
-
-
-@needs_numpy
-def test_vector_backend_with_interpreted_statements():
-    """compiled=False still dispatches vector kernels per bulk-safe group."""
-    program, static, events, reference = _scenario("Q6")
-    engine, results = _run(program, static, events, "vector", 100, compiled=False)
-    _assert_bit_identical(reference, results, "Q6 interpreted")
     assert engine.statistics()["batching"]["vector_events"] > 0
 
 
@@ -146,10 +147,9 @@ def test_vector_backend_with_interpreted_statements():
 
 
 @needs_numpy
-def test_staged_apply_matches_per_event_results():
+def test_staged_apply_matches_per_event_results(vector_everywhere):
     program, static, events, reference = _scenario("Q1")
-    engine = BatchedEngine(program, batch_size=100, compiled=True,
-                           backend="vector", min_vector_rows=1)
+    engine = BatchedEngine(program, batch_size=100)
     for relation, rows in static.items():
         engine.load_static(relation, rows)
     applied = 0
@@ -164,12 +164,11 @@ def test_staged_apply_matches_per_event_results():
 
 
 @needs_numpy
-def test_empty_and_singleton_batches():
+def test_empty_and_singleton_batches(vector_everywhere):
     translated, program = _custom_program(
         "SELECT r.grp, SUM(r.x) AS total FROM R r GROUP BY r.grp"
     )
-    engine = BatchedEngine(program, batch_size=1, compiled=True,
-                           backend="vector", min_vector_rows=1)
+    engine = BatchedEngine(program, batch_size=1)
     assert engine.apply_staged(engine.stage([])) == 0
     engine.apply(insert("R", 1, "a", 5, "s"))
     engine.flush()
@@ -181,21 +180,20 @@ def test_empty_and_singleton_batches():
 
 @needs_numpy
 def test_small_groups_stay_scalar_under_default_cutoff():
-    """Folded groups below min_vector_rows skip vector dispatch entirely.
+    """Folded groups below the cutoff constant skip vector dispatch entirely.
 
     Tiny groups pay more in per-call numpy overhead than vectorization
-    saves, so the default engine routes them through the scalar loop and
+    saves, so the engine routes them through the statement runners and
     records the decision as a "small-group" fallback.
     """
-    from repro.exec.batching import DEFAULT_MIN_VECTOR_ROWS
+    assert batching.DEFAULT_MIN_VECTOR_ROWS == 16
 
     _, program = _custom_program(
         "SELECT r.grp, SUM(r.x) AS total FROM R r GROUP BY r.grp"
     )
     events = [insert("R", i, "a", float(i), "s") for i in range(12)]
-    _, reference = _run(program, {}, events, "scalar", 4)
-    engine = BatchedEngine(program, batch_size=4, compiled=True, backend="vector")
-    assert engine.min_vector_rows == DEFAULT_MIN_VECTOR_ROWS
+    reference = _reference(program, {}, events)
+    engine = BatchedEngine(program, batch_size=4)
     for event in events:
         engine.apply(event)
     engine.flush()
@@ -205,7 +203,7 @@ def test_small_groups_stay_scalar_under_default_cutoff():
     assert stats["vector_events"] == 0
     assert "small-group" in stats["vector_fallbacks"]
     # Raising the batch above the cutoff re-enables vector dispatch.
-    big = BatchedEngine(program, batch_size=32, compiled=True, backend="vector")
+    big = BatchedEngine(program, batch_size=32)
     for event in events + [insert("R", 100 + i, "b", 1.0, "s") for i in range(20)]:
         big.apply(event)
     big.flush()
@@ -218,7 +216,7 @@ def test_small_groups_stay_scalar_under_default_cutoff():
 
 
 @needs_numpy
-def test_int64_overflow_mid_stream_falls_back_per_batch():
+def test_int64_overflow_mid_stream_falls_back_per_batch(vector_everywhere):
     sql = "SELECT r.grp, SUM(r.x) AS total FROM R r GROUP BY r.grp"
     _, program = _custom_program(sql)
     events = [insert("R", i, "a", 10) for i in range(4)]
@@ -230,8 +228,8 @@ def test_int64_overflow_mid_stream_falls_back_per_batch():
         insert(e.relation, *e.values, "s") for e in events
     ]
     _, program = _custom_program(sql)
-    _, reference = _run(program, {}, events, "scalar", 4)
-    engine, results = _run(program, {}, events, "vector", 4)
+    reference = _reference(program, {}, events)
+    engine, results = _run(program, {}, events, 4)
     _assert_bit_identical(reference, results, "int overflow")
     total = results["T_total"][("a",)]
     assert type(total) is int and total == 40 + 4 * 2**60 + 4 * 2**70 + 12
@@ -243,7 +241,7 @@ def test_int64_overflow_mid_stream_falls_back_per_batch():
 
 
 @needs_numpy
-def test_fraction_batches_never_vectorize():
+def test_fraction_batches_never_vectorize(vector_everywhere):
     _, program = _custom_program(
         "SELECT r.grp, SUM(r.x) AS total FROM R r GROUP BY r.grp"
     )
@@ -251,8 +249,8 @@ def test_fraction_batches_never_vectorize():
         insert("R", i, "a", Fraction(1, 3) if i % 2 else Fraction(i, 7), "s")
         for i in range(12)
     ]
-    _, reference = _run(program, {}, events, "scalar", 4)
-    engine, results = _run(program, {}, events, "vector", 4)
+    reference = _reference(program, {}, events)
+    engine, results = _run(program, {}, events, 4)
     _assert_bit_identical(reference, results, "fractions")
     stats = engine.statistics()["batching"]
     assert stats["vector_events"] == 0
@@ -261,7 +259,7 @@ def test_fraction_batches_never_vectorize():
 
 
 @needs_numpy
-def test_string_guards_vectorize_with_identical_results():
+def test_string_guards_vectorize_with_identical_results(vector_everywhere):
     _, program = _custom_program(
         "SELECT SUM(r.x) AS total FROM R r WHERE r.s = 'keep'"
     )
@@ -269,14 +267,14 @@ def test_string_guards_vectorize_with_identical_results():
         insert("R", i, "g", float(i), "keep" if i % 3 else "drop")
         for i in range(30)
     ]
-    _, reference = _run(program, {}, events, "scalar", 10)
-    engine, results = _run(program, {}, events, "vector", 10)
+    reference = _reference(program, {}, events)
+    engine, results = _run(program, {}, events, 10)
     _assert_bit_identical(reference, results, "string guards")
     assert engine.statistics()["batching"]["vector_events"] == 30
 
 
 @needs_numpy
-def test_deletes_fold_and_stay_bit_identical():
+def test_deletes_fold_and_stay_bit_identical(vector_everywhere):
     _, program = _custom_program(
         "SELECT r.grp, SUM(r.x) AS total FROM R r GROUP BY r.grp"
     )
@@ -285,8 +283,8 @@ def test_deletes_fold_and_stay_bit_identical():
         events.append(insert("R", i, "a" if i % 2 else "b", i + 1, "s"))
     for i in range(0, 20, 3):
         events.append(delete("R", i, "a" if i % 2 else "b", i + 1, "s"))
-    _, reference = _run(program, {}, events, "scalar", 8)
-    engine, results = _run(program, {}, events, "vector", 8)
+    reference = _reference(program, {}, events)
+    engine, results = _run(program, {}, events, 8)
     _assert_bit_identical(reference, results, "deletes")
 
 
@@ -296,11 +294,10 @@ def test_deletes_fold_and_stay_bit_identical():
 
 
 @needs_numpy
-def test_checkpoint_restore_mid_stream_keeps_identity():
+def test_checkpoint_restore_mid_stream_keeps_identity(vector_everywhere):
     program, static, events, reference = _scenario("Q1")
     half = len(events) // 2
-    first = BatchedEngine(program, batch_size=50, compiled=True,
-                          backend="vector", min_vector_rows=1)
+    first = BatchedEngine(program, batch_size=50)
     for relation, rows in static.items():
         first.load_static(relation, rows)
     for event in events[:half]:
@@ -308,8 +305,7 @@ def test_checkpoint_restore_mid_stream_keeps_identity():
     first.flush()
     state = first.checkpoint_state()
 
-    resumed = BatchedEngine(program, batch_size=50, compiled=True,
-                            backend="vector", min_vector_rows=1)
+    resumed = BatchedEngine(program, batch_size=50)
     resumed.restore_state(state)
     for event in events[half:]:
         resumed.apply(event)
@@ -324,21 +320,14 @@ def test_checkpoint_restore_mid_stream_keeps_identity():
 # ---------------------------------------------------------------------------
 
 
-def test_unknown_backend_rejected():
-    _, program = _custom_program("SELECT SUM(r.x) AS total FROM R r")
-    with pytest.raises(ExecutionError):
-        BatchedEngine(program, batch_size=4, backend="simd")
-
-
 def test_missing_numpy_downgrades_with_reason(monkeypatch):
     monkeypatch.setattr(vector, "np", None)
     monkeypatch.setattr(vector, "_NUMPY_REASON", "numpy unavailable (test)")
     _, program = _custom_program(
         "SELECT r.grp, SUM(r.x) AS total FROM R r GROUP BY r.grp"
     )
-    engine = BatchedEngine(program, batch_size=4, compiled=True, backend="vector")
-    assert engine.backend == "vector"
-    assert engine.backend_active == "scalar"
+    engine = BatchedEngine(program, batch_size=4)
+    assert engine.vector_reason == "numpy unavailable (test)"
     for i in range(8):
         engine.apply(insert("R", i, "a", i, "s"))
     engine.flush()
@@ -409,14 +398,16 @@ def test_codegen_dump_vector_backend_cli(capsys):
 
 
 @needs_numpy
-def test_service_mode_routes_vector_backend():
+def test_service_mode_accepts_vector_backend_as_a_noop():
+    """``serve --engine batched --backend vector`` must keep starting; the
+    name is not an executor, so the partitioned mode still rejects it."""
     from repro.service.core import engine_for_mode
 
     _, program = _custom_program("SELECT SUM(r.x) AS total FROM R r")
     engine = engine_for_mode(program, mode="batched", batch_size=8, backend="vector")
     assert isinstance(engine, BatchedEngine)
-    assert engine.backend == "vector"
-    with pytest.raises(ServiceError):
+    assert engine.vector_reason is None
+    with pytest.raises(ExecutionError):
         engine_for_mode(program, mode="partitioned", backend="vector")
 
 

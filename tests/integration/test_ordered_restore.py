@@ -53,15 +53,15 @@ def _builders(program):
     return {
         "interpreted": lambda: IncrementalEngine(program),
         "compiled": lambda: CompiledEngine(program),
-        "batched-compiled": lambda: BatchedEngine(program, batch_size=16, compiled=True),
+        "batched": lambda: BatchedEngine(program, batch_size=16),
         "partitioned-process": lambda: PartitionedEngine(
-            program, partitions=2, backend="process", compiled=True
+            program, partitions=2, backend="process"
         ),
     }
 
 
 @pytest.mark.parametrize(
-    "flavor", ["interpreted", "compiled", "batched-compiled", "partitioned-process"]
+    "flavor", ["interpreted", "compiled", "batched", "partitioned-process"]
 )
 def test_checkpoint_restore_mid_stream_with_live_range_index(vwap, flavor):
     program, translated, events, expected = vwap

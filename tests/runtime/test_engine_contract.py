@@ -21,15 +21,9 @@ ENGINES = {
     "incremental": lambda program: IncrementalEngine(program),
     "compiled": lambda program: CompiledEngine(program),
     "batched": lambda program: BatchedEngine(program, batch_size=7),
-    "batched-compiled": lambda program: BatchedEngine(
-        program, batch_size=7, compiled=True
-    ),
     "partitioned": lambda program: PartitionedEngine(program, partitions=2),
     "partitioned-batched": lambda program: PartitionedEngine(
         program, partitions=2, batch_size=5
-    ),
-    "partitioned-compiled": lambda program: PartitionedEngine(
-        program, partitions=2, compiled=True
     ),
 }
 

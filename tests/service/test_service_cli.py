@@ -60,11 +60,22 @@ def test_list_names_the_workload_queries(capsys):
     assert "Q1" in out and "VWAP" in out
 
 
-def test_serve_accepts_wire_clients(stream_file):
+@pytest.mark.parametrize(
+    "engine_args",
+    [
+        [],
+        # The benchmark's serve_bulk command line: ``--backend vector`` is an
+        # accepted no-op for the batched engine and must keep starting.
+        ["--engine", "batched", "--backend", "vector", "--batch-size", "1000"],
+    ],
+    ids=["default", "batched-vector"],
+)
+def test_serve_accepts_wire_clients(stream_file, engine_args):
     """The real CLI path: spawn the server process, talk to it, shut it down."""
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "serve", "--query", "Q1", "--port", "0"],
+        [sys.executable, "-m", "repro.service", "serve", "--query", "Q1", "--port", "0",
+         *engine_args],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
