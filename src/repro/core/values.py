@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Number
-from typing import Any, Mapping
+from typing import Any
 
 #: Absolute tolerance used when deciding that a float multiplicity is zero.
 ZERO_EPSILON = 1e-12
@@ -24,6 +24,13 @@ def is_zero(value: Any) -> bool:
     tolerance so that long chains of incremental +=/-= updates that should
     cancel out actually free their map entries.
     """
+    kind = type(value)
+    # Exact-type fast paths: the isinstance chain below pays an ABC check
+    # (Fraction) before it reaches float, and map writes call this per entry.
+    if kind is float:
+        return abs(value) <= ZERO_EPSILON
+    if kind is int:
+        return value == 0
     if isinstance(value, bool):
         return not value
     if isinstance(value, int) or isinstance(value, Fraction):
@@ -35,6 +42,11 @@ def is_zero(value: Any) -> bool:
 
 def normalize_number(value: Any) -> Any:
     """Canonicalize a numeric value (collapse integral floats/Fractions to int)."""
+    kind = type(value)
+    if kind is int:
+        return value
+    if kind is float:
+        return int(value) if value.is_integer() else value
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, Fraction):
@@ -121,14 +133,29 @@ def encode_value(value: Any) -> Any:
     Everything except :class:`~fractions.Fraction` maps 1:1 onto JSON; the
     wire protocol and the write-ahead log both encode values this way.
     """
+    kind = type(value)
+    if kind is float or kind is int or kind is str or value is None or kind is bool:
+        return value  # JSON-native exact types skip the Fraction ABC check
     if isinstance(value, Fraction):
         return {FRACTION_TAG: [value.numerator, value.denominator]}
     return value
 
 
+def json_default(value: Any) -> Any:
+    """``json.dumps(default=...)`` hook applying :func:`encode_value`.
+
+    The JSON encoder calls it only for values it cannot write itself, so a
+    whole batch serializes without any per-value Python.
+    """
+    encoded = encode_value(value)
+    if encoded is value:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return encoded
+
+
 def decode_value(value: Any) -> Any:
     """Invert :func:`encode_value`."""
-    if isinstance(value, Mapping) and FRACTION_TAG in value:
+    if type(value) is dict and FRACTION_TAG in value:
         numerator, denominator = value[FRACTION_TAG]
         return Fraction(numerator, denominator)
     return value

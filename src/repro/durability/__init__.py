@@ -4,7 +4,8 @@ The serving layer composes three mechanisms to survive ``kill -9`` at any
 instant with bit-identical views:
 
 * :class:`~repro.durability.wal.WriteAheadLog` — every ingest batch is
-  logged (JSONL + CRC, group fsync) *before* it touches engine state;
+  logged (the request line behind a CRC'd header, group fsync) *before* it
+  touches engine state;
 * incremental checkpoints — ``service/checkpoint.py`` dumps per-map
   dirty-key deltas at each cut, chained to periodic full bases;
 * recovery — newest intact base + delta chain + idempotent WAL tail replay

@@ -5,15 +5,42 @@ service that crashes at any instant can rebuild bit-identical views from
 its newest checkpoint plus this log's tail.  The design follows the classic
 recipe:
 
-* **records** — one JSONL line per ingest batch::
+* **records** — one line per ingest batch, the v2 frame::
 
-      {"o": <offset>, "n": <count>, "e": [events...], "b": <batch id?>}\t<crc32>\n
+      W2 <crc32> <offset> <count> <batch id>\t<payload>\n
 
-  ``o`` is the service version *before* the batch (the batch applies events
-  ``o+1 .. o+n``), ``e`` reuses the wire event encoding (Fraction-safe), and
-  ``b`` carries the client-supplied idempotency id when there is one.  The
-  CRC32 of the JSON body rides after a tab — compact JSON never contains a
-  raw tab byte, so the separator is unambiguous;
+  The header is ASCII: the format mark, eight hex digits of CRC32, the
+  service version *before* the batch (the batch applies events
+  ``offset+1 .. offset+count``), the event count, and the client's
+  idempotency id as a JSON literal (``null`` when there is none; JSON
+  escaping keeps tabs, newlines, quotes and non-ASCII out of the header, and
+  as the last field it may hold spaces).  The CRC covers every byte after
+  its own field — offset, count, id, the tab and the payload — so a flipped
+  bit anywhere in the record is caught.  The payload is the **ingest request
+  line exactly as the server read it from the socket**
+  (``{"op":"ingest","events":[...],"batch_id":...}``); this module never
+  looks inside it.  Callers that hold no such bytes (in-process ingest) get
+  the identical line built by the shared wire encoder
+  (:func:`repro.streams.adapters.encode_ingest_request`);
+
+* **what reads what** — opening the log (torn-tail truncation, the gap
+  check, the batch-id index) and :meth:`WriteAheadLog.prune` read headers
+  and CRCs only.  :meth:`WriteAheadLog.replay` skips records at or below the
+  cut from their headers; a yielded record decodes its payload lazily, once,
+  on first access to ``.events``, through the same batch decoder the server
+  uses for requests (:func:`repro.streams.adapters.events_from_request`).
+  A CRC-clean payload that fails to decode is corruption, not a torn tail,
+  and raises :class:`~repro.errors.DurabilityError` naming segment and
+  offset;
+
+* **v1 read compatibility** — the previous format was one JSON object per
+  line, ``{"o":..,"n":..,"e":[..],"b":..}\t<crc32>\n``.  A line that starts
+  with ``{`` is read (never written) by :func:`_decode_record`, so a
+  directory written before the v2 frame still opens, dedupes and replays,
+  also when v2 records follow v1 records in one segment.  Checkpoint cuts
+  prune the log, so v1 records disappear from any directory that keeps
+  serving; the reader can be deleted once no deployed directory predates
+  this format;
 
 * **segments** — records append to ``wal-<offset>.log`` where ``<offset>``
   is the version at which the segment starts.  :meth:`WriteAheadLog.rotate`
@@ -51,15 +78,16 @@ import json
 import os
 import re
 import zlib
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
-from repro.core.values import decode_value, encode_value
+from repro.core.values import decode_value
 from repro.delta.events import StreamEvent
 from repro.durability.faults import maybe_crash
-from repro.errors import DurabilityError
+from repro.errors import DurabilityError, WorkloadError
+from repro.streams.adapters import encode_ingest_request, events_from_request
 
 #: Default bytes after which an append-heavy segment rotates on its own
 #: (checkpoint cuts rotate explicitly; this bounds segment size between cuts).
@@ -67,6 +95,10 @@ DEFAULT_SEGMENT_MAX_BYTES = 64 * 1024 * 1024
 
 _SEGMENT_PATTERN = re.compile(r"^wal-(\d+)\.log$")
 _SEPARATOR = "\t"
+
+_V2_MARK = b"W2"
+#: Length of ``W2 <8 hex digits> ``; the CRC covers every byte after it.
+_CRC_END = 12
 
 
 def fsync_directory(directory: Path | str) -> None:
@@ -87,43 +119,51 @@ def fsync_directory(directory: Path | str) -> None:
         os.close(fd)
 
 
-@dataclass(frozen=True)
 class WalRecord:
-    """One appended ingest batch: events ``offset+1 .. offset+count``."""
+    """One logged ingest batch: events ``offset+1 .. offset+count``.
 
-    offset: int
-    count: int
-    events: tuple[StreamEvent, ...]
-    batch_id: str | None = None
+    ``events`` decodes the payload on first access and keeps the result, so
+    scanning or skipping a record costs its header and CRC only.
+    """
+
+    __slots__ = ("offset", "count", "batch_id", "_events", "_decode")
+
+    def __init__(
+        self,
+        offset: int,
+        count: int,
+        batch_id: Any = None,
+        events: tuple[StreamEvent, ...] | None = None,
+        decode: Callable[[], tuple[StreamEvent, ...]] | None = None,
+    ) -> None:
+        self.offset = offset
+        self.count = count
+        self.batch_id = batch_id
+        self._events = events
+        self._decode = decode
 
     @property
     def end(self) -> int:
         """The service version after this batch."""
         return self.offset + self.count
 
+    @property
+    def events(self) -> tuple[StreamEvent, ...]:
+        if self._events is None:
+            self._events = self._decode()
+            self._decode = None  # drops the record line it held
+        return self._events
 
-def _encode_record(record: WalRecord) -> bytes:
-    body: dict[str, Any] = {
-        "o": record.offset,
-        "n": record.count,
-        "e": [
-            {
-                "kind": event.kind,
-                "relation": event.relation,
-                "values": [encode_value(value) for value in event.values],
-            }
-            for event in record.events
-        ],
-    }
-    if record.batch_id is not None:
-        body["b"] = record.batch_id
-    text = json.dumps(body, separators=(",", ":"))
-    crc = zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
-    return f"{text}{_SEPARATOR}{crc:08x}\n".encode("utf-8")
+    def __repr__(self) -> str:
+        return f"WalRecord({self.offset}..{self.end}, batch_id={self.batch_id!r})"
 
 
 def _decode_record(line: bytes) -> WalRecord:
-    """Parse one complete record line; raises ``ValueError`` on any damage."""
+    """Read one v1 record line (``{"o","n","e","b"}\\t<crc32>``), events and all.
+
+    Read-only compatibility with directories written before the v2 frame;
+    raises ``ValueError``/``KeyError``/``TypeError`` on any damage.
+    """
     if not line.endswith(b"\n"):
         raise ValueError("record line is not newline-terminated")
     text = line[:-1].decode("utf-8")
@@ -144,12 +184,16 @@ def _decode_record(line: bytes) -> WalRecord:
     count = int(payload["n"])
     if count != len(events):
         raise ValueError(f"record claims {count} events, holds {len(events)}")
-    return WalRecord(
-        offset=int(payload["o"]),
-        count=count,
-        events=events,
-        batch_id=payload.get("b"),
-    )
+    return WalRecord(int(payload["o"]), count, payload.get("b"), events=events)
+
+
+def _decode_batch_id(field: bytes) -> Any:
+    """Invert the header's id framing (a JSON literal, ASCII-only)."""
+    if field == b"null":
+        return None
+    if field[:1] == b'"' and b"\\" not in field:
+        return field[1:-1].decode("ascii")  # no escapes: the literal is the id
+    return json.loads(field)
 
 
 class WriteAheadLog:
@@ -191,6 +235,10 @@ class WriteAheadLog:
         self.fsyncs = 0
         self.truncated_bytes = 0
         self.rotations = 0
+        #: records appended from caller-supplied request bytes (not re-encoded).
+        self.records_passthrough = 0
+        #: record payloads JSON-decoded since open (v1 lines decode when read).
+        self.payload_decodes = 0
         self._fsync_hist = None
         if telemetry is not None and getattr(telemetry, "enabled", False):
             registry = telemetry.registry
@@ -212,6 +260,14 @@ class WriteAheadLog:
         registry.counter(
             "repro_wal_fsyncs_total", help="WAL group-commit fsyncs issued"
         ).value = self.fsyncs
+        registry.counter(
+            "repro_wal_records_passthrough_total",
+            help="Ingest batches logged from the request bytes, without re-encoding",
+        ).value = self.records_passthrough
+        registry.counter(
+            "repro_wal_payload_decodes_total",
+            help="WAL record payloads JSON-decoded (replayed records, v1 lines)",
+        ).value = self.payload_decodes
         registry.gauge(
             "repro_wal_segments", help="Live WAL segments on disk"
         ).set(len(self.segments()))
@@ -255,8 +311,8 @@ class WriteAheadLog:
         with open(path, "rb") as handle:
             for line in handle:
                 try:
-                    record = _decode_record(line)
-                except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+                    record = self._read_record(line, path.name)
+                except (ValueError, KeyError, TypeError) as exc:
                     if truncate:
                         damage = path.stat().st_size - good_bytes
                         os.truncate(path, good_bytes)
@@ -277,6 +333,53 @@ class WriteAheadLog:
                     self._batch_index[record.batch_id] = (record.count, record.end)
         return tip
 
+    def _read_record(self, line: bytes, segment: str) -> WalRecord:
+        """Header and CRC of one record line; the payload stays unparsed.
+
+        Raises ``ValueError`` (``KeyError``/``TypeError`` from a v1 body) on
+        any damage — the caller decides between torn tail and corruption.
+        """
+        if line[:1] == b"{":
+            self.payload_decodes += 1
+            return _decode_record(line)
+        if not line.endswith(b"\n"):
+            raise ValueError("record line is not newline-terminated")
+        tab = line.find(b"\t")
+        fields = line[: max(tab, 0)].split(b" ", 4)  # no tab: no fields
+        if len(fields) != 5 or fields[0] != _V2_MARK or len(fields[1]) != 8:
+            raise ValueError("record line has no v2 header")
+        if zlib.crc32(memoryview(line)[_CRC_END:]) != int(fields[1], 16):
+            raise ValueError("record CRC mismatch")
+        offset, count = int(fields[2]), int(fields[3])
+        return WalRecord(
+            offset,
+            count,
+            _decode_batch_id(fields[4]),
+            decode=partial(self._decode_payload, line, tab + 1, offset, count, segment),
+        )
+
+    def _decode_payload(
+        self, line: bytes, start: int, offset: int, count: int, segment: str
+    ) -> tuple[StreamEvent, ...]:
+        """The events of one v2 record, through the server's request decoder."""
+        payload = line[start:]
+        self.payload_decodes += 1
+        try:
+            events = events_from_request(json.loads(payload), payload)
+        except (ValueError, TypeError, AttributeError, WorkloadError) as exc:
+            # The CRC matched, so this is not a torn write: the bytes that
+            # were logged do not decode.  Never skip it silently.
+            raise DurabilityError(
+                f"WAL record at offset {offset} in {segment} holds an "
+                f"undecodable payload: {exc}"
+            ) from None
+        if len(events) != count:
+            raise DurabilityError(
+                f"WAL record at offset {offset} in {segment} claims {count} "
+                f"events, its payload holds {len(events)}"
+            )
+        return tuple(events)
+
     def _start_segment(self, offset: int) -> None:
         if self._handle is not None:
             self._handle.flush()
@@ -294,12 +397,16 @@ class WriteAheadLog:
         self,
         offset: int,
         events: Sequence[StreamEvent],
-        batch_id: str | None = None,
+        batch_id: Any = None,
+        encoded: bytes | None = None,
     ) -> bool:
         """Append one ingest batch; returns True when it is already durable.
 
         Must be called under the service's ingest lock, *before* the events
         touch engine state, with ``offset`` equal to the current version.
+        ``encoded`` is the request line ``events`` were decoded from, when
+        the caller holds it (the server does): it becomes the payload as is.
+        Without it the shared wire encoder builds the same line.
         """
         if self._handle is None:
             raise DurabilityError("write-ahead log is closed")
@@ -307,19 +414,30 @@ class WriteAheadLog:
             raise DurabilityError(
                 f"WAL append at offset {offset} but the log ends at {self.end_offset}"
             )
-        record = WalRecord(offset, len(events), tuple(events), batch_id)
-        line = _encode_record(record)
+        count = len(events)
+        if encoded is None:
+            payload = encode_ingest_request(events, batch_id)
+        else:
+            payload = encoded if encoded.endswith(b"\n") else encoded + b"\n"
+            if payload.find(b"\n") != len(payload) - 1:
+                raise DurabilityError("an encoded ingest request must be one line")
+        body = b"%d %d %s\t" % (offset, count, json.dumps(batch_id).encode("ascii"))
+        crc = zlib.crc32(payload, zlib.crc32(body))
+        line = b"".join((b"W2 %08x " % crc, body, payload))
         maybe_crash("wal.append.serialized")
         self._handle.write(line)
         self._handle.flush()
         maybe_crash("wal.append.written")
-        self.end_offset = record.end
+        end = offset + count
+        self.end_offset = end
         self.records_appended += 1
+        if encoded is not None:
+            self.records_passthrough += 1
         self.bytes_appended += len(line)
         self._segment_bytes += len(line)
         self._unsynced_records += 1
         if batch_id is not None:
-            self._batch_index[batch_id] = (record.count, record.end)
+            self._batch_index[batch_id] = (count, end)
         synced = False
         if self._should_sync():
             self.sync()
@@ -456,8 +574,8 @@ class WriteAheadLog:
             with open(path, "rb") as handle:
                 for line in handle:
                     try:
-                        record = _decode_record(line)
-                    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+                        record = self._read_record(line, path.name)
+                    except (ValueError, KeyError, TypeError) as exc:
                         raise DurabilityError(
                             f"corrupt WAL record during replay in {path.name}: {exc}"
                         ) from None
@@ -494,6 +612,8 @@ class WriteAheadLog:
             "fsyncs": self.fsyncs,
             "rotations": self.rotations,
             "truncated_bytes": self.truncated_bytes,
+            "records_passthrough": self.records_passthrough,
+            "payload_decodes": self.payload_decodes,
             "batch_ids_indexed": len(self._batch_index),
             "fsync_every": self.fsync_every,
             "fsync_interval_ms": self.fsync_interval_ms,

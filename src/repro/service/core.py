@@ -487,7 +487,10 @@ class ViewService:
         return None
 
     def ingest(
-        self, events: Iterable[StreamEvent], batch_id: str | None = None
+        self,
+        events: Iterable[StreamEvent],
+        batch_id: str | None = None,
+        encoded: bytes | None = None,
     ) -> IngestResult:
         """Apply one batch of events atomically and publish the deltas.
 
@@ -505,6 +508,9 @@ class ViewService:
         batches.  A client-supplied ``batch_id`` makes the call idempotent:
         a retried id is answered with the original result — deduplicated
         against the in-memory cache and the WAL — instead of double-applied.
+        ``encoded`` is the wire request line ``events`` were decoded from (the
+        TCP server has it); the log then stores those bytes as they are
+        instead of encoding the batch a second time.
         """
         events = list(events)
         tracer = self._tracer
@@ -519,7 +525,7 @@ class ViewService:
                 with tracer.span("service.validate"):
                     self._validate_batch(events)
                 if self.wal is not None:
-                    self.wal.append(self._version, events, batch_id)
+                    self.wal.append(self._version, events, batch_id, encoded=encoded)
                 subscribed = self.subscriptions.subscribed_views()
                 before = {view: self.engine.result_dict(view) for view in subscribed}
                 try:
@@ -819,10 +825,11 @@ class ViewService:
         auditor = self._auditor
         replayed = 0
         for record in wal.replay(self._version):
+            events = record.events  # the one decode of this record's payload
             if auditor is not None and auditor.active:
-                auditor.record(record.events)
-            self.engine.apply_many(record.events)
-            for event in record.events:
+                auditor.record(events)
+            self.engine.apply_many(events)
+            for event in events:
                 self.stream_stats.record(event)
             self._version = record.end
             replayed += 1

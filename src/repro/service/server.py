@@ -54,7 +54,7 @@ from repro.service.wire import (
     encode_value,
     parse_line,
 )
-from repro.streams.adapters import event_from_dict
+from repro.streams.adapters import events_from_request
 
 #: Safety bound for one request line (16 MiB accommodates large ingest batches).
 MAX_LINE_BYTES = 16 * 1024 * 1024
@@ -156,7 +156,7 @@ class ViewServer:
                 try:
                     request = parse_line(line, context="request")
                     response, subscription = await self._dispatch(
-                        request, writer, subscription
+                        request, line, writer, subscription
                     )
                 except ReproError as exc:
                     response = {"ok": False, "error": str(exc)}
@@ -172,6 +172,12 @@ class ViewServer:
                 await writer.drain()
                 if response.get("stopping"):
                     break
+        except asyncio.CancelledError:
+            # asyncio.run() cancels the connections still open when the server
+            # stops.  Ending the task normally (after the cleanup below) keeps
+            # the stream protocol from logging that as a callback error.
+            if self._stop is None or not self._stop.is_set():
+                raise
         finally:
             if subscription is not None:
                 self.service.unsubscribe(subscription)
@@ -183,6 +189,7 @@ class ViewServer:
     async def _dispatch(
         self,
         request: dict[str, Any],
+        line: bytes,
         writer: asyncio.StreamWriter,
         subscription: Subscription | None,
     ) -> tuple[dict[str, Any], Subscription | None]:
@@ -193,11 +200,14 @@ class ViewServer:
             return {"ok": True, "version": service.version}, subscription
 
         if op == "ingest":
-            events = [
-                event_from_dict(payload, context=f"events[{i}]")
-                for i, payload in enumerate(request.get("events", ()))
-            ]
-            result = service.ingest(events, batch_id=request.get("batch_id"))
+            # The line is handed on as read: the write-ahead log stores these
+            # bytes, so the batch is encoded once (by the client) and decoded
+            # once here — or once more, by the same decoder, if it is replayed.
+            result = service.ingest(
+                events_from_request(request, line),
+                batch_id=request.get("batch_id"),
+                encoded=line,
+            )
             await self._pump_subscribers()
             return (
                 {
@@ -330,8 +340,14 @@ class ViewServer:
         for pair in list(self._subscribers):
             subscription, writer = pair
             try:
-                for notification in subscription.poll():
-                    writer.write(dump_line({"type": "delta", **notification.as_dict()}))
+                lines = [
+                    dump_line({"type": "delta", **notification.as_dict()})
+                    for notification in subscription.poll()
+                ]
+                if lines:
+                    # One write per pump: the transport issues a send per
+                    # write call, not per line.
+                    writer.write(b"".join(lines))
                 transport = writer.transport
                 overflowed = subscription.overflowed or (
                     transport is not None

@@ -9,7 +9,10 @@ strings, booleans or ``None``.  Everything except Fraction maps 1:1 onto
 JSON; Fractions are wrapped as ``{"__fraction__": [numerator, denominator]}``
 so served snapshots stay bit-identical to in-process reads.  Events reuse the
 JSONL adapter representation from :mod:`repro.streams.adapters`
-(``{"kind", "relation", "values"}``).
+(``{"kind", "relation", "values"}``), and the ingest request's batch codec
+(``encode_ingest_request`` / ``events_from_request``) lives there as well —
+below both this package and :mod:`repro.durability`, whose log stores
+accepted request lines verbatim and so must share it.
 """
 
 from __future__ import annotations

@@ -15,6 +15,12 @@ Two file formats are supported:
   ``None``, str).  This is also the wire format of the serving layer
   (:mod:`repro.service`), which reuses :func:`event_to_dict` /
   :func:`event_from_dict`.
+
+The serving layer's ingest request — one line holding a whole batch — is
+encoded and decoded here too (:func:`encode_ingest_request`,
+:func:`events_from_request`): the write-ahead log stores that line verbatim,
+so the server, the client side and :mod:`repro.durability.wal` must share one
+codec, and this module is below all three.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
+from repro.core.values import FRACTION_TAG, decode_value, json_default
 from repro.delta.events import DELETE, INSERT, StreamEvent
 from repro.errors import WorkloadError
 
@@ -115,6 +122,62 @@ def event_from_dict(payload: Mapping[str, Any], context: str = "event") -> Strea
     if not isinstance(relation, str) or not isinstance(values, (list, tuple)):
         raise WorkloadError(f"{context}: malformed relation/values in {payload!r}")
     return StreamEvent(relation, tuple(values), sign)
+
+
+_FRACTION_TAG_BYTES = FRACTION_TAG.encode("ascii")
+
+
+def encode_ingest_request(
+    events: Iterable[StreamEvent], batch_id: Any = None
+) -> bytes:
+    """The wire line of one ingest request (what ``ServiceClient.ingest`` sends).
+
+    One ``json.dumps`` for the whole batch; Fraction values become
+    ``{"__fraction__": [n, d]}`` through the encoder's ``default`` hook.
+    """
+    request: dict[str, Any] = {
+        "op": "ingest",
+        "events": [
+            {"kind": event.kind, "relation": event.relation, "values": event.values}
+            for event in events
+        ],
+    }
+    if batch_id is not None:
+        request["batch_id"] = batch_id
+    text = json.dumps(request, separators=(",", ":"), default=json_default)
+    return text.encode("utf-8") + b"\n"
+
+
+def events_from_request(request: Mapping[str, Any], line: bytes) -> list[StreamEvent]:
+    """The events of one parsed ingest request; ``line`` is the bytes it came from.
+
+    The batch form of :func:`event_from_dict`: one loop over well-formed
+    payloads, falling back to the per-event decoder only to name the
+    offending index in its error.  Fraction tags are decoded when — and only
+    when — the line contains the tag at all.
+    """
+    payloads = request.get("events", ())
+    tagged = _FRACTION_TAG_BYTES in line
+    signs = _KIND_SIGNS
+    events = []
+    append = events.append
+    try:
+        for payload in payloads:
+            relation = payload["relation"]
+            values = payload["values"]
+            if type(relation) is not str or type(values) is not list:
+                raise TypeError
+            if tagged:
+                values = [decode_value(value) for value in values]
+            append(StreamEvent(relation, values, signs[payload["kind"]]))
+    except (KeyError, TypeError):
+        # Anything json.loads can produce that fails above is malformed: the
+        # per-event decoder raises, naming the index.
+        return [
+            event_from_dict(payload, context=f"events[{i}]")
+            for i, payload in enumerate(payloads)
+        ]
+    return events
 
 
 def write_events_jsonl(path: str | Path, events: Iterable[StreamEvent]) -> int:

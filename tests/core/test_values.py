@@ -71,3 +71,69 @@ def test_compare_unknown_operator():
 def test_comparison_holds_returns_multiplicity():
     assert comparison_holds(1, "<", 2) == 1
     assert comparison_holds(2, "<", 1) == 0
+
+
+# -- exact-type fast paths ---------------------------------------------------------
+
+
+def _chain_is_zero(value):
+    """``is_zero`` as the isinstance chain alone (the reference)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int) or isinstance(value, Fraction):
+        return value == 0
+    if isinstance(value, float):
+        return abs(value) <= 1e-12
+    return value == 0
+
+
+def _chain_normalize(value):
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+def _value_matrix():
+    class MyInt(int):
+        pass
+
+    class MyFloat(float):
+        pass
+
+    values = [
+        0, 1, -7, 2**70, 0.0, -0.0, 1e-13, -1e-13, 1e-11, 3.0, 2.5, float("inf"),
+        float("nan"), True, False, Fraction(0, 5), Fraction(6, 3), Fraction(1, 3),
+        MyInt(0), MyInt(4), MyFloat(0.0), MyFloat(2.0), MyFloat(2.5), "text", None,
+    ]
+    try:
+        import numpy
+    except ImportError:
+        return values
+    return values + [numpy.float64(0.0), numpy.float64(3.0), numpy.float64(2.5),
+                     numpy.int64(0), numpy.int64(9)]
+
+
+@pytest.mark.parametrize("value", _value_matrix(), ids=repr)
+def test_fast_paths_agree_with_the_isinstance_chain_in_value_and_type(value):
+    if value is not None and not isinstance(value, str):
+        assert is_zero(value) == _chain_is_zero(value)
+    got, want = normalize_number(value), _chain_normalize(value)
+    assert type(got) is type(want)
+    assert got is want or got == want or (got != got and want != want)  # nan
+
+
+def test_value_codec_fast_paths_keep_the_fraction_tag_contract():
+    from repro.core.values import FRACTION_TAG, decode_value, encode_value, json_default
+
+    for plain in (0, 1.5, "s", None, True, [1, 2], {"a": 1}):
+        assert encode_value(plain) is plain and decode_value(plain) is plain
+    tagged = encode_value(Fraction(3, 9))
+    assert tagged == {FRACTION_TAG: [1, 3]} == json_default(Fraction(3, 9))
+    assert decode_value(tagged) == Fraction(1, 3)
+    assert type(decode_value({FRACTION_TAG: [4, 2]})) is Fraction
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json_default(object())

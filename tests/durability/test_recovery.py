@@ -5,10 +5,19 @@ Every test asserts *bit-identical* recovery — values and their runtime types
 if exactness survives a restart.
 """
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ServiceError
-from dur_helpers import build_durable_service, load_statics, typed
+from dur_helpers import (
+    build_durable_service,
+    load_statics,
+    make_workload_fixture,
+    reference_entries,
+    typed,
+)
 
 ENGINE_MODES = [
     ("incremental", {}),
@@ -39,8 +48,6 @@ def recover_and_finish(fixture, tmp_path, mode="incremental", **kwargs):
 
 
 def reference_views(fixture):
-    from dur_helpers import reference_entries
-
     return reference_entries(
         fixture.program, fixture.statics, fixture.events, None, fixture.root
     )
@@ -201,8 +208,38 @@ def test_batch_ids_deduplicate_across_restart_via_the_wal(q1, tmp_path):
 
 
 def reference_views_prefix(fixture, version):
-    from dur_helpers import reference_entries
-
     return reference_entries(
         fixture.program, fixture.statics, fixture.events, version, fixture.root
     )
+
+
+# -- a directory written before the v2 record frame --------------------------------------
+
+
+@pytest.mark.parametrize("mode,kwargs", ENGINE_MODES)
+def test_parent_written_chain_and_v1_wal_recover_bit_identically(tmp_path, mode, kwargs):
+    """``fixtures/v1/service``: a checkpoint chain and a v1-format WAL written
+    by the commit before the v2 frame (see ``make_v1_fixture.py`` there)."""
+    shutil.copytree(Path(__file__).parent / "fixtures" / "v1" / "service", tmp_path,
+                    dirs_exist_ok=True)
+    q1 = make_workload_fixture("Q1", events=240, max_live_orders=20)
+    service = build_durable_service(q1, mode, base=tmp_path, statics=False,
+                                    checkpoint_full_every=3, **kwargs)
+    report = service.recover()
+    assert report["restored"] and report["version"] == 200
+    assert report["wal_batches_replayed"] == 1  # b4, the only batch past the last cut
+    assert service.ingest(q1.events[160:200], batch_id="b4").deduplicated
+    assert service.ingest(q1.events[40:80], batch_id="b1").deduplicated
+    service.ingest(q1.events[200:], batch_id="b5")  # a v2 record after the v1 ones
+    service.checkpoint()
+    service.close()
+
+    again = build_durable_service(q1, mode, base=tmp_path, statics=False,
+                                  checkpoint_full_every=3, **kwargs)
+    assert again.recover()["version"] == 240
+    assert again.ingest(q1.events[200:], batch_id="b5").deduplicated
+    for root in sorted(q1.program.roots):
+        assert typed(again.query(root).entries) == typed(
+            reference_entries(q1.program, q1.statics, q1.events, None, root)
+        )
+    again.close()

@@ -1,10 +1,14 @@
-"""Write-ahead log unit tests: append/replay round trips, group fsync,
-torn-tail truncation, segment rotation and GC, and the batch-id dedup index."""
+"""Write-ahead log unit tests: append/replay round trips, the v2 frame and
+its damage matrix, v1 read compatibility, what open/prune/replay decode, group
+fsync, torn-tail truncation, segment rotation and GC, the batch-id index."""
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,11 @@ from repro.delta.events import delete, insert
 from repro.durability import WriteAheadLog
 from repro.durability import wal as wal_module
 from repro.errors import DurabilityError
+from repro.service.wire import dump_line, encode_value
+from repro.streams.adapters import encode_ingest_request, event_to_dict
+from repro.telemetry import Telemetry
+
+V1_FIXTURE = Path(__file__).parent / "fixtures" / "v1"
 
 
 def batch(start, count=2):
@@ -55,6 +64,62 @@ def test_append_replay_round_trip_preserves_values_and_types(tmp_path):
         assert got.values == sent.values
         assert [type(v) for v in got.values] == [type(v) for v in sent.values]
     reopened.close()
+
+
+def request_line(events, batch_id):
+    """The line ``ServiceClient.ingest`` sends (Fractions tagged by hand: the
+    client itself only ships JSON-native values)."""
+    payloads = [
+        {**event_to_dict(e), "values": [encode_value(v) for v in e.values]}
+        for e in events
+    ]
+    request = {"op": "ingest", "events": payloads}
+    if batch_id is not None:
+        request["batch_id"] = batch_id
+    return dump_line(request)
+
+
+def typed_events(events):
+    return [(e.relation, e.sign, [(type(v), v) for v in e.values]) for e in events]
+
+
+def test_passthrough_and_encoder_built_records_hold_the_request_line(tmp_path):
+    events = batch(0, 5)
+    line = request_line(events, "wire")
+    assert encode_ingest_request(events, "wire") == line  # one wire encoder
+    with WriteAheadLog(tmp_path) as wal:
+        wal.append(0, events, batch_id="wire", encoded=line)
+        wal.append(5, events, batch_id="wire")  # no bytes: the log encodes
+        assert wal.stats()["records_appended"] == 2
+        assert wal.stats()["records_passthrough"] == 1
+        (_, path), = wal.segments()
+    first, second = path.read_bytes().splitlines(keepends=True)
+    for record in (first, second):
+        header, _, payload = record.partition(b"\t")
+        assert header.startswith(b"W2 ") and payload == line  # byte for byte
+    telemetry = Telemetry(enabled=True)
+    with WriteAheadLog(tmp_path, telemetry=telemetry) as reopened:
+        passed, built = reopened.replay()
+        assert typed_events(passed.events) == typed_events(events)
+        assert typed_events(built.events) == typed_events(events)
+        assert passed.events is passed.events  # decoded once, kept
+        reopened.append(10, events, encoded=line)
+        scrape = telemetry.registry.render_prometheus()
+        assert "repro_wal_records_passthrough_total 1" in scrape
+        assert "repro_wal_payload_decodes_total 2" in scrape
+
+
+def test_a_request_line_without_its_newline_is_terminated_and_others_refused(tmp_path):
+    events = batch(0, 2)
+    line = request_line(events, None)
+    with WriteAheadLog(tmp_path) as wal:
+        wal.append(0, events, encoded=line[:-1])  # a socket's last line at EOF
+        with pytest.raises(DurabilityError, match="one line"):
+            wal.append(2, events, encoded=line + line)
+        assert wal.end_offset == 2
+    with WriteAheadLog(tmp_path) as reopened:
+        (record,) = reopened.replay()
+        assert typed_events(record.events) == typed_events(events)
 
 
 def test_replay_from_offset_skips_checkpointed_batches(tmp_path):
@@ -116,6 +181,68 @@ def test_torn_tail_is_truncated_on_open(tmp_path):
     reopened.append(6, batch(6))
     assert reopened.end_offset == 8
     reopened.close()
+
+
+def _cut_header(record):
+    return record[: record.index(b"\t") - 3]
+
+
+def _cut_payload(record):
+    return record[:-40]
+
+
+def _flip(position):
+    def flip(record):
+        at = position if position >= 0 else len(record) + position
+        return record[:at] + bytes([record[at] ^ 0x01]) + record[at + 1:]
+
+    return flip
+
+
+DAMAGE = {
+    "torn header": _cut_header,
+    "torn payload": _cut_payload,
+    "flipped payload byte": _flip(-20),
+    "flipped offset digit": _flip(12),
+    "flipped crc digit": _flip(5),
+    "flipped format mark": _flip(1),
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGE))
+def test_damaged_record_truncates_at_the_tail_and_fails_loudly_elsewhere(
+    tmp_path, damage
+):
+    with WriteAheadLog(tmp_path / "tail") as wal:
+        fill(wal, 3, batch_ids=True)
+        (_, path), = wal.segments()
+    records = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(records[:2]) + DAMAGE[damage](records[2]))
+    with WriteAheadLog(tmp_path / "tail") as reopened:
+        assert reopened.end_offset == 4 and reopened.truncated_bytes > 0
+        assert reopened.seen_batch("b1") and reopened.seen_batch("b2") is None
+        assert [r.offset for r in reopened.replay()] == [0, 2]
+        reopened.append(4, batch(4))  # appendable where the damage was cut
+
+    with WriteAheadLog(tmp_path / "old", segment_max_bytes=1) as wal:
+        fill(wal, 3)  # every batch seals its own segment
+        (_, oldest), *_ = wal.segments()
+    oldest.write_bytes(DAMAGE[damage](oldest.read_bytes()))
+    with pytest.raises(DurabilityError, match="non-tail segment"):
+        WriteAheadLog(tmp_path / "old")
+
+
+def test_crc_clean_but_undecodable_payload_is_corruption_not_a_torn_tail(tmp_path):
+    with WriteAheadLog(tmp_path) as wal:
+        fill(wal, 2)
+        wal.append(4, batch(4), encoded=b'{"op":"ingest","events":[{"kind":"upsert"}]}\n')
+        (_, path), = wal.segments()
+    with WriteAheadLog(tmp_path) as reopened:
+        assert reopened.end_offset == 6 and reopened.truncated_bytes == 0
+        with pytest.raises(DurabilityError) as failure:
+            for record in reopened.replay():
+                record.events
+        assert path.name in str(failure.value) and "offset 4" in str(failure.value)
 
 
 def test_corruption_in_an_older_segment_fails_loudly(tmp_path):
@@ -222,6 +349,92 @@ def test_batch_index_survives_reopen(tmp_path):
     assert reopened.seen_batch("beta") == (2, 5)
     assert reopened.seen_batch("gamma") is None
     reopened.close()
+
+
+AWKWARD_IDS = ["two words", "tab\there", "line\nbreak", 'a "quoted" id', "żółć-é-日本", "\\"]
+
+
+def test_awkward_batch_ids_survive_reopen_and_still_dedupe(tmp_path):
+    with WriteAheadLog(tmp_path) as wal:
+        for index, batch_id in enumerate(AWKWARD_IDS):
+            wal.append(index * 2, batch(index * 2), batch_id=batch_id)
+    with WriteAheadLog(tmp_path) as reopened:
+        assert reopened.truncated_bytes == 0
+        for index, batch_id in enumerate(AWKWARD_IDS):
+            assert reopened.seen_batch(batch_id) == (2, index * 2 + 2)
+        assert [r.batch_id for r in reopened.replay()] == AWKWARD_IDS
+
+
+# -- what open, prune and replay decode ---------------------------------------------
+
+
+def test_open_and_prune_read_headers_and_replay_decodes_only_past_the_cut(
+    tmp_path, monkeypatch
+):
+    with WriteAheadLog(tmp_path) as wal:
+        fill(wal, 4, batch_ids=True)
+        wal.rotate()
+        sealed_at = wal.end_offset
+        for i in range(4, 10):
+            wal.append(wal.end_offset, batch(i * 2), batch_id=f"b{i}")
+    loads = []
+    real_loads = json.loads
+    monkeypatch.setattr(
+        wal_module.json, "loads", lambda *a, **k: loads.append(1) or real_loads(*a, **k)
+    )
+    with WriteAheadLog(tmp_path) as reopened:
+        assert reopened.end_offset == 20
+        assert reopened.seen_batch("b7") == (2, 16)
+        assert reopened.prune(keep_from_offset=sealed_at) == 1
+        assert loads == [] and reopened.payload_decodes == 0
+        records = list(reopened.replay(14))
+        assert [r.offset for r in records] == [14, 16, 18]
+        assert loads == [] and reopened.payload_decodes == 0  # headers only so far
+        for record in records:
+            assert record.events and record.events is record.events
+        assert len(loads) == 3 and reopened.stats()["payload_decodes"] == 3
+
+
+# -- v1 read compatibility -----------------------------------------------------------
+
+
+def v1_batch(start, count):
+    """The events ``fixtures/v1/make_v1_fixture.py`` logged."""
+    return [
+        (delete if n % 3 == 2 else insert)("R", n, float(n), Fraction(n, 7), f"s{n}")
+        for n in range(start, start + count)
+    ]
+
+
+def test_a_v1_directory_opens_dedupes_and_replays(tmp_path):
+    shutil.copytree(V1_FIXTURE / "wal", tmp_path / "wal")
+    with WriteAheadLog(tmp_path / "wal") as wal:
+        assert wal.end_offset == 10 and wal.truncated_bytes == 0
+        awkward = 'id with space, "quote" and é'
+        assert wal.seen_batch("alpha") == (3, 3)
+        assert wal.seen_batch(awkward) == (4, 9)
+        records = list(wal.replay())
+        assert [(r.offset, r.count, r.batch_id) for r in records] == [
+            (0, 3, "alpha"), (3, 2, None), (5, 4, awkward), (9, 1, "omega"),
+        ]
+        logged = [event for r in records for event in r.events]
+        assert typed_events(logged) == typed_events(v1_batch(0, 10))
+        assert [r.offset for r in wal.replay(5)] == [5, 9]
+
+
+def test_v2_records_follow_v1_records_in_one_segment(tmp_path):
+    shutil.copytree(V1_FIXTURE / "wal", tmp_path / "wal")
+    with WriteAheadLog(tmp_path / "wal") as wal:
+        wal.append(10, v1_batch(10, 3), batch_id="after")
+        tail = wal.segments()[-1][1]
+    kinds = [line[:1] for line in tail.read_bytes().splitlines()]
+    assert kinds == [b"{", b"{", b"W"]
+    with WriteAheadLog(tmp_path / "wal") as reopened:
+        assert reopened.end_offset == 13
+        assert reopened.seen_batch("omega") == (1, 10)
+        assert reopened.seen_batch("after") == (3, 13)
+        logged = [event for r in reopened.replay() for event in r.events]
+        assert typed_events(logged) == typed_events(v1_batch(0, 13))
 
 
 # -- import order ------------------------------------------------------------------

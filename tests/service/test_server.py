@@ -1,13 +1,22 @@
 """End-to-end TCP serving: equivalence under concurrent ingest, subscriptions
-over the wire, checkpoint/restart convergence, protocol errors."""
+over the wire, checkpoint/restart convergence, protocol errors, request lines
+logged verbatim, the one-write subscriber pump and a quiet shutdown."""
 
+import asyncio
+import os
+import subprocess
+import sys
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
 from repro.errors import ServiceError
 from repro.service import ServiceClient, ViewService, engine_for_mode, start_in_thread
+from repro.service.server import ViewServer
+from repro.service.wire import dump_line, encode_value
+from repro.streams.adapters import event_to_dict
 from svc_helpers import build_service, reference_entries
 
 ENGINE_MODES = [
@@ -224,3 +233,173 @@ def test_stats_round_trip_over_the_wire(q1):
     finally:
         handle.stop()
         service.close()
+
+
+# -- the log stores what the client sent ---------------------------------------------
+
+
+def wal_records(directory):
+    """``(header, payload)`` of every record line in a WAL directory."""
+    records = []
+    for path in sorted(directory.glob("wal-*.log")):
+        for line in path.read_bytes().splitlines(keepends=True):
+            header, _, payload = line.partition(b"\t")
+            records.append((header, payload))
+    return records
+
+
+def test_served_ingest_logs_the_request_line_verbatim(q1, tmp_path):
+    service, handle = serve(q1, wal_dir=tmp_path / "wal")
+    batches = [q1.events[start:start + 25] for start in range(0, 100, 25)]
+    try:
+        with ServiceClient(*handle.address) as client:
+            for index, batch in enumerate(batches):
+                client.ingest(batch, batch_id=f"batch {index}")
+            wal = client.statistics()["durability"]["wal"]
+    finally:
+        handle.stop()
+        service.close()
+    assert wal["records_appended"] == wal["records_passthrough"] == len(batches)
+    assert wal["payload_decodes"] == 0
+    sent = [
+        dump_line({
+            "op": "ingest",
+            "events": [event_to_dict(e) for e in batch],
+            "batch_id": f"batch {index}",
+        })
+        for index, batch in enumerate(batches)
+    ]
+    assert [payload for _, payload in wal_records(tmp_path / "wal")] == sent
+
+    # A restart decodes exactly the records it replays, with the same result
+    # an in-process (encoder-built) log of the same batches gives.
+    restarted = build_service(q1, wal_dir=tmp_path / "wal", checkpoint_dir=tmp_path / "ckpt")
+    report = restarted.recover()
+    assert report["wal_batches_replayed"] == report["wal"]["payload_decodes"] == 4
+    assert restarted.ingest(batches[2], batch_id="batch 2").deduplicated
+    entries = restarted.query(q1.root).entries
+    restarted.close()
+    assert entries == reference_entries(q1.program, q1.statics, q1.events, 100, q1.root)
+
+
+def test_malformed_event_is_rejected_by_index_and_nothing_is_logged(q1, tmp_path):
+    service, handle = serve(q1, wal_dir=tmp_path / "wal")
+    good = [event_to_dict(e) for e in q1.events[:3]]
+    cases = [
+        ([*good, {"kind": "upsert", "relation": "Lineitem", "values": []}],
+         r"events\[3\]: unknown event kind 'upsert'"),
+        ([good[0], {"kind": "insert", "values": []}], r"events\[1\]: missing field 'relation'"),
+        ([good[0], good[1], "nonsense"], r"events\[2\]: expected an object, got 'nonsense'"),
+        ([{"kind": "insert", "relation": "Lineitem", "values": "abc"}],
+         r"events\[0\]: malformed relation/values"),
+    ]
+    try:
+        with ServiceClient(*handle.address) as client:
+            for events, message in cases:
+                with pytest.raises(ServiceError, match=message):
+                    client._request({"op": "ingest", "events": events, "batch_id": "bad"})
+            assert client.ping() == 0
+            assert client.statistics()["durability"]["wal"]["records_appended"] == 0
+            assert client.ingest(q1.events[:3], batch_id="bad").count == 3  # id not burnt
+    finally:
+        handle.stop()
+        service.close()
+    assert len(wal_records(tmp_path / "wal")) == 1
+
+
+def test_fraction_tagged_wire_events_apply_and_replay_as_fractions(q1, tmp_path):
+    """Rational event values: the server and a restart decode the same tags
+    through the same decoder, so live and recovered views agree in type."""
+    def rational(event):
+        if event.relation != "Lineitem":
+            return event
+        values = list(event.values)
+        values[4] = Fraction(int(values[4]) * 7 + 1, 7)  # quantity + 1/7
+        return type(event)(event.relation, values, event.sign)
+
+    events = [rational(event) for event in q1.events[:160]]
+    payloads = [
+        {**event_to_dict(e), "values": [encode_value(v) for v in e.values]} for e in events
+    ]
+    service, handle = serve(q1, "compiled", wal_dir=tmp_path / "wal")
+    try:
+        with ServiceClient(*handle.address) as client:
+            client._request({"op": "ingest", "events": payloads[:80], "batch_id": "w"})
+            service.ingest(events[80:])  # in-process: the log's encoder tags them
+            live = client.query("Q1_sum_qty").entries
+    finally:
+        handle.stop()
+        service.close()
+    assert live == reference_entries(q1.program, q1.statics, events, None, "Q1_sum_qty")
+    assert any(isinstance(value, Fraction) for value in live.values())
+
+    restarted = build_service(q1, "compiled", wal_dir=tmp_path / "wal",
+                              checkpoint_dir=tmp_path / "ckpt")
+    restarted.recover()
+    recovered = restarted.query("Q1_sum_qty").entries
+    restarted.close()
+    assert {k: (type(v), v) for k, v in recovered.items()} == {
+        k: (type(v), v) for k, v in live.items()
+    }
+
+
+# -- subscriber pump -------------------------------------------------------------------
+
+
+class RecordingWriter:
+    """Stands in for a subscriber's StreamWriter: keeps every write call."""
+
+    transport = None
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(data)
+
+
+def test_pump_sends_all_of_a_subscribers_notifications_in_one_write(q1):
+    service = build_service(q1)
+    server = ViewServer(service)
+    try:
+        pumped, polled = service.subscribe(q1.root), service.subscribe(q1.root)
+        writer = RecordingWriter()
+        server._subscribers.append((pumped, writer))
+        published = service.ingest(q1.events[:120]).notifications // 2
+        assert published > 1
+        asyncio.run(server._pump_subscribers())
+        expected = [dump_line({"type": "delta", **n.as_dict()}) for n in polled.poll()]
+        assert len(expected) == published
+        assert writer.writes == [b"".join(expected)]  # one write, same bytes, same order
+        asyncio.run(server._pump_subscribers())
+        assert len(writer.writes) == 1  # nothing pending: nothing written
+    finally:
+        service.close()
+
+
+# -- shutdown ----------------------------------------------------------------------------
+
+
+def test_shutdown_with_an_open_subscriber_connection_is_quiet():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "serve", "--query", "Q1",
+         "--engine", "compiled", "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        line = process.stdout.readline()
+        assert line.startswith("serving"), line + process.stderr.read()
+        host, port = line.split(" on ")[1].split(" ")[0].rsplit(":", 1)
+        subscriber = ServiceClient(host, int(port), timeout=30)
+        subscriber.subscribe("Q1_sum_qty")  # stays connected through the stop
+        with ServiceClient(host, int(port), timeout=30) as client:
+            client.shutdown()
+        assert process.wait(timeout=30) == 0
+        assert process.stderr.read() == ""
+        subscriber.close()
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()

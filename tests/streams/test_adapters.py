@@ -127,3 +127,48 @@ def test_event_dict_round_trip_validates_shape():
         event_from_dict({"kind": "insert", "relation": "R", "values": "oops"})
     with pytest.raises(WorkloadError):
         event_from_dict("not a mapping")
+
+
+# -- the ingest request codec (wire and write-ahead log) ----------------------------
+
+
+def test_ingest_request_round_trips_and_matches_the_per_event_codec():
+    import json
+    from fractions import Fraction
+
+    from repro.streams.adapters import encode_ingest_request, events_from_request
+
+    events = [insert("R", 1, 2.5, "x", None, True), delete("S", -3, "a\tb")]
+    line = encode_ingest_request(events, batch_id="id-1")
+    request = json.loads(line)
+    assert line.endswith(b"\n") and line.count(b"\n") == 1
+    assert request == {"op": "ingest", "batch_id": "id-1",
+                       "events": [event_to_dict(e) for e in events]}
+    decoded = events_from_request(request, line)
+    assert decoded == [event_from_dict(p) for p in request["events"]] == events
+    assert "batch_id" not in json.loads(encode_ingest_request(events))
+
+    rational = [insert("R", Fraction(1, 3), Fraction(4, 2), 7)]
+    line = encode_ingest_request(rational)
+    (event,) = events_from_request(json.loads(line), line)
+    assert event == rational[0]
+    assert [type(v) for v in event.values] == [Fraction, Fraction, int]
+    # Tags are looked for only when the line holds the tag bytes at all.
+    (untouched,) = events_from_request(json.loads(line), b"{}")
+    assert untouched.values[0] == {"__fraction__": [1, 3]}
+
+
+def test_ingest_request_decoder_names_the_offending_event():
+    from repro.streams.adapters import events_from_request
+
+    good = event_to_dict(insert("R", 1))
+    for bad, message in [
+        ({"kind": "upsert", "relation": "R", "values": []}, r"events\[2\]: unknown event kind"),
+        ({"kind": "insert", "values": []}, r"events\[2\]: missing field 'relation'"),
+        ({"kind": "insert", "relation": 7, "values": []}, r"events\[2\]: malformed"),
+        ({"kind": "insert", "relation": "R", "values": "oops"}, r"events\[2\]: malformed"),
+        (["insert", "R"], r"events\[2\]: expected an object"),
+    ]:
+        with pytest.raises(WorkloadError, match=message):
+            events_from_request({"events": [good, good, bad]}, b"")
+    assert events_from_request({}, b"") == []
