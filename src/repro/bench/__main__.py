@@ -18,19 +18,6 @@ Workload feature table (Figure 2)::
 
     python -m repro.bench features
 
-Throughput versus batch size (scale-out subsystem)::
-
-    python -m repro.bench batch --query Q1 --batch-sizes 1 10 100 1000
-
-Compiled versus interpreted trigger execution (writes BENCH_codegen.json)::
-
-    python -m repro.bench codegen --events 3000
-
-The six financial queries, nested aggregates included (writes
-BENCH_finance.json; the listed queries must compile with zero fallbacks)::
-
-    python -m repro.bench finance --require-compiled VWAP MST PSP
-
 Compare the scale-out strategies against per-event HO-IVM::
 
     python -m repro.bench rates --queries Q1 --strategies dbtoaster \
@@ -40,9 +27,9 @@ Per-map / per-partition memory statistics::
 
     python -m repro.bench stats Q3 --strategy dbtoaster-par --partitions 4
 
-Durable ingest throughput and recovery time (writes BENCH_durability.json)::
-
-    python -m repro.bench durability --events 50000
+Throughput, latency, freshness, durability and overhead numbers of the whole
+stack are the job of ``benchmarks/e2e`` (see ``BENCHMARK.json``), not of this
+command.
 """
 
 from __future__ import annotations
@@ -50,32 +37,19 @@ from __future__ import annotations
 import argparse
 
 from repro.bench.report import (
-    codegen_sweep_json,
-    durability_bench_json,
-    format_batch_sweep,
-    format_codegen_sweep,
-    format_durability_bench,
     format_engine_statistics,
     format_feature_table,
     format_refresh_rate_table,
     format_scaling_table,
-    format_service_run,
     format_speedup_summary,
     format_trace,
 )
 from repro.bench.scenarios import (
-    DEFAULT_BATCH_SIZES,
-    DEFAULT_CODEGEN_QUERIES,
-    DEFAULT_FINANCE_QUERIES,
     DEFAULT_STRATEGIES,
     run_ablation,
-    run_batch_size_sweep,
-    run_codegen_sweep,
-    run_durability_bench,
     run_engine_statistics,
     run_refresh_rate_table,
     run_scaling,
-    run_service_freshness,
     run_trace_figure,
     workload_feature_table,
 )
@@ -117,109 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ablation.add_argument("query")
     ablation.add_argument("--events", type=int, default=1200)
 
-    batch = sub.add_parser("batch", help="Scale-out: throughput versus delta batch size")
-    batch.add_argument("--query", default="Q1")
-    batch.add_argument("--batch-sizes", nargs="*", type=int, default=list(DEFAULT_BATCH_SIZES))
-    batch.add_argument("--events", type=int, default=3000)
-    batch.add_argument("--budget", type=float, default=10.0)
-
-    codegen = sub.add_parser(
-        "codegen", help="Codegen: compiled versus interpreted per-event throughput"
-    )
-    codegen.add_argument("--queries", nargs="*", default=list(DEFAULT_CODEGEN_QUERIES))
-    codegen.add_argument("--events", type=int, default=3000)
-    codegen.add_argument("--budget", type=float, default=10.0,
-                         help="seconds per (query, strategy) run")
-    codegen.add_argument("--output", default="BENCH_codegen.json",
-                         help="where to write the JSON record ('-' disables)")
-    codegen.add_argument("--min-speedup", type=float, default=1.0,
-                         help="exit nonzero when a fully-compiled query's speedup "
-                              "falls below this bound (the CI regression gate)")
-    codegen.add_argument("--min-fused-speedup", type=float, default=0.9,
-                         help="exit nonzero when a fully-compiled query's fused "
-                              "throughput falls below this fraction of its "
-                              "per-statement throughput (no-regression gate; the "
-                              "0.9 default absorbs timer noise on queries whose "
-                              "statements dwarf dispatch cost)")
-    codegen.add_argument("--require-compiled", nargs="*", default=[],
-                         help="queries that must report fallback_statements == 0 "
-                              "(exit nonzero otherwise; guards the nested-aggregate "
-                              "lowering against silent regression)")
-    codegen.add_argument("--max-telemetry-overhead", type=float, default=0.05,
-                         help="exit nonzero when the metrics-enabled fused run is "
-                              "slower than the metrics-disabled one by more than "
-                              "this fraction (best-of-retries; 'inf' disables "
-                              "the overhead gate)")
-    codegen.add_argument("--max-provenance-overhead", type=float, default=0.15,
-                         help="exit nonzero when the provenance-enabled fused run "
-                              "is slower than the plain fused one by more than "
-                              "this fraction (best-of-retries; 'inf' disables "
-                              "the gate)")
-    codegen.add_argument("--max-wal-overhead", type=float, default=0.5,
-                         help="exit nonzero when durable ingest (per-batch WAL "
-                              "fsync behind the service) loses more than this "
-                              "fraction of fused throughput on the durability "
-                              "queries (best-of-retries; 'inf' disables the gate)")
-    codegen.add_argument("--min-vector-speedup", type=float, default=0.0,
-                         help="exit nonzero when the columnar numpy backend's "
-                              "staged rate falls below this multiple of the "
-                              "fused rate on any query that vectorized (0 "
-                              "disables; the gate is skipped per-query when "
-                              "numpy is missing or nothing vectorized)")
-    codegen.add_argument("--vector-batch-size", type=int, default=None,
-                         help="delta batch size of the vector axis (default "
-                              "10000; 0 skips the axis entirely)")
-    codegen.add_argument("--vector-events", type=int, default=None,
-                         help="events replayed for the vector axis "
-                              "(default 30000)")
-
-    finance = sub.add_parser(
-        "finance",
-        help="Codegen over the six financial queries (writes BENCH_finance.json)",
-    )
-    finance.add_argument("--queries", nargs="*", default=list(DEFAULT_FINANCE_QUERIES))
-    finance.add_argument("--events", type=int, default=3000)
-    finance.add_argument("--budget", type=float, default=20.0,
-                         help="seconds per (query, strategy) run")
-    finance.add_argument("--output", default="BENCH_finance.json",
-                         help="where to write the JSON record ('-' disables)")
-    finance.add_argument("--min-speedup", type=float, default=1.0,
-                         help="exit nonzero when a fully-compiled query's speedup "
-                              "falls below this bound (the CI regression gate)")
-    finance.add_argument("--min-fused-speedup", type=float, default=0.9,
-                         help="exit nonzero when a fully-compiled query's fused "
-                              "throughput falls below this fraction of its "
-                              "per-statement throughput")
-    finance.add_argument("--require-compiled", nargs="*",
-                         default=["VWAP", "MST", "PSP"],
-                         help="queries that must report fallback_statements == 0")
-    finance.add_argument("--max-telemetry-overhead", type=float, default=0.05,
-                         help="exit nonzero when the metrics-enabled fused run is "
-                              "slower than the metrics-disabled one by more than "
-                              "this fraction (best-of-retries; 'inf' disables "
-                              "the overhead gate)")
-    finance.add_argument("--max-provenance-overhead", type=float, default=0.15,
-                         help="exit nonzero when the provenance-enabled fused run "
-                              "is slower than the plain fused one by more than "
-                              "this fraction (best-of-retries; 'inf' disables "
-                              "the gate)")
-    finance.add_argument("--max-wal-overhead", type=float, default=0.5,
-                         help="exit nonzero when durable ingest loses more than "
-                              "this fraction of fused throughput on the "
-                              "durability queries, when any are in the sweep "
-                              "('inf' disables the gate)")
-    finance.add_argument("--min-vector-speedup", type=float, default=0.0,
-                         help="exit nonzero when the columnar numpy backend's "
-                              "staged rate falls below this multiple of the "
-                              "fused rate on any query that vectorized (0 "
-                              "disables)")
-    finance.add_argument("--vector-batch-size", type=int, default=None,
-                         help="delta batch size of the vector axis (default "
-                              "10000; 0 skips the axis entirely)")
-    finance.add_argument("--vector-events", type=int, default=None,
-                         help="events replayed for the vector axis "
-                              "(default 30000)")
-
     stats = sub.add_parser("stats", help="Per-map / per-partition memory statistics")
     stats.add_argument("query")
     stats.add_argument("--strategy", default="dbtoaster")
@@ -230,44 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--json", action="store_true",
                        help="emit the unified statistics schema (repro.stats/1) "
                             "as JSON instead of the formatted table")
-
-    service = sub.add_parser(
-        "service", help="Serving layer: query latency/freshness under concurrent ingest"
-    )
-    service.add_argument("--query", default="Q1")
-    service.add_argument("--engine",
-                         choices=["incremental", "compiled", "batched", "partitioned"],
-                         default="incremental")
-    service.add_argument("--events", type=int, default=2000)
-    service.add_argument("--ingest-chunk", type=int, default=64)
-    service.add_argument("--batch-size", type=int, default=None)
-    service.add_argument("--partitions", type=int, default=None)
-    service.add_argument("--backend", choices=["sequential", "process"], default=None)
-
-    durability = sub.add_parser(
-        "durability",
-        help="Durable ingest throughput and recovery time "
-             "(writes BENCH_durability.json)",
-    )
-    durability.add_argument("--query", default="Q1")
-    durability.add_argument("--engine",
-                            choices=["incremental", "compiled", "batched"],
-                            default="incremental")
-    durability.add_argument("--events", type=int, default=50_000)
-    durability.add_argument("--scale", type=float, default=None,
-                            help="dataset scale factor (the default TPC-H "
-                                 "dataset yields ~7k stream events; raise this "
-                                 "when --events asks for more)")
-    durability.add_argument("--ingest-batch", type=int, default=500)
-    durability.add_argument("--checkpoint-every", type=int, default=10,
-                            help="cut an incremental checkpoint every N ingest "
-                                 "batches")
-    durability.add_argument("--output", default="BENCH_durability.json",
-                            help="where to write the JSON record ('-' disables)")
-    durability.add_argument("--min-recovery-speedup", type=float, default=1.0,
-                            help="exit nonzero when chain restore + WAL tail is "
-                                 "not at least this many times faster than "
-                                 "replaying the full stream (0 disables)")
 
     sub.add_parser("features", help="Figure 2: workload features and compiled-program stats")
     sub.add_parser("list", help="List the available workload queries")
@@ -328,141 +161,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{label:22s} {result.refresh_rate:12,.1f} refreshes/s")
         return 0
 
-    if args.command == "batch":
-        results = run_batch_size_sweep(
-            query=args.query,
-            batch_sizes=tuple(args.batch_sizes),
-            events=args.events,
-            max_seconds_per_run=args.budget,
-        )
-        print(f"throughput vs batch size for {args.query}:")
-        print(format_batch_sweep(results))
-        return 0
-
-    if args.command in ("codegen", "finance"):
-        import json
-
-        from repro.bench.scenarios import VECTOR_BATCH_SIZE, VECTOR_EVENTS
-
-        vector_batch_size = (
-            args.vector_batch_size if args.vector_batch_size is not None
-            else VECTOR_BATCH_SIZE
-        )
-        results = run_codegen_sweep(
-            queries=tuple(args.queries),
-            events=args.events,
-            max_seconds_per_run=args.budget,
-            telemetry_overhead_target=args.max_telemetry_overhead,
-            provenance_overhead_target=args.max_provenance_overhead,
-            wal_overhead_target=args.max_wal_overhead,
-            vector_batch_size=vector_batch_size or None,
-            vector_events=args.vector_events or VECTOR_EVENTS,
-        )
-        print("compiled vs interpreted per-event throughput:")
-        print(format_codegen_sweep(results))
-        if args.output != "-":
-            with open(args.output, "w") as handle:
-                json.dump(codegen_sweep_json(results), handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote {args.output}")
-        # Compilation gate: the listed queries must run without a single
-        # interpreter fallback, so the := / nested-aggregate lowering cannot
-        # silently regress back onto the interpreter.  A required query
-        # missing from the sweep is a gate-configuration error, not a pass.
-        missing = [query for query in args.require_compiled if query not in results]
-        if missing:
-            print(
-                "codegen gate error: --require-compiled names queries outside "
-                "the sweep: " + ", ".join(missing)
-            )
-            return 3
-        not_compiled = [
-            f"{query}: {results[query]['fallback_statements']} fallback statements"
-            for query in args.require_compiled
-            if results[query]["fallback_statements"] != 0
-        ]
-        if not_compiled:
-            print("codegen fallback regression: " + "; ".join(not_compiled))
-            return 3
-        # Regression gate: a fully-compiled query must not run slower than the
-        # interpreter (queries dominated by interpreter fallbacks are exempt —
-        # their speedup is noise around 1.0 by construction).
-        failures = [
-            f"{query}: {row['speedup']:.2f}x < {args.min_speedup:.2f}x"
-            for query, row in results.items()
-            if row["fallback_statements"] == 0 and row["speedup"] < args.min_speedup
-        ]
-        if failures:
-            print("codegen throughput regression: " + "; ".join(failures))
-            return 2
-        # Fusion gate: on a fully-compiled query, whole-trigger fusion must
-        # not run slower than per-statement dispatch (within timer noise).
-        fusion_failures = [
-            f"{query}: fused {row['fused_speedup']:.2f}x < "
-            f"{args.min_fused_speedup:.2f}x of per-statement"
-            for query, row in results.items()
-            if row["fallback_statements"] == 0
-            and row["fused_kernels"] > 0
-            and row["fused_speedup"] < args.min_fused_speedup
-        ]
-        if fusion_failures:
-            print("fusion throughput regression: " + "; ".join(fusion_failures))
-            return 2
-        # Overhead gate: the metrics-enabled fused run must stay within the
-        # budget of the metrics-disabled one (burst-profiling telemetry; the
-        # sweep already re-measured both sides on a miss, so a failure here
-        # survived best-of-retries).
-        overhead_failures = [
-            f"{query}: {row['telemetry_overhead']:+.1%} > "
-            f"{args.max_telemetry_overhead:.1%}"
-            for query, row in results.items()
-            if row.get("telemetry_overhead") is not None
-            and row["telemetry_overhead"] > args.max_telemetry_overhead
-        ]
-        if overhead_failures:
-            print("telemetry overhead regression: " + "; ".join(overhead_failures))
-            return 2
-        # Provenance gate: fused execution with per-view history rings on
-        # must stay within its budgeted overhead of the rings-off run.
-        provenance_failures = [
-            f"{query}: {row['provenance_overhead']:+.1%} > "
-            f"{args.max_provenance_overhead:.1%}"
-            for query, row in results.items()
-            if row.get("provenance_overhead") is not None
-            and row["provenance_overhead"] > args.max_provenance_overhead
-        ]
-        if provenance_failures:
-            print("provenance overhead regression: " + "; ".join(provenance_failures))
-            return 2
-        # Durability gate: group-fsynced WAL ingest through the service must
-        # retain at least (1 - max_wal_overhead) of the fused in-memory rate.
-        wal_failures = [
-            f"{query}: {row['wal_overhead']:+.1%} > {args.max_wal_overhead:.1%}"
-            for query, row in results.items()
-            if row.get("wal_overhead") is not None
-            and row["wal_overhead"] > args.max_wal_overhead
-        ]
-        if wal_failures:
-            print("durable ingest overhead regression: " + "; ".join(wal_failures))
-            return 2
-        # Vector gate: on queries where the columnar backend actually ran
-        # (numpy present, >= 1 statement vectorized), its staged throughput
-        # must beat fused by the configured multiple.  Queries that fell
-        # back wholesale record a vector_reason instead and are exempt —
-        # the fallback path is the correctness contract, not a regression.
-        if args.min_vector_speedup > 0:
-            vector_failures = [
-                f"{query}: vector {row['vector_speedup']:.2f}x < "
-                f"{args.min_vector_speedup:.2f}x of fused"
-                for query, row in results.items()
-                if row.get("vector_speedup") is not None
-                and row["vector_speedup"] < args.min_vector_speedup
-            ]
-            if vector_failures:
-                print("vector throughput regression: " + "; ".join(vector_failures))
-                return 2
-        return 0
-
     if args.command == "stats":
         statistics = run_engine_statistics(
             args.query,
@@ -487,52 +185,6 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(unified, indent=2, sort_keys=True, default=str))
         else:
             print(format_engine_statistics(statistics, f"{args.query} / {args.strategy}"))
-        return 0
-
-    if args.command == "service":
-        result = run_service_freshness(
-            query=args.query,
-            engine_mode=args.engine,
-            events=args.events,
-            ingest_chunk=args.ingest_chunk,
-            engine_config={
-                "batch_size": args.batch_size,
-                "partitions": args.partitions,
-                "backend": args.backend,
-            },
-        )
-        print(format_service_run(result))
-        return 0
-
-    if args.command == "durability":
-        import json
-
-        result = run_durability_bench(
-            query=args.query,
-            engine_mode=args.engine,
-            events=args.events,
-            ingest_batch=args.ingest_batch,
-            checkpoint_every=args.checkpoint_every,
-            scale=args.scale,
-        )
-        print(format_durability_bench(result))
-        if args.output != "-":
-            with open(args.output, "w") as handle:
-                json.dump(durability_bench_json(result), handle, indent=2,
-                          sort_keys=True)
-                handle.write("\n")
-            print(f"wrote {args.output}")
-        # Recovery-time gate: incremental checkpoints exist to make restart
-        # cheaper than reprocessing history; if they are not, that is a bug.
-        if (
-            args.min_recovery_speedup > 0
-            and result.recovery_speedup < args.min_recovery_speedup
-        ):
-            print(
-                f"recovery-time regression: {result.recovery_speedup:.2f}x < "
-                f"{args.min_recovery_speedup:.2f}x over full replay"
-            )
-            return 2
         return 0
 
     if args.command == "features":

@@ -1,7 +1,7 @@
 """Rendering benchmark results in the shape the paper reports them.
 
 The formatting helpers return plain strings (monospace tables) so benchmark
-runs can print them directly and EXPERIMENTS.md can embed them verbatim.
+runs can print them directly.
 """
 
 from __future__ import annotations
@@ -94,126 +94,6 @@ def format_scaling_table(
     return "\n".join(lines)
 
 
-def format_batch_sweep(results: Mapping[str, tuple[RunResult, float | None]]) -> str:
-    """Throughput-vs-batch-size table: speedup over the per-event baseline and
-    the share of events that ran through numpy kernels."""
-    baseline = results.get("dbtoaster")
-    base_rate = baseline[0].refresh_rate if baseline else 0.0
-    lines = [
-        f"{'mode':>14} {'events':>8} {'time (s)':>10} {'refreshes/s':>14} "
-        f"{'speedup':>9} {'vector':>8}"
-    ]
-    for label, (result, vector_fraction) in results.items():
-        speedup = (
-            f"{result.refresh_rate / base_rate:.2f}x" if base_rate > 0 else "-"
-        )
-        vector = f"{vector_fraction:.0%}" if vector_fraction is not None else "-"
-        lines.append(
-            f"{label:>14} {result.events_processed:>8} {result.elapsed_seconds:>10.2f} "
-            f"{_format_rate(result.refresh_rate):>14} {speedup:>9} {vector:>8}"
-        )
-    return "\n".join(lines)
-
-
-def format_codegen_sweep(results: Mapping[str, Mapping[str, object]]) -> str:
-    """Fused/per-statement/interpreted table: rates, speedups, coverage."""
-    lines = [
-        f"{'query':>8} {'events':>8} {'interp/s':>12} {'compiled/s':>12} "
-        f"{'fused/s':>12} {'speedup':>9} {'fusion':>8} {'stmts':>12} "
-        f"{'vector/s':>12} {'vec spd':>8} "
-        f"{'tele ovh':>9} {'prov ovh':>9} {'wal ovh':>8} {'ev p50/p99':>16}"
-    ]
-    for query, row in results.items():
-        interpreted: RunResult = row["interpreted"]  # type: ignore[assignment]
-        compiled: RunResult = row["compiled"]  # type: ignore[assignment]
-        fused: RunResult = row["fused"]  # type: ignore[assignment]
-        coverage = f"{row['compiled_statements']}+{row['fallback_statements']}fb"
-        overhead = row.get("telemetry_overhead")
-        overhead_text = f"{overhead:+.1%}" if overhead is not None else "-"
-        prov = row.get("provenance_overhead")
-        prov_text = f"{prov:+.1%}" if prov is not None else "-"
-        wal = row.get("wal_overhead")
-        wal_text = f"{wal:+.1%}" if wal is not None else "-"
-        p50 = row.get("event_p50_us")
-        p99 = row.get("event_p99_us")
-        quantiles = (
-            f"{p50:.1f}/{p99:.1f}us" if p50 is not None and p99 is not None else "-"
-        )
-        vector: RunResult | None = row.get("vector")  # type: ignore[assignment]
-        vector_text = _format_rate(vector.refresh_rate) if vector is not None else "-"
-        vector_speedup = row.get("vector_speedup")
-        vector_speedup_text = (
-            f"{vector_speedup:.1f}x" if vector_speedup is not None else "-"
-        )
-        lines.append(
-            f"{query:>8} {row['events']:>8} "
-            f"{_format_rate(interpreted.refresh_rate):>12} "
-            f"{_format_rate(compiled.refresh_rate):>12} "
-            f"{_format_rate(fused.refresh_rate):>12} "
-            f"{row['speedup']:>8.2f}x {row['fused_speedup']:>7.2f}x {coverage:>12} "
-            f"{vector_text:>12} {vector_speedup_text:>8} "
-            f"{overhead_text:>9} {prov_text:>9} {wal_text:>8} {quantiles:>16}"
-        )
-    return "\n".join(lines)
-
-
-def codegen_sweep_json(results: Mapping[str, Mapping[str, object]]) -> dict:
-    """The ``BENCH_codegen.json`` payload: one record per query, plain types.
-
-    ``compiled_rate``/``speedup`` describe per-statement kernels against the
-    interpreter (the historical record the CI gate reads);
-    ``fused_rate``/``fused_speedup`` describe whole-trigger fusion against
-    the per-statement kernels.
-    """
-    payload = {}
-    for query, row in results.items():
-        interpreted: RunResult = row["interpreted"]  # type: ignore[assignment]
-        compiled: RunResult = row["compiled"]  # type: ignore[assignment]
-        fused: RunResult = row["fused"]  # type: ignore[assignment]
-        record = {
-            "events": row["events"],
-            "interpreted_rate": interpreted.refresh_rate,
-            "compiled_rate": compiled.refresh_rate,
-            "fused_rate": fused.refresh_rate,
-            "speedup": row["speedup"],
-            "fused_speedup": row["fused_speedup"],
-            "compiled_statements": row["compiled_statements"],
-            "fallback_statements": row["fallback_statements"],
-            "fused_kernels": row["fused_kernels"],
-            "deduped_probes": row["deduped_probes"],
-            "deduped_scalars": row["deduped_scalars"],
-        }
-        telemetry: RunResult | None = row.get("telemetry")  # type: ignore[assignment]
-        if telemetry is not None:
-            record["telemetry_rate"] = telemetry.refresh_rate
-            record["telemetry_overhead"] = row["telemetry_overhead"]
-            record["event_p50_us"] = row["event_p50_us"]
-            record["event_p99_us"] = row["event_p99_us"]
-        provenance: RunResult | None = row.get("provenance")  # type: ignore[assignment]
-        if provenance is not None:
-            record["provenance_rate"] = provenance.refresh_rate
-            record["provenance_overhead"] = row["provenance_overhead"]
-        durable: RunResult | None = row.get("durable")  # type: ignore[assignment]
-        if durable is not None:
-            wal = row.get("wal") or {}
-            record["durable_rate"] = durable.refresh_rate
-            record["wal_overhead"] = row["wal_overhead"]
-            record["wal_fsyncs"] = wal.get("fsyncs", 0)
-            record["wal_bytes"] = wal.get("bytes_appended", 0)
-        vector: RunResult | None = row.get("vector")  # type: ignore[assignment]
-        if vector is not None:
-            record["vector_rate"] = vector.refresh_rate
-            record["vector_batch_size"] = row["vector_batch_size"]
-            record["vector_statements"] = row["vector_statements"]
-            record["vector_fallbacks"] = dict(row["vector_fallbacks"])
-            if "vector_speedup" in row:
-                record["vector_speedup"] = row["vector_speedup"]
-            else:
-                record["vector_reason"] = row["vector_reason"]
-        payload[query] = record
-    return payload
-
-
 def _format_map_stats_rows(maps: Mapping[str, Mapping[str, object]]) -> list[str]:
     lines = [f"  {'map':30s} {'entries':>10} {'memory (KB)':>12}  indexes"]
     for name in sorted(maps):
@@ -304,61 +184,4 @@ def format_feature_table(features: Mapping[str, Mapping[str, object]]) -> str:
     for query in sorted(features):
         row = [query] + [str(features[query].get(column, "-")) for column in columns]
         lines.append("".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def format_durability_bench(result) -> str:
-    """One durable-ingest + recovery-time run (the ``durability`` scenario)."""
-    wal = result.wal or {}
-    lines = [
-        f"durability run: {result.query} ({result.engine_mode} engine)",
-        f"  durable ingest: {result.events} events in "
-        f"{result.durable_elapsed_seconds:.2f}s -> "
-        f"{_format_rate(result.durable_ingest_rate)} events/s "
-        f"({result.checkpoints} incremental checkpoints, "
-        f"{wal.get('fsyncs', 0)} fsyncs, "
-        f"{wal.get('bytes_appended', 0) / 1024:.0f} KB logged)",
-        f"  recovery (base + deltas + WAL tail): {result.recovery_seconds:.3f}s "
-        f"to version {result.recovered_version} "
-        f"(restored={result.restored_from_checkpoint}, "
-        f"{result.wal_batches_replayed} WAL batches replayed)",
-        f"  full replay from source: {result.full_replay_seconds:.3f}s "
-        f"({_format_rate(result.full_replay_rate)} events/s)",
-        f"  recovery speedup over full replay: {result.recovery_speedup:.1f}x",
-    ]
-    return "\n".join(lines)
-
-
-def durability_bench_json(result) -> dict:
-    """The ``BENCH_durability.json`` payload for one run, plain types."""
-    return {
-        "query": result.query,
-        "engine_mode": result.engine_mode,
-        "events": result.events,
-        "ingest_batch": result.ingest_batch,
-        "checkpoints": result.checkpoints,
-        "durable_elapsed_seconds": result.durable_elapsed_seconds,
-        "durable_ingest_rate": result.durable_ingest_rate,
-        "wal": dict(result.wal or {}),
-        "recovery_seconds": result.recovery_seconds,
-        "recovered_version": result.recovered_version,
-        "restored_from_checkpoint": result.restored_from_checkpoint,
-        "wal_batches_replayed": result.wal_batches_replayed,
-        "full_replay_seconds": result.full_replay_seconds,
-        "full_replay_rate": result.full_replay_rate,
-        "recovery_speedup": result.recovery_speedup,
-    }
-
-
-def format_service_run(result) -> str:
-    """One served-view freshness/throughput run (the ``service`` scenario)."""
-    lines = [
-        f"service run: {result.query} ({result.engine_mode} engine)",
-        f"  ingested {result.events} events over the wire in "
-        f"{result.elapsed_seconds:.2f}s -> {_format_rate(result.ingest_rate)} events/s",
-        f"  {result.queries} concurrent snapshot queries: "
-        f"mean {result.mean_latency_ms:.2f} ms, p95 {result.p95_latency_ms:.2f} ms",
-        f"  staleness (submitted - served version): max {result.max_staleness} events",
-        f"  final served version: {result.final_version}",
-    ]
     return "\n".join(lines)

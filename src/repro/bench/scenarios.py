@@ -1,21 +1,18 @@
 """One entry point per paper table/figure (the experiment index of DESIGN.md).
 
-Every scenario takes explicit size parameters so the same code drives both
-the quick pytest-benchmark runs in ``benchmarks/`` and larger standalone runs
-whose output is recorded in EXPERIMENTS.md.
+Every scenario takes explicit size parameters, so the same code drives the
+tiny runs of the test suite and larger standalone runs from the command line
+(``python -m repro.bench``).
 """
 
 from __future__ import annotations
 
-import inspect
-import time
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro.bench.harness import RunResult, TraceResult, measure_refresh_rate, run_trace
 from repro.bench.strategies import build_engine, custom_options_engine
 from repro.compiler.hoivm import compile_query
-from repro.workloads import WorkloadSpec, all_workloads, workload
+from repro.workloads import all_workloads, workload
 
 #: Strategy columns of the Figure 6/7 table, in the paper's order.
 DEFAULT_STRATEGIES: tuple[str, ...] = (
@@ -28,37 +25,8 @@ DEFAULT_STRATEGIES: tuple[str, ...] = (
     "ivm",
 )
 
-#: The trace queries shown in Figures 8, 9, 10 (one representative per panel).
-TRACE_QUERIES: tuple[str, ...] = (
-    "Q1", "Q3", "Q17a", "Q19", "Q22a", "AXF", "MST", "PSP", "VWAP",
-)
-
 #: TPC-H subset used for the scaling experiment (Figure 11).
 SCALING_QUERIES: tuple[str, ...] = ("Q1", "Q3", "Q4", "Q6", "Q11a", "Q12", "Q17a", "Q18a")
-
-
-def _call_with_supported(fn, **kwargs):
-    """Call ``fn`` passing only the keyword arguments it accepts."""
-    parameters = inspect.signature(fn).parameters
-    if any(p.kind == inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
-        return fn(**kwargs)
-    return fn(**{k: v for k, v in kwargs.items() if k in parameters})
-
-
-def _prepare(spec: WorkloadSpec, events: int, scale: float | None, seed: int):
-    kwargs = {"events": events, "seed": seed}
-    if scale is not None:
-        kwargs["scale"] = scale
-    agenda = _call_with_supported(spec.stream_factory, **kwargs)
-    static_kwargs = {"seed": seed}
-    if scale is not None:
-        static_kwargs["scale"] = scale
-    static = (
-        _call_with_supported(spec.static_factory, **static_kwargs)
-        if spec.static_factory is not None
-        else {}
-    )
-    return agenda, static
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +53,7 @@ def run_refresh_rate_table(
     results: dict[str, dict[str, RunResult]] = {}
     for name in names:
         spec = workload(name)
-        agenda, static = _prepare(spec, events, None, seed)
+        agenda, static = spec.prepare(events, seed)
         translated = spec.query_factory()
         per_query: dict[str, RunResult] = {}
         for strategy in strategies:
@@ -121,7 +89,7 @@ def run_trace_figure(
 ) -> dict[str, TraceResult]:
     """Time / refresh-rate / memory traces for one query (Figures 8-10, 13-18)."""
     spec = workload(query)
-    agenda, static = _prepare(spec, events, None, seed)
+    agenda, static = spec.prepare(events, seed)
     translated = spec.query_factory()
     traces: dict[str, TraceResult] = {}
     for strategy in strategies:
@@ -158,7 +126,7 @@ def run_scaling(
         per_scale: dict[float, RunResult] = {}
         for scale in scales:
             events = int(events_per_scale_unit * scale)
-            agenda, static = _prepare(spec, events, scale, seed)
+            agenda, static = spec.prepare(events, seed, scale)
             engine = build_engine("dbtoaster", translated)
             per_scale[scale] = measure_refresh_rate(
                 engine,
@@ -173,775 +141,8 @@ def run_scaling(
 
 
 # ---------------------------------------------------------------------------
-# Scale-out: throughput versus batch size / partition statistics
+# Per-map / per-partition statistics
 # ---------------------------------------------------------------------------
-
-#: Batch sizes swept by the throughput-vs-batch-size scenario.
-DEFAULT_BATCH_SIZES: tuple[int, ...] = (1, 10, 100, 1000)
-
-
-def run_batch_size_sweep(
-    query: str = "Q1",
-    batch_sizes: Sequence[int] = DEFAULT_BATCH_SIZES,
-    events: int = 3000,
-    max_seconds_per_run: float = 10.0,
-    seed: int = 7,
-) -> dict[str, tuple[RunResult, float | None]]:
-    """Throughput of delta-batched execution as the batch size grows.
-
-    Returns one ``(run, vector fraction)`` entry per batch size (labelled
-    ``batch-<n>``) plus the per-event ``dbtoaster`` baseline (fraction
-    ``None``), all replaying the same agenda end to end — fold included.
-    The vector fraction is the share of events whose group ran at least one
-    numpy kernel: it rises from 0 as folded groups grow past the dispatch
-    cutoff, which is where the batched rate pulls away from the baseline.
-    """
-    spec = workload(query)
-    agenda, static = _prepare(spec, events, None, seed)
-    translated = spec.query_factory()
-    results: dict[str, tuple[RunResult, float | None]] = {}
-    baseline = build_engine("dbtoaster", translated)
-    results["dbtoaster"] = (
-        measure_refresh_rate(
-            baseline,
-            agenda,
-            static,
-            max_seconds=max_seconds_per_run,
-            strategy="dbtoaster",
-            query=query,
-        ),
-        None,
-    )
-    for batch_size in batch_sizes:
-        label = f"batch-{batch_size}"
-        engine = build_engine("dbtoaster-batch", translated, batch_size=batch_size)
-        run = measure_refresh_rate(
-            engine,
-            agenda,
-            static,
-            max_seconds=max_seconds_per_run,
-            strategy=label,
-            query=query,
-        )
-        vector_events = engine.statistics()["batching"]["vector_events"]
-        results[label] = (run, vector_events / max(1, run.events_processed))
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Codegen: compiled versus interpreted trigger execution
-# ---------------------------------------------------------------------------
-
-#: Queries swept by ``python -m repro.bench codegen`` by default: the linear
-#: TPC-H views where compilation shines, one join view, plus a nested-
-#: aggregate query exercising the per-statement interpreter fallback.
-DEFAULT_CODEGEN_QUERIES: tuple[str, ...] = ("Q1", "Q3", "Q6", "VWAP")
-
-#: The six financial queries of Appendix A.2 — the ``finance`` sweep behind
-#: BENCH_finance.json, all expected to compile with zero fallbacks.
-DEFAULT_FINANCE_QUERIES: tuple[str, ...] = ("AXF", "BSP", "BSV", "MST", "PSP", "VWAP")
-
-
-#: Burst-profiling configuration of the telemetry benchmark axis: re-arm
-#: every 2 ms for 64 timed events.  Bounded-overhead sampling — see
-#: ``repro.telemetry.core.Telemetry`` — so even >1M events/s fused hot paths
-#: stay within the overhead gate while still filling latency histograms.
-TELEMETRY_PROFILE_INTERVAL = 0.002
-TELEMETRY_PROFILE_BURST = 64
-
-
-def _measure_telemetry_run(translated, agenda, static, name, max_seconds):
-    """One metrics-enabled fused run; returns (RunResult, event p50/p99 seconds)."""
-    from repro.telemetry import Telemetry
-
-    telemetry = Telemetry(
-        enabled=True,
-        profile_interval=TELEMETRY_PROFILE_INTERVAL,
-        profile_burst=TELEMETRY_PROFILE_BURST,
-    )
-    engine = build_engine("dbtoaster-comp", translated, telemetry=telemetry)
-    try:
-        result = measure_refresh_rate(
-            engine,
-            agenda,
-            static,
-            max_seconds=max_seconds,
-            strategy="telemetry",
-            query=name,
-        )
-    finally:
-        if hasattr(engine, "close"):
-            engine.close()
-    family = telemetry.registry.histogram_family(
-        "repro_engine_trigger_latency_seconds"
-    )
-    p50 = family["p50"] if family and family["count"] else 0.0
-    p99 = family["p99"] if family and family["count"] else 0.0
-    return result, p50, p99
-
-
-def _measure_provenance_run(translated, agenda, static, name, max_seconds):
-    """One fused run with row-provenance rings enabled on every view."""
-    engine = build_engine("dbtoaster-comp", translated)
-    try:
-        engine.enable_provenance()
-        return measure_refresh_rate(
-            engine,
-            agenda,
-            static,
-            max_seconds=max_seconds,
-            strategy="provenance",
-            query=name,
-        )
-    finally:
-        if hasattr(engine, "close"):
-            engine.close()
-
-
-#: Events per durable ingest batch (one WAL record + group fsync per batch).
-DURABLE_INGEST_BATCH = 100
-
-
-def _measure_durable_run(translated, agenda, static, name, max_seconds,
-                         fsync_every=1, batch_events=DURABLE_INGEST_BATCH):
-    """One fused run behind a :class:`ViewService` with a per-batch-fsynced WAL.
-
-    Measures the durable ingest path end to end: wire-encode + CRC + append +
-    fsync before the events touch engine state, in ingest batches of
-    ``batch_events``.  Returns ``(RunResult, wal stats)``.
-    """
-    import tempfile
-    import time
-
-    from repro.service.core import ViewService
-
-    engine = build_engine("dbtoaster-comp", translated)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-wal-") as wal_dir:
-        service = ViewService(engine, wal_dir=wal_dir, fsync_every=fsync_every)
-        try:
-            for relation, rows in (static or {}).items():
-                service.load_static(relation, rows)
-            events = list(agenda)
-            processed = 0
-            start = time.perf_counter()
-            deadline = start + max_seconds if max_seconds is not None else None
-            for index in range(0, len(events), batch_events):
-                batch = events[index:index + batch_events]
-                service.ingest(batch)
-                processed += len(batch)
-                if deadline is not None and time.perf_counter() >= deadline:
-                    break
-            elapsed = time.perf_counter() - start
-            memory = engine.memory_bytes() if hasattr(engine, "memory_bytes") else 0
-            result = RunResult(
-                strategy="durable",
-                query=name,
-                events_processed=processed,
-                elapsed_seconds=elapsed,
-                memory_bytes=memory,
-                completed=processed == len(events),
-            )
-            return result, service.wal.stats()
-        finally:
-            service.close()
-
-
-def _measure_fused_run(translated, agenda, static, name, max_seconds):
-    """One plain fused run (the baseline side of every overhead pair)."""
-    engine = build_engine("dbtoaster-comp", translated)
-    try:
-        return measure_refresh_rate(
-            engine,
-            agenda,
-            static,
-            max_seconds=max_seconds,
-            strategy="fused",
-            query=name,
-        )
-    finally:
-        if hasattr(engine, "close"):
-            engine.close()
-
-
-def _paired_overhead(measure_baseline, measure_instrumented, target, retries):
-    """Minimum overhead over baseline/instrumented pairs measured back-to-back.
-
-    Each attempt measures the plain fused baseline and the instrumented run
-    under the same load, and the overhead recorded is the one *within* the
-    best pair.  Comparing independent best-of-N runs instead can report
-    negative overheads — the baseline simply drew more interference than
-    every instrumented run — which is exactly the noise the ``--max-*``
-    CI gates must not measure.  Retries stop as soon as a pair lands within
-    ``target`` (timer noise is one-sided, so the minimum converges on the
-    true overhead from above).
-
-    Returns ``(overhead, baseline_run, instrumented_payload)``.
-    """
-    best = None
-    for _ in range(max(1, retries)):
-        baseline = measure_baseline()
-        payload = measure_instrumented()
-        run = payload[0] if isinstance(payload, tuple) else payload
-        overhead = (
-            1.0 - run.refresh_rate / baseline.refresh_rate
-            if baseline.refresh_rate > 0
-            else 0.0
-        )
-        if best is None or overhead < best[0]:
-            best = (overhead, baseline, payload)
-        if target is None or best[0] <= target:
-            break
-    return best
-
-
-#: Delta batch size of the headline columnar-backend measurement.  Array
-#: kernels amortize their per-batch dispatch over the whole batch, so the
-#: vector axis is measured at a large batch (and a larger replayed agenda);
-#: ``run_batch_size_sweep`` shows where vector dispatch starts at small sizes.
-VECTOR_BATCH_SIZE = 10_000
-
-#: Events replayed for the vector axis (larger than the per-event axes so
-#: several full batches fit; rates are steady-state events/second either way).
-VECTOR_EVENTS = 30_000
-
-
-def _measure_staged_run(translated, agenda, static, name, max_seconds,
-                        batch_size, strategy, retries=3):
-    """Best-of-N batched run timed through the staged ingest path.
-
-    Staging (fold + columnarization) happens outside the timed region —
-    the measured rate is the view-maintenance work itself, which is what
-    the fused per-event rate it is compared against measures too.
-    Returns ``(RunResult, batching statistics)`` of the best attempt.
-    """
-    best = best_stats = None
-    events = list(agenda)
-    chunks = [events[i:i + batch_size] for i in range(0, len(events), batch_size)]
-    for _ in range(max(1, retries)):
-        engine = build_engine("dbtoaster-batch", translated, batch_size=batch_size)
-        try:
-            for relation, rows in (static or {}).items():
-                engine.load_static(relation, rows)
-            staged = [engine.stage(chunk) for chunk in chunks]
-            processed = 0
-            start = time.perf_counter()
-            deadline = start + max_seconds if max_seconds is not None else None
-            for batch in staged:
-                processed += engine.apply_staged(batch)
-                if deadline is not None and time.perf_counter() >= deadline:
-                    break
-            elapsed = time.perf_counter() - start
-            memory = engine.memory_bytes()
-            stats = dict(engine.statistics()["batching"])
-        finally:
-            if hasattr(engine, "close"):
-                engine.close()
-        result = RunResult(
-            strategy=strategy,
-            query=name,
-            events_processed=processed,
-            elapsed_seconds=elapsed,
-            memory_bytes=memory,
-            completed=processed == len(events),
-        )
-        if best is None or result.refresh_rate > best.refresh_rate:
-            best, best_stats = result, stats
-    return best, best_stats
-
-
-def run_codegen_sweep(
-    queries: Sequence[str] = DEFAULT_CODEGEN_QUERIES,
-    events: int = 3000,
-    max_seconds_per_run: float = 10.0,
-    seed: int = 7,
-    telemetry_overhead_target: float | None = 0.05,
-    telemetry_retries: int = 4,
-    provenance_overhead_target: float | None = 0.10,
-    durability_queries: Sequence[str] | None = ("Q1",),
-    wal_overhead_target: float | None = 0.5,
-    vector_batch_size: int | None = VECTOR_BATCH_SIZE,
-    vector_events: int = VECTOR_EVENTS,
-    vector_retries: int = 3,
-) -> dict[str, dict[str, object]]:
-    """Per-event throughput of fused/per-statement/interpreted execution.
-
-    Replays the same agenda through ``dbtoaster`` (interpreted),
-    ``dbtoaster-comp`` with ``fused=False`` (per-statement kernels) and
-    ``dbtoaster-comp`` (whole-trigger fusion, the shipping configuration)
-    and reports all three rates, the speedups, the statement coverage and
-    the fusion statistics.  This is the benchmark behind
-    ``BENCH_codegen.json`` and the CI regression gates: on a fully-compiled
-    query, compiled throughput below the interpreted baseline — or fused
-    throughput meaningfully below per-statement — is a bug, not noise.
-
-    A fourth, metrics-enabled fused run (burst-profiling telemetry) yields
-    the ``telemetry`` axis: its rate, the relative overhead against the
-    metrics-disabled fused run, and the sampled per-event latency
-    quantiles.  Overheads are measured against a *same-run paired*
-    baseline: each attempt re-measures the plain fused run immediately
-    before the instrumented one and the recorded overhead is the minimum
-    over pairs (see :func:`_paired_overhead`) — comparing independently
-    retried bests can report negative overheads when the baseline draws
-    more interference, which defeated the CI gates.  Pairs are retried up
-    to ``telemetry_retries`` times while above ``telemetry_overhead_target``.
-
-    A fifth run measures the ``provenance`` axis the same way: fused
-    execution with row-provenance rings enabled on every view (one watcher
-    call per view mutation), paired against its own fused baseline while
-    the overhead exceeds ``provenance_overhead_target``.
-
-    For the queries in ``durability_queries`` a sixth run measures the
-    ``durable`` axis: the same fused engine behind a ``ViewService`` with a
-    write-ahead log fsynced once per 100-event ingest batch.  The recorded
-    ``wal_overhead`` is the paired relative throughput loss against the
-    in-memory fused run, retried while it exceeds ``wal_overhead_target``
-    (the ``--max-wal-overhead`` CI gate).
-
-    Finally the ``vector`` axis: the batched engine (numpy kernels from
-    ``repro.codegen.vector`` on large groups) driven through the staged path at
-    ``vector_batch_size`` over a ``vector_events``-long replay of the same
-    stream.  ``vector_speedup`` is its rate over the best fused rate and is
-    only recorded for queries where at least one statement actually
-    vectorized; otherwise the recorded ``vector_reason`` says why (numpy
-    missing, no vectorizable statements, or every folded group below the
-    ``DEFAULT_MIN_VECTOR_ROWS`` dispatch cutoff).  Pass ``vector_batch_size=None``
-    to skip the axis.
-    """
-    runs = (
-        ("interpreted", "dbtoaster", {}),
-        ("compiled", "dbtoaster-comp", {"fused": False}),
-        ("fused", "dbtoaster-comp", {}),
-    )
-    results: dict[str, dict[str, object]] = {}
-    for name in queries:
-        spec = workload(name)
-        agenda, static = _prepare(spec, events, None, seed)
-        translated = spec.query_factory()
-        per_query: dict[str, RunResult] = {}
-        codegen_stats: dict[str, object] = {}
-        for label, strategy, config in runs:
-            engine = build_engine(strategy, translated, **config)
-            try:
-                per_query[label] = measure_refresh_rate(
-                    engine,
-                    agenda,
-                    static,
-                    max_seconds=max_seconds_per_run,
-                    strategy=label if label != "interpreted" else strategy,
-                    query=name,
-                )
-                if label == "fused":
-                    codegen_stats = dict(engine.statistics().get("codegen", {}))
-            finally:
-                if hasattr(engine, "close"):
-                    engine.close()
-        interpreted = per_query["interpreted"]
-        compiled = per_query["compiled"]
-        fused = per_query["fused"]
-
-        def fused_baseline():
-            return _measure_fused_run(
-                translated, agenda, static, name, max_seconds_per_run
-            )
-
-        telemetry_overhead, fused_base, payload = _paired_overhead(
-            fused_baseline,
-            lambda: _measure_telemetry_run(
-                translated, agenda, static, name, max_seconds_per_run
-            ),
-            telemetry_overhead_target,
-            telemetry_retries,
-        )
-        telemetry_run, event_p50, event_p99 = payload
-        if fused_base.refresh_rate > fused.refresh_rate:
-            fused = fused_base
-
-        provenance_overhead, fused_base, provenance_run = _paired_overhead(
-            fused_baseline,
-            lambda: _measure_provenance_run(
-                translated, agenda, static, name, max_seconds_per_run
-            ),
-            provenance_overhead_target,
-            telemetry_retries,
-        )
-        if fused_base.refresh_rate > fused.refresh_rate:
-            fused = fused_base
-
-        durable_run = wal_stats = wal_overhead = None
-        if durability_queries is not None and name in durability_queries:
-            wal_overhead, fused_base, payload = _paired_overhead(
-                fused_baseline,
-                lambda: _measure_durable_run(
-                    translated, agenda, static, name, max_seconds_per_run
-                ),
-                wal_overhead_target,
-                telemetry_retries,
-            )
-            durable_run, wal_stats = payload
-            if fused_base.refresh_rate > fused.refresh_rate:
-                fused = fused_base
-
-        vector_run = vector_stats = None
-        if vector_batch_size is not None:
-            vector_agenda, _ = _prepare(spec, vector_events, None, seed)
-            vector_run, vector_stats = _measure_staged_run(
-                translated, vector_agenda, static, name, max_seconds_per_run,
-                vector_batch_size, "vector", retries=vector_retries,
-            )
-        per_query["fused"] = fused
-
-        speedup = (
-            compiled.refresh_rate / interpreted.refresh_rate
-            if interpreted.refresh_rate > 0
-            else 0.0
-        )
-        fused_speedup = (
-            fused.refresh_rate / compiled.refresh_rate
-            if compiled.refresh_rate > 0
-            else 0.0
-        )
-        results[name] = {
-            "events": min(
-                interpreted.events_processed,
-                compiled.events_processed,
-                fused.events_processed,
-            ),
-            "interpreted": interpreted,
-            "compiled": compiled,
-            "fused": fused,
-            "telemetry": telemetry_run,
-            "provenance": provenance_run,
-            "speedup": speedup,
-            "fused_speedup": fused_speedup,
-            "telemetry_overhead": telemetry_overhead,
-            "provenance_overhead": provenance_overhead,
-            "event_p50_us": event_p50 * 1e6,
-            "event_p99_us": event_p99 * 1e6,
-            "compiled_statements": codegen_stats.get("compiled_statements", 0),
-            "fallback_statements": codegen_stats.get("fallback_statements", 0),
-            "fused_kernels": codegen_stats.get("fused_kernels", 0),
-            "deduped_probes": codegen_stats.get("deduped_probes", 0),
-            "deduped_scalars": codegen_stats.get("deduped_scalars", 0),
-        }
-        if durable_run is not None:
-            results[name]["durable"] = durable_run
-            results[name]["wal_overhead"] = wal_overhead
-            results[name]["wal"] = wal_stats
-        if vector_run is not None and vector_stats is not None:
-            results[name]["vector"] = vector_run
-            results[name]["vector_batch_size"] = vector_batch_size
-            results[name]["vector_statements"] = vector_stats["vector_statements"]
-            results[name]["vector_fallbacks"] = vector_stats["vector_fallbacks"]
-            if vector_stats["vector_events"] > 0:
-                results[name]["vector_speedup"] = (
-                    vector_run.refresh_rate / fused.refresh_rate
-                    if fused.refresh_rate > 0
-                    else 0.0
-                )
-            else:
-                reason = vector_stats.get("vector_reason")
-                if reason is None:
-                    if vector_stats.get("vector_statements"):
-                        reason = ("no group reached vector dispatch "
-                                  "(see vector_fallbacks)")
-                    else:
-                        reason = "no vectorizable statements"
-                results[name]["vector_reason"] = reason
-    return results
-
-
-@dataclass(frozen=True)
-class ServiceRunResult:
-    """Freshness-versus-throughput measurements of a served view.
-
-    ``staleness`` counts, per query, how many already-submitted events the
-    returned snapshot version was missing — 0 means every read was perfectly
-    fresh despite the concurrent ingest load.
-    """
-
-    query: str
-    engine_mode: str
-    events: int
-    elapsed_seconds: float
-    queries: int
-    latencies_ms: tuple[float, ...]
-    staleness: tuple[int, ...]
-    final_version: int
-
-    @property
-    def ingest_rate(self) -> float:
-        """Events ingested per second, over the wire."""
-        if self.elapsed_seconds <= 0:
-            return 0.0
-        return self.events / self.elapsed_seconds
-
-    @property
-    def mean_latency_ms(self) -> float:
-        return sum(self.latencies_ms) / len(self.latencies_ms) if self.latencies_ms else 0.0
-
-    @property
-    def p95_latency_ms(self) -> float:
-        if not self.latencies_ms:
-            return 0.0
-        ordered = sorted(self.latencies_ms)
-        return ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
-
-    @property
-    def max_staleness(self) -> int:
-        return max(self.staleness) if self.staleness else 0
-
-
-def run_service_freshness(
-    query: str = "Q1",
-    engine_mode: str = "incremental",
-    events: int = 2000,
-    ingest_chunk: int = 64,
-    seed: int = 7,
-    engine_config: Mapping[str, object] | None = None,
-) -> ServiceRunResult:
-    """Query latency and view freshness under concurrent ingestion.
-
-    Starts a real TCP view server for ``query``, drives the workload stream
-    through one client connection in ``ingest_chunk``-sized batches, and
-    concurrently hammers snapshot queries from a second connection, recording
-    per-query latency and staleness (events submitted minus snapshot
-    version).  This is the serving-layer counterpart of the refresh-rate
-    table: it measures what a *reader* experiences while the views are kept
-    fresh, rather than raw event throughput.
-    """
-    import threading
-    import time
-
-    from repro.compiler.hoivm import compile_query as _compile
-    from repro.service.client import ServiceClient
-    from repro.service.core import ViewService, engine_for_mode
-    from repro.service.server import start_in_thread
-
-    spec = workload(query)
-    agenda, static = _prepare(spec, events, None, seed)
-    translated = spec.query_factory()
-    program = _compile(
-        translated.roots(),
-        translated.schemas(),
-        static_relations=translated.static_relations(),
-    )
-    config = dict(engine_config or {})
-    engine = engine_for_mode(
-        program,
-        mode=engine_mode,
-        batch_size=config.get("batch_size"),
-        partitions=config.get("partitions"),
-        backend=config.get("backend") or "sequential",
-    )
-    service = ViewService(engine)
-    for relation, rows in static.items():
-        if relation in program.static_relations:
-            service.load_static(relation, rows)
-    root = next(iter(translated.roots()))
-    stream = list(agenda)
-
-    handle = start_in_thread(service)
-    latencies: list[float] = []
-    staleness: list[int] = []
-    submitted = 0
-    done = threading.Event()
-
-    def query_loop() -> None:
-        with ServiceClient(*handle.address) as client:
-            while not done.is_set():
-                start = time.perf_counter()
-                snapshot = client.query(root)
-                latencies.append((time.perf_counter() - start) * 1000.0)
-                staleness.append(max(0, submitted - snapshot.version))
-
-    reader = threading.Thread(target=query_loop)
-    try:
-        with ServiceClient(*handle.address) as client:
-            reader.start()
-            start = time.perf_counter()
-            for begin in range(0, len(stream), ingest_chunk):
-                chunk = stream[begin:begin + ingest_chunk]
-                submitted += len(chunk)
-                client.ingest(chunk)
-            elapsed = time.perf_counter() - start
-            final_version = client.query(root).version
-    finally:
-        done.set()
-        reader.join()
-        handle.stop()
-        service.close()
-    return ServiceRunResult(
-        query=query,
-        engine_mode=engine_mode,
-        events=len(stream),
-        elapsed_seconds=elapsed,
-        queries=len(latencies),
-        latencies_ms=tuple(latencies),
-        staleness=tuple(staleness),
-        final_version=final_version,
-    )
-
-
-@dataclass(frozen=True)
-class DurabilityBenchResult:
-    """Durable ingest throughput and recovery-time comparison.
-
-    ``recovery_seconds`` is the time to rebuild state from the newest intact
-    base checkpoint, its delta chain and the WAL tail; ``full_replay_seconds``
-    is the time a checkpoint-less restart needs to reprocess the entire
-    stream.  Their ratio is the payoff of incremental checkpoints.
-    """
-
-    query: str
-    engine_mode: str
-    events: int
-    ingest_batch: int
-    checkpoints: int
-    durable_elapsed_seconds: float
-    wal: Mapping[str, object]
-    recovery_seconds: float
-    recovered_version: int
-    restored_from_checkpoint: bool
-    wal_batches_replayed: int
-    full_replay_seconds: float
-
-    @property
-    def durable_ingest_rate(self) -> float:
-        if self.durable_elapsed_seconds <= 0:
-            return 0.0
-        return self.events / self.durable_elapsed_seconds
-
-    @property
-    def full_replay_rate(self) -> float:
-        if self.full_replay_seconds <= 0:
-            return 0.0
-        return self.events / self.full_replay_seconds
-
-    @property
-    def recovery_speedup(self) -> float:
-        """How many times faster the chain restore is than replaying all events."""
-        if self.recovery_seconds <= 0:
-            return 0.0
-        return self.full_replay_seconds / self.recovery_seconds
-
-
-def run_durability_bench(
-    query: str = "Q1",
-    engine_mode: str = "incremental",
-    events: int = 50_000,
-    ingest_batch: int = 500,
-    checkpoint_every: int = 10,
-    checkpoint_full_every: int = 4,
-    tail_batches: int = 5,
-    fsync_every: int = 1,
-    seed: int = 7,
-    scale: float | None = None,
-    engine_config: Mapping[str, object] | None = None,
-) -> DurabilityBenchResult:
-    """Measure durable ingest throughput and recovery time (BENCH_durability).
-
-    Phase one ingests ``events`` in ``ingest_batch``-sized batches through a
-    WAL-backed service (one fsynced record per batch), cutting an incremental
-    checkpoint every ``checkpoint_every`` batches — the last ``tail_batches``
-    batches stay uncheckpointed so recovery exercises the WAL tail.  Phase
-    two times ``recover()`` on a fresh service over the same directories:
-    newest intact base + delta chain + WAL tail replay.  Phase three times
-    the no-durability alternative — reprocessing the full stream from the
-    source — which is what a restart costs without checkpoints.
-
-    The default TPC-H dataset yields ~7k stream events; pass ``scale`` to
-    grow the dataset when ``events`` asks for more.
-    """
-    import tempfile
-    import time
-
-    from repro.compiler.hoivm import compile_query as _compile
-    from repro.service.core import ViewService, engine_for_mode
-
-    spec = workload(query)
-    agenda, static = _prepare(spec, events, scale, seed)
-    translated = spec.query_factory()
-    program = _compile(
-        translated.roots(),
-        translated.schemas(),
-        static_relations=translated.static_relations(),
-    )
-    config = dict(engine_config or {})
-
-    def make_engine():
-        return engine_for_mode(
-            program,
-            mode=engine_mode,
-            batch_size=config.get("batch_size"),
-            partitions=config.get("partitions"),
-            backend=config.get("backend") or "sequential",
-        )
-
-    def load_statics(service: ViewService) -> None:
-        for relation, rows in static.items():
-            if relation in program.static_relations:
-                service.load_static(relation, rows)
-
-    stream = list(agenda)
-    batches = [
-        stream[i:i + ingest_batch] for i in range(0, len(stream), ingest_batch)
-    ]
-    cutoff = max(0, len(batches) - tail_batches)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-dur-") as base:
-        service = ViewService(
-            make_engine(),
-            checkpoint_dir=f"{base}/ckpt",
-            wal_dir=f"{base}/wal",
-            fsync_every=fsync_every,
-            checkpoint_full_every=checkpoint_full_every,
-        )
-        load_statics(service)
-        checkpoints = 0
-        start = time.perf_counter()
-        for index, chunk in enumerate(batches):
-            service.ingest(chunk)
-            if index < cutoff and (index + 1) % checkpoint_every == 0:
-                service.checkpoint()
-                checkpoints += 1
-        durable_elapsed = time.perf_counter() - start
-        wal_stats = dict(service.wal.stats())
-        service.close()
-
-        recovered = ViewService(
-            make_engine(),
-            checkpoint_dir=f"{base}/ckpt",
-            wal_dir=f"{base}/wal",
-            fsync_every=fsync_every,
-            checkpoint_full_every=checkpoint_full_every,
-        )
-        start = time.perf_counter()
-        report = recovered.recover(load_statics=lambda: load_statics(recovered))
-        recovery_seconds = time.perf_counter() - start
-        recovered_version = recovered.version
-        recovered.close()
-
-    replayer = ViewService(make_engine())
-    load_statics(replayer)
-    start = time.perf_counter()
-    for chunk in batches:
-        replayer.ingest(chunk)
-    full_replay_seconds = time.perf_counter() - start
-    replayer.close()
-
-    return DurabilityBenchResult(
-        query=query,
-        engine_mode=engine_mode,
-        events=len(stream),
-        ingest_batch=ingest_batch,
-        checkpoints=checkpoints,
-        durable_elapsed_seconds=durable_elapsed,
-        wal=wal_stats,
-        recovery_seconds=recovery_seconds,
-        recovered_version=recovered_version,
-        restored_from_checkpoint=bool(report.get("restored")),
-        wal_batches_replayed=int(report.get("wal_batches_replayed", 0)),
-        full_replay_seconds=full_replay_seconds,
-    )
 
 
 def run_engine_statistics(
@@ -953,7 +154,7 @@ def run_engine_statistics(
 ) -> dict[str, object]:
     """Replay a stream and collect per-map / per-partition statistics."""
     spec = workload(query)
-    agenda, static = _prepare(spec, events, None, seed)
+    agenda, static = spec.prepare(events, seed)
     translated = spec.query_factory()
     engine = build_engine(strategy, translated, **dict(engine_config or {}))
     try:
@@ -1018,7 +219,7 @@ def run_ablation(
 ) -> dict[str, RunResult]:
     """Refresh rate of one query under individual heuristic ablations."""
     spec = workload(query)
-    agenda, static = _prepare(spec, events, None, seed)
+    agenda, static = spec.prepare(events, seed)
     translated = spec.query_factory()
     results: dict[str, RunResult] = {}
     for label, overrides in variants.items():

@@ -8,9 +8,7 @@ label            engine
 dbtoaster        full Higher-Order IVM (this paper's system)
 dbtoaster-comp   HO-IVM with triggers compiled to specialized Python code
                  (:class:`repro.codegen.CompiledEngine`: one fused kernel
-                 per trigger, per-statement interpreter fallback; pass
-                 ``fused=False`` for per-statement dispatch — the baseline
-                 the fusion regression gate compares against)
+                 per trigger, per-statement interpreter fallback)
 dbtoaster-batch  HO-IVM with delta-batched trigger execution over a
                  compiled inner engine (:class:`repro.exec.BatchedEngine`;
                  large folded groups run numpy kernels when numpy is present)
@@ -40,13 +38,15 @@ from __future__ import annotations
 
 import inspect
 import time
+from functools import partial
 from typing import Callable, Mapping
 
 from repro.compiler.hoivm import compile_query
-from repro.compiler.materialization import CompilerOptions, options_for
+from repro.compiler.materialization import CompilerOptions
 from repro.errors import BenchmarkError
 from repro.exec import DEFAULT_BATCH_SIZE, DEFAULT_PARTITIONS, BatchedEngine, PartitionedEngine
 from repro.runtime.engine import IncrementalEngine
+from repro.runtime.factory import STRATEGY_PRESETS, engine_for_strategy, program_for_strategy
 from repro.runtime.reference import ReferenceEngine
 from repro.sql.translate import TranslatedQuery
 
@@ -73,83 +73,47 @@ class OverheadEngine:
     def view(self, name=None):
         return self.inner.view(name)
 
-    def scalar_result(self, name=None):
-        return self.inner.scalar_result(name)
-
-    def result_dict(self, name=None):
-        return self.inner.result_dict(name)
-
     def memory_bytes(self) -> int:
         return self.inner.memory_bytes()
 
 
-def _compiled_engine(query: TranslatedQuery, options: CompilerOptions) -> IncrementalEngine:
-    program = compile_query(
+def _preset(strategy: str, query: TranslatedQuery):
+    """A paper preset, built by the one strategy table in ``runtime.factory``."""
+    return engine_for_strategy(
+        strategy,
         query.roots(),
         query.schemas(),
         static_relations=query.static_relations(),
-        options=options,
     )
-    return IncrementalEngine(program)
 
 
-def _dbtoaster(query: TranslatedQuery):
-    return _compiled_engine(query, options_for("dbtoaster"))
-
-
-def _naive(query: TranslatedQuery):
-    return _compiled_engine(query, options_for("naive"))
-
-
-def _ivm(query: TranslatedQuery):
-    return _compiled_engine(query, options_for("ivm"))
-
-
-def _rep(query: TranslatedQuery):
-    return _compiled_engine(query, options_for("rep"))
-
-
-def _dbx_rep(query: TranslatedQuery):
-    return ReferenceEngine(query.roots(), query.schemas())
-
-
-def _spy(query: TranslatedQuery):
+def _reference(query: TranslatedQuery):
     return ReferenceEngine(query.roots(), query.schemas())
 
 
 def _dbx_ivm(query: TranslatedQuery):
-    return OverheadEngine(_compiled_engine(query, options_for("ivm")), DBX_IVM_OVERHEAD_SECONDS)
+    return OverheadEngine(_preset("ivm", query), DBX_IVM_OVERHEAD_SECONDS)
 
 
 def _dbtoaster_program(query: TranslatedQuery):
-    return compile_query(
+    return program_for_strategy(
+        "dbtoaster",
         query.roots(),
         query.schemas(),
         static_relations=query.static_relations(),
-        options=options_for("dbtoaster"),
     )
 
 
-def _dbtoaster_comp(query: TranslatedQuery, fused: bool = True, telemetry=None):
-    from repro.codegen.engine import CompiledEngine
-
-    return CompiledEngine(_dbtoaster_program(query), fuse=fused, telemetry=telemetry)
-
-
-def _dbtoaster_batch(query: TranslatedQuery, batch_size: int | None = None, telemetry=None):
-    if batch_size is None:
-        batch_size = DEFAULT_BATCH_SIZE
-    return BatchedEngine(_dbtoaster_program(query), batch_size, telemetry=telemetry)
+def _dbtoaster_batch(query: TranslatedQuery, batch_size: int = DEFAULT_BATCH_SIZE):
+    return BatchedEngine(_dbtoaster_program(query), batch_size)
 
 
 def _dbtoaster_par(
     query: TranslatedQuery,
-    partitions: int | None = None,
+    partitions: int = DEFAULT_PARTITIONS,
     batch_size: int | None = None,
     backend: str = "sequential",
 ):
-    if partitions is None:
-        partitions = DEFAULT_PARTITIONS
     return PartitionedEngine(
         _dbtoaster_program(query),
         partitions=partitions,
@@ -159,16 +123,12 @@ def _dbtoaster_par(
 
 
 STRATEGIES: dict[str, Callable[..., object]] = {
-    "dbtoaster": _dbtoaster,
-    "dbtoaster-comp": _dbtoaster_comp,
+    **{strategy: partial(_preset, strategy) for strategy in STRATEGY_PRESETS},
     "dbtoaster-batch": _dbtoaster_batch,
     "dbtoaster-par": _dbtoaster_par,
-    "naive": _naive,
-    "ivm": _ivm,
-    "rep": _rep,
-    "dbx-rep": _dbx_rep,
+    "dbx-rep": _reference,
     "dbx-ivm": _dbx_ivm,
-    "spy": _spy,
+    "spy": _reference,
 }
 
 
@@ -196,9 +156,13 @@ def build_engine(strategy: str, query: TranslatedQuery, **config):
 
 
 def custom_options_engine(
-    query: TranslatedQuery, options: CompilerOptions | Mapping[str, object]
+    query: TranslatedQuery, overrides: Mapping[str, object]
 ) -> IncrementalEngine:
-    """Engine with explicit compiler options (used by the ablation benchmarks)."""
-    if not isinstance(options, CompilerOptions):
-        options = CompilerOptions(**dict(options))
-    return _compiled_engine(query, options)
+    """Interpreted engine under explicit compiler options (the heuristic ablation)."""
+    program = compile_query(
+        query.roots(),
+        query.schemas(),
+        static_relations=query.static_relations(),
+        options=CompilerOptions(**overrides),
+    )
+    return IncrementalEngine(program)

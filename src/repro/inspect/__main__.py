@@ -45,7 +45,6 @@ def _parse_key(text: str | None) -> list[Any] | None:
 
 def _offline_report(args: argparse.Namespace) -> dict[str, Any]:
     """Compile one workload query and (optionally) replay events through it."""
-    from repro.bench.scenarios import _prepare
     from repro.codegen.engine import CompiledEngine
     from repro.compiler.hoivm import compile_query
     from repro.inspect.explain import build_explain_report
@@ -60,9 +59,7 @@ def _offline_report(args: argparse.Namespace) -> dict[str, Any]:
     )
     statistics = None
     if args.events > 0:
-        agenda, static = _prepare(
-            spec, events=args.events, scale=args.scale, seed=args.seed
-        )
+        agenda, static = spec.prepare(args.events, args.seed, args.scale)
         engine = CompiledEngine(program)
         for relation, rows in (static or {}).items():
             engine.load_static(relation, rows)

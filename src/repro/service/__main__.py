@@ -12,14 +12,14 @@ views and leave a checkpoint behind::
     python -m repro.service replay stream.jsonl --query Q1 \\
         --checkpoint-dir /tmp/q1-ckpt --checkpoint-every 1000
 
-The ``--engine`` flag selects the execution mode (``incremental``,
-``compiled`` — trigger programs lowered to specialized Python by
-``repro.codegen`` — ``batched`` or ``partitioned``); ``--batch-size``,
-``--partitions`` and ``--backend`` configure it exactly like the benchmark
-CLI.  ``--provenance-depth N`` keeps per-view mutation-history rings (served
-through the ``explain-row`` operation), and ``--audit`` attaches the online
-view auditor, re-deriving sampled view rows from mirrored base data every
-``--audit-every`` events.
+The ``--engine`` flag selects the execution mode (``compiled``, the default
+— trigger programs lowered to specialized Python by ``repro.codegen`` —
+``batched``, ``partitioned``, or ``incremental``, the AST interpreter kept as
+the correctness oracle); ``--batch-size``, ``--partitions`` and ``--backend``
+configure it exactly like the benchmark CLI.  ``--provenance-depth N`` keeps
+per-view mutation-history rings (served through the ``explain-row``
+operation), and ``--audit`` attaches the online view auditor, re-deriving
+sampled view rows from mirrored base data every ``--audit-every`` events.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from repro.workloads import all_workloads, workload
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--query", default="Q1",
                         help="workload query to serve (see: python -m repro.bench list)")
-    parser.add_argument("--engine", choices=list(ENGINE_MODES), default="incremental",
-                        help="execution mode hosting the views")
+    parser.add_argument("--engine", choices=list(ENGINE_MODES), default="compiled",
+                        help="execution mode hosting the views ('incremental' is "
+                             "the AST interpreter, kept as the correctness oracle)")
     parser.add_argument("--batch-size", type=int, default=None,
                         help="delta batch size (batched/partitioned engines)")
     parser.add_argument("--partitions", type=int, default=None,
@@ -50,9 +51,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=["sequential", "process", "vector"],
                         default="sequential",
                         help="partitioned-engine executor (sequential/process); "
-                             "'vector' is accepted with --engine batched and "
-                             "does nothing (the batched engine vectorizes large "
-                             "groups whenever numpy is present)")
+                             "'vector' is accepted only with --engine batched "
+                             "and does nothing (the batched engine vectorizes "
+                             "large groups whenever numpy is present)")
     parser.add_argument("--checkpoint-dir", default=None,
                         help="directory for durable checkpoints")
     parser.add_argument("--wal-dir", default=None,
@@ -137,7 +138,7 @@ def build_service(
         static_relations=translated.static_relations(),
     )
     telemetry = None
-    if getattr(args, "telemetry", False) or getattr(args, "trace_file", None):
+    if args.telemetry or args.trace_file:
         from repro.telemetry import configure
 
         telemetry = configure(
@@ -154,23 +155,23 @@ def build_service(
         telemetry=telemetry,
     )
     service_kwargs = {}
-    if getattr(args, "checkpoint_full_every", None) is not None:
+    if args.checkpoint_full_every is not None:
         service_kwargs["checkpoint_full_every"] = args.checkpoint_full_every
-    if getattr(args, "checkpoint_keep", None) is not None:
+    if args.checkpoint_keep is not None:
         service_kwargs["checkpoint_keep"] = args.checkpoint_keep
     service = ViewService(
         engine,
         checkpoint_dir=args.checkpoint_dir,
         telemetry=telemetry,
-        wal_dir=getattr(args, "wal_dir", None),
-        fsync_every=getattr(args, "fsync_every", 1),
-        fsync_interval_ms=getattr(args, "fsync_interval_ms", None),
+        wal_dir=args.wal_dir,
+        fsync_every=args.fsync_every,
+        fsync_interval_ms=args.fsync_interval_ms,
         **service_kwargs,
     )
     # Auditing must attach before any data reaches the engine (the mirror
     # has to see every static row and event); recovery afterwards reloads the
     # mirror from the checkpoint's audit state.
-    if getattr(args, "audit", False):
+    if args.audit:
         service.enable_audit(
             check_every=args.audit_every,
             sample_rows=args.audit_sample,
@@ -189,7 +190,7 @@ def build_service(
         _load_statics()
     else:
         recovery = service.recover(load_statics=_load_statics)
-    if getattr(args, "provenance_depth", None) is not None:
+    if args.provenance_depth is not None:
         service.enable_provenance(depth=args.provenance_depth)
     return service, recovery
 
@@ -222,12 +223,19 @@ async def _serve(service: ViewService, host: str, port: int) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "list":
         for name, spec in sorted(all_workloads().items()):
             print(f"{name:8s} {spec.family:8s} {spec.description}")
         return 0
+
+    if args.backend == "vector" and args.engine != "batched":
+        parser.error(
+            f"--backend vector is only accepted with --engine batched "
+            f"(got --engine {args.engine})"
+        )
 
     if args.command == "serve":
         service, recovery = build_service(args)

@@ -73,13 +73,17 @@ DEDUP_CACHE_SIZE = 8192
 
 def engine_for_mode(
     program: TriggerProgram,
-    mode: str = "incremental",
+    mode: str = "compiled",
     batch_size: int | None = None,
     partitions: int | None = None,
     backend: str = "sequential",
     telemetry=None,
 ) -> EngineProtocol:
-    """Build an engine for one of the service's execution modes."""
+    """Build an engine for one of the service's execution modes.
+
+    The default is the compiled engine; ``"incremental"`` (the AST
+    interpreter) stays selectable as the correctness oracle.
+    """
     if mode == "incremental":
         return IncrementalEngine(program, telemetry=telemetry)
     if mode == "compiled":

@@ -46,6 +46,18 @@ class WorkloadSpec:
             return {}
         return self.static_factory(**kwargs)
 
+    def prepare(
+        self, events: int, seed: int, scale: float | None = None
+    ) -> tuple[Agenda, Mapping[str, list]]:
+        """``(agenda, static tables)`` of one replay of ``events`` updates.
+
+        ``scale`` sizes the generated dataset; only the TPC-H generators take
+        it, so it is passed to that family alone.
+        """
+        sized = {"scale": scale} if scale is not None and self.family == "tpch" else {}
+        agenda = self.stream_factory(events=events, seed=seed, **sized)
+        return agenda, self.static_tables(seed=seed, **sized)
+
 
 def _registry() -> dict[str, WorkloadSpec]:
     from repro.workloads import finance, mddb, tpch

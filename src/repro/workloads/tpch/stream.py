@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Iterator
 
 from repro.delta.events import StreamEvent, delete, insert
 from repro.streams.agenda import Agenda
@@ -114,11 +113,3 @@ def static_tables(scale: float = 1.0, seed: int = 7) -> dict[str, list[tuple]]:
     """The static Nation/Region contents matching :func:`tpch_stream`."""
     data = TPCHGenerator(scale=scale, seed=seed).generate()
     return {"Nation": data.nations, "Region": data.regions}
-
-
-def iter_scaled_streams(
-    scales: tuple[float, ...], events: int, seed: int = 7
-) -> Iterator[tuple[float, Agenda]]:
-    """Streams for the scaling experiment (Figure 11), one per scale factor."""
-    for scale in scales:
-        yield scale, tpch_stream(events=events, scale=scale, seed=seed)

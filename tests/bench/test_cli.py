@@ -1,8 +1,29 @@
 """Tests for the benchmark command-line interface."""
 
+import argparse
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.bench.__main__ import main
+from repro.bench.__main__ import _build_parser, main
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+#: The whole command surface: what reproduces a paper figure or inspects an
+#: engine.  Throughput/latency/overhead axes live in ``benchmarks/e2e``.
+SURFACE = {
+    "list": set(),
+    "features": set(),
+    "rates": {"--queries", "--strategies", "--events", "--budget",
+              "--batch-size", "--partitions", "--backend"},
+    "trace": {"--strategies", "--events", "--samples", "--budget"},
+    "scaling": {"--queries", "--scales", "--events-per-unit"},
+    "ablation": {"--events"},
+    "stats": {"--strategy", "--events", "--batch-size", "--partitions",
+              "--backend", "--json"},
+}
 
 
 def test_list_command(capsys):
@@ -39,17 +60,48 @@ def test_ablation_command_small(capsys):
     assert "refreshes/s" in capsys.readouterr().out
 
 
+def test_scaling_command_small(capsys):
+    code = main(["scaling", "--queries", "Q6", "--scales", "0.5", "1",
+                 "--events-per-unit", "60"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "Q6" in out and "x0.5" in out and "x1" in out
+
+
+def test_command_surface_is_the_paper_figures_plus_inspection():
+    (subparsers,) = [action for action in _build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    surface = {
+        name: {o for action in sub._actions for o in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert surface == SURFACE
+
+
+@pytest.mark.parametrize(
+    "command", ["batch", "codegen", "finance", "service", "durability"]
+)
+def test_superseded_subcommands_are_rejected(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_bench_imports_no_serving_layer():
+    """Service, WAL and telemetry numbers are ``benchmarks/e2e``'s job."""
+    script = (
+        "import sys, repro.bench.__main__; print([m for m in sys.modules if "
+        "m.startswith(('repro.service', 'repro.durability', 'repro.telemetry'))])"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": SRC})
+    assert out.stdout.strip() == "[]"
+
+
 def test_missing_command_is_an_error():
     with pytest.raises(SystemExit):
         main([])
-
-
-def test_batch_sweep_command_small(capsys):
-    code = main(["batch", "--query", "Q6", "--batch-sizes", "1", "20",
-                 "--events", "100", "--budget", "2"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "batch-20" in out and "speedup" in out
 
 
 def test_rates_command_with_scale_out_strategies(capsys):
@@ -78,167 +130,8 @@ def test_stats_command_partitioned(capsys):
     assert "partition 0" in out and "partition 1" in out
 
 
-def test_codegen_command_writes_json_and_gates(capsys, tmp_path):
-    import json
-
-    output = tmp_path / "BENCH_codegen.json"
-    # Tiny event counts make the fused/per-statement ratio (and the
-    # telemetry overhead) pure timer noise, so those gates are disabled
-    # everywhere they are not themselves under test.
-    code = main(["codegen", "--queries", "Q6", "--events", "150",
-                 "--budget", "3", "--output", str(output),
-                 "--min-fused-speedup", "0", "--max-telemetry-overhead", "inf",
-                 "--max-provenance-overhead", "inf"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "compiled vs interpreted" in out and "Q6" in out
-    payload = json.loads(output.read_text())
-    assert payload["Q6"]["compiled_statements"] > 0
-    assert payload["Q6"]["fallback_statements"] == 0
-    assert payload["Q6"]["compiled_rate"] > 0
-    # The fused record rides along: rate, speedup and fusion statistics.
-    assert payload["Q6"]["fused_rate"] > 0
-    assert payload["Q6"]["fused_speedup"] > 0
-    assert payload["Q6"]["fused_kernels"] > 0
-    # An absurd bound trips the regression gate on a fully-compiled query.
-    code = main(["codegen", "--queries", "Q6", "--events", "80", "--budget", "2",
-                 "--output", "-", "--min-speedup", "1e9",
-                 "--min-fused-speedup", "0", "--max-telemetry-overhead", "inf"])
-    assert code == 2
-    # ... and an absurd fused bound trips the fusion regression gate.
-    code = main(["codegen", "--queries", "Q6", "--events", "80", "--budget", "2",
-                 "--output", "-", "--min-fused-speedup", "1e9",
-                 "--max-telemetry-overhead", "inf"])
-    assert code == 2
-    assert "fusion throughput regression" in capsys.readouterr().out
-    # ... and an impossible overhead bound trips the telemetry overhead gate.
-    code = main(["codegen", "--queries", "Q6", "--events", "80", "--budget", "2",
-                 "--output", "-", "--min-fused-speedup", "0",
-                 "--max-telemetry-overhead", "-1"])
-    assert code == 2
-    assert "telemetry overhead regression" in capsys.readouterr().out
-
-
-def test_codegen_command_exempts_fallback_dominated_queries(capsys, monkeypatch):
-    # A query dominated by interpreter fallbacks must not trip the gate even
-    # with an unreachable bound.  Every in-tree query compiles fully now, so
-    # force the fallback by refusing compilation outright.
-    import repro.codegen.statement as statement_module
-
-    monkeypatch.setattr(
-        statement_module, "try_compile_statement", lambda statement, program: None
-    )
-    code = main(["codegen", "--queries", "VWAP", "--events", "60", "--budget", "2",
-                 "--output", "-", "--min-speedup", "1e9",
-                 "--max-telemetry-overhead", "inf",
-                 "--max-provenance-overhead", "inf"])
-    assert code == 0
-
-
-def test_finance_command_requires_compiled(capsys, tmp_path):
-    # The finance sweep must report zero fallbacks on the nested-aggregate
-    # queries and honor the compilation gate.
-    output = tmp_path / "BENCH_finance.json"
-    code = main(["finance", "--queries", "VWAP", "--events", "120", "--budget", "3",
-                 "--output", str(output), "--require-compiled", "VWAP",
-                 "--min-fused-speedup", "0", "--max-telemetry-overhead", "inf",
-                 "--max-provenance-overhead", "inf"])
-    assert code == 0
-    import json
-
-    record = json.loads(output.read_text())
-    assert record["VWAP"]["fallback_statements"] == 0
-
-
-def test_finance_command_rejects_unknown_required_queries(capsys):
-    # A required query absent from the sweep must fail the gate, not pass it.
-    code = main(["finance", "--queries", "VWAP", "--events", "60", "--budget", "2",
-                 "--output", "-", "--require-compiled", "VWAp",
-                 "--max-telemetry-overhead", "inf"])
-    assert code == 3
-    assert "gate error" in capsys.readouterr().out
-
-
-def test_finance_command_fallback_gate_trips(capsys, monkeypatch):
-    import repro.codegen.statement as statement_module
-
-    monkeypatch.setattr(
-        statement_module, "try_compile_statement", lambda statement, program: None
-    )
-    code = main(["finance", "--queries", "VWAP", "--events", "60", "--budget", "2",
-                 "--output", "-", "--require-compiled", "VWAP",
-                 "--max-telemetry-overhead", "inf"])
-    assert code == 3
-    assert "fallback regression" in capsys.readouterr().out
-
-
-def test_codegen_command_reports_the_durable_axis(capsys, tmp_path):
-    import json
-
-    output = tmp_path / "BENCH_codegen.json"
-    # Q1 is the durability query: the sweep adds the WAL-backed service run.
-    # Tiny event counts make every ratio timer noise, so all other gates are
-    # disabled and the WAL gate set to 'inf' for the passing run.
-    code = main(["codegen", "--queries", "Q1", "--events", "200", "--budget", "3",
-                 "--output", str(output), "--min-fused-speedup", "0",
-                 "--max-telemetry-overhead", "inf",
-                 "--max-provenance-overhead", "inf",
-                 "--max-wal-overhead", "inf"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "wal ovh" in out
-    payload = json.loads(output.read_text())
-    assert payload["Q1"]["durable_rate"] > 0
-    assert payload["Q1"]["wal_fsyncs"] > 0
-    assert payload["Q1"]["wal_bytes"] > 0
-    assert "wal_overhead" in payload["Q1"]
-    # An impossible bound trips the durable ingest gate.
-    code = main(["codegen", "--queries", "Q1", "--events", "100", "--budget", "2",
-                 "--output", "-", "--min-fused-speedup", "0",
-                 "--max-telemetry-overhead", "inf",
-                 "--max-provenance-overhead", "inf",
-                 "--max-wal-overhead", "-1"])
-    assert code == 2
-    assert "durable ingest overhead regression" in capsys.readouterr().out
-
-
-def test_durability_command_writes_json_and_gates(capsys, tmp_path):
-    import json
-
-    output = tmp_path / "BENCH_durability.json"
-    code = main(["durability", "--query", "Q1", "--events", "2000",
-                 "--ingest-batch", "100", "--checkpoint-every", "4",
-                 "--output", str(output), "--min-recovery-speedup", "0"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "durability run: Q1" in out and "recovery speedup" in out
-    payload = json.loads(output.read_text())
-    assert payload["recovered_version"] == 2000
-    assert payload["restored_from_checkpoint"] is True
-    assert payload["wal_batches_replayed"] >= 1
-    assert payload["durable_ingest_rate"] > 0
-    assert payload["wal"]["fsyncs"] > 0
-    assert payload["recovery_speedup"] > 0
-    # An absurd bound trips the recovery-time gate.
-    code = main(["durability", "--query", "Q1", "--events", "600",
-                 "--ingest-batch", "100", "--checkpoint-every", "2",
-                 "--output", "-", "--min-recovery-speedup", "1e9"])
-    assert code == 2
-    assert "recovery-time regression" in capsys.readouterr().out
-
-
 def test_rates_command_with_compiled_strategy(capsys):
     code = main(["rates", "--queries", "Q6", "--strategies", "dbtoaster",
                  "dbtoaster-comp", "--events", "60", "--budget", "2"])
     assert code == 0
     assert "dbtoaster-comp" in capsys.readouterr().out
-
-
-def test_service_command_small(capsys):
-    assert main([
-        "service", "--query", "Q1", "--engine", "incremental",
-        "--events", "150", "--ingest-chunk", "50",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "service run: Q1" in out
-    assert "final served version: 150" in out

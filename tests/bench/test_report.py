@@ -53,18 +53,3 @@ def test_scaling_table_is_relative_to_base():
 def test_feature_table_lists_queries_and_columns():
     table = format_feature_table({"Q1": {"tables": 1, "join": "none", "maps": 11}})
     assert "Q1" in table and "tables" in table and "11" in table
-
-
-def test_service_run_formatting():
-    from repro.bench.report import format_service_run
-    from repro.bench.scenarios import ServiceRunResult
-
-    run = ServiceRunResult(
-        query="Q1", engine_mode="batched", events=500, elapsed_seconds=0.5,
-        queries=3, latencies_ms=(1.0, 2.0, 9.0), staleness=(0, 30, 4),
-        final_version=500,
-    )
-    text = format_service_run(run)
-    assert "Q1" in text and "batched" in text
-    assert "1,000" in text  # 500 events / 0.5 s
-    assert "max 30" in text

@@ -11,6 +11,7 @@ from repro.bench.scenarios import (
 )
 from repro.bench.strategies import STRATEGIES, build_engine
 from repro.errors import BenchmarkError
+from repro.runtime.factory import STRATEGY_PRESETS, engine_for_strategy
 from repro.workloads import workload
 
 
@@ -64,15 +65,19 @@ def test_build_engine_knows_all_documented_strategies():
         build_engine("unknown", translated)
 
 
-def test_service_freshness_scenario_small_run():
-    from repro.bench.scenarios import run_service_freshness
-
-    result = run_service_freshness(
-        query="Q1", engine_mode="batched", events=200, ingest_chunk=40,
-        engine_config={"batch_size": 20},
-    )
-    assert result.events == 200
-    assert result.final_version == 200
-    assert result.queries >= 1
-    assert result.ingest_rate > 0
-    assert all(lag >= 0 for lag in result.staleness)
+@pytest.mark.parametrize("query", ["Q3", "VWAP"])
+def test_bench_and_runtime_build_the_same_program_per_strategy(query):
+    """One strategy table: a preset named in both places is the same program."""
+    assert set(STRATEGY_PRESETS) <= set(STRATEGIES)
+    translated = workload(query).query_factory()
+    for strategy in STRATEGY_PRESETS:
+        bench = build_engine(strategy, translated)
+        runtime = engine_for_strategy(
+            strategy,
+            translated.roots(),
+            translated.schemas(),
+            static_relations=translated.static_relations(),
+        )
+        assert type(bench) is type(runtime), strategy
+        assert bench.program.statement_count() == runtime.program.statement_count()
+        assert bench.program.map_count() == runtime.program.map_count()

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.bench.scenarios import _prepare
 from repro.codegen import vector
 from repro.compiler.hoivm import compile_query
 from repro.core.rows import Row
@@ -106,7 +105,7 @@ def _scenario(name):
     cached = _scenario_cache.get(name)
     if cached is None:
         spec, translated, program = _workload_program(name)
-        agenda, static = _prepare(spec, _EVENTS, None, 7)
+        agenda, static = spec.prepare(_EVENTS, 7)
         events = list(agenda)
         reference = _reference(program, static, events)
         cached = _scenario_cache[name] = (program, static, events, reference)

@@ -102,9 +102,12 @@ class TestCLIs:
         document = json.loads(result.stdout)
         assert document["schema"] == KERNELS_SCHEMA
 
-    def test_inspect_explain_offline_json(self):
+    # VWAP: the finance generator takes no dataset scale, so ``--scale``'s
+    # default must not reach it.
+    @pytest.mark.parametrize("query", ["Q6", "VWAP"])
+    def test_inspect_explain_offline_json(self, query):
         result = run_cli(
-            "-m", "repro.inspect", "explain", "Q6",
+            "-m", "repro.inspect", "explain", query,
             "--events", "120", "--json",
         )
         assert result.returncode == 0, result.stderr

@@ -105,3 +105,65 @@ def test_serve_accepts_wire_clients(stream_file, engine_args):
         if process.poll() is None:
             process.send_signal(signal.SIGKILL)
             process.wait()
+
+
+@pytest.mark.parametrize("command", [["serve", "--port", "0"], ["replay", "stream.jsonl"]])
+@pytest.mark.parametrize(
+    "engine_args", [["--engine", "partitioned"], ["--engine", "compiled"], []],
+    ids=["partitioned", "compiled", "default"],
+)
+def test_vector_backend_outside_the_batched_engine_is_a_usage_error(
+    command, engine_args, capsys
+):
+    """``vector`` names no executor: reject it up front, not with a traceback
+    out of ``make_backend`` (``--engine batched --backend vector`` stays, above)."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--query", "Q6", "--backend", "vector", *engine_args])
+    assert exit_info.value.code == 2
+    error_lines = [
+        line for line in capsys.readouterr().err.splitlines() if "error:" in line
+    ]
+    assert len(error_lines) == 1
+    assert "--backend vector" in error_lines[0] and "--engine batched" in error_lines[0]
+
+
+def test_default_engine_recovers_a_directory_written_by_the_interpreter(tmp_path):
+    """The default engine is the compiled one, and ``kind: "single"`` states
+    are interchangeable: a checkpoint chain + WAL tail written under
+    ``--engine incremental`` recovers under the default to the same views."""
+    from repro.codegen.engine import CompiledEngine
+    from repro.runtime.engine import IncrementalEngine
+    from repro.service.__main__ import _build_parser, build_service
+    from repro.service.core import engine_for_mode
+
+    fixture = make_workload_fixture("Q1", events=160, max_live_orders=20)
+    durable = ["--query", "Q1", "--port", "0",
+               "--checkpoint-dir", str(tmp_path / "ckpt"),
+               "--wal-dir", str(tmp_path / "wal")]
+
+    args = _build_parser().parse_args(["serve", "--engine", "incremental", *durable])
+    first, _ = build_service(args)
+    assert type(first.engine) is IncrementalEngine
+    first.ingest(fixture.events[:60])
+    first.checkpoint()
+    first.ingest(fixture.events[60:100])
+    first.checkpoint()  # a delta on top of the base
+    first.ingest(fixture.events[100:])  # lives only in the WAL tail
+    expected = {view: first.query(view).entries for view in first.views()}
+    first.close()
+
+    args = _build_parser().parse_args(["serve", *durable])
+    assert args.engine == "compiled"
+    assert type(engine_for_mode(fixture.program)) is CompiledEngine
+    second, recovery = build_service(args)
+    try:
+        assert type(second.engine) is CompiledEngine
+        assert recovery["restored"] and recovery["wal_batches_replayed"] == 1
+        assert second.version == 160
+        recovered = {view: second.query(view).entries for view in second.views()}
+        assert recovered == expected
+        for view, entries in expected.items():
+            for key, value in entries.items():
+                assert type(recovered[view][key]) is type(value), (view, key)
+    finally:
+        second.close()

@@ -1,6 +1,8 @@
 """Package-level sanity tests: public API surface, version, error hierarchy."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -50,3 +52,16 @@ def test_specific_errors_carry_context():
     assert "x" in str(err) and "R(x)" in str(err)
     sql_err = errors.SQLSyntaxError("boom", position=12)
     assert sql_err.position == 12 and "12" in str(sql_err)
+
+
+def test_nothing_under_src_depends_on_the_bench_harness():
+    """``repro.bench`` sits on top of the stack: no other package imports it."""
+    package = Path(repro.__file__).parent
+    importing = re.compile(r"^\s*(from|import)\s+repro\.bench\b", re.MULTILINE)
+    offenders = [
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if "bench" not in path.relative_to(package).parts[:1]
+        and importing.search(path.read_text())
+    ]
+    assert offenders == []

@@ -109,3 +109,21 @@ def test_registry_contains_the_documented_queries():
 
     tpch_names = {n for n, s in all_workloads().items() if s.family == "tpch"}
     assert tpch_names == set(TPCH_QUERIES)
+
+
+def test_prepare_passes_scale_only_to_the_family_that_takes_it():
+    from repro.workloads import workload
+
+    spec = workload("Q3")
+    small, static = spec.prepare(5000, 7, scale=0.2)
+    assert list(small) == list(tpch_stream(events=5000, scale=0.2, seed=7))
+    assert static == static_tables(scale=0.2, seed=7)
+    # A larger dataset yields a longer stream under the same event cap.
+    assert len(spec.prepare(5000, 7, scale=0.5)[0]) > len(small)
+    # Finance and MDDB generators have no dataset scale: it is not passed on.
+    for name in ("VWAP", "MDDB1"):
+        other = workload(name)
+        scaled, scaled_static = other.prepare(40, 7, scale=0.2)
+        plain, plain_static = other.prepare(40, 7)
+        assert list(scaled) == list(plain) and len(plain) == 40
+        assert scaled_static == plain_static == other.static_tables(seed=7)
