@@ -8,10 +8,15 @@ for when a generated kernel misbehaves or a fusion win needs verifying::
     python -m repro.codegen dump Q3
     python -m repro.codegen dump Q1 --trigger Lineitem:+
     python -m repro.codegen dump VWAP --per-statement
+    python -m repro.codegen dump Q17a --trigger Lineitem:+ --agca
 
 ``--trigger REL:+`` / ``REL:-`` restricts the output to one (relation, op)
 trigger; ``--per-statement`` additionally prints every statement's
 individual kernel (the batched execution path) below the fused one;
+``--agca`` prints each statement's AGCA expression above the kernel it
+compiles into, so the domain equalities and probe keys the delta compiler
+chose can be read next to the loops they became; a statement outside the
+fragment prints ``interpreter fallback`` with the planner's reason;
 ``--json`` emits the ``repro.kernels/1`` machine description instead — the
 same document ``python -m repro.inspect explain`` joins with observed
 statistics.
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.codegen.describe import describe_program, describe_statement
 from repro.codegen.engine import CompiledEngine
 from repro.compiler.hoivm import compile_query
 from repro.workloads import all_workloads, workload
@@ -56,6 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
     dump.add_argument(
         "--per-statement", action="store_true",
         help="also print each statement's individual kernel",
+    )
+    dump.add_argument(
+        "--agca", action="store_true",
+        help="print each statement's AGCA expression above its kernel",
     )
     dump.add_argument(
         "--json", action="store_true",
@@ -132,8 +142,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         import json
 
-        from repro.codegen.describe import describe_program
-
         print(json.dumps(describe_program(program), indent=2, sort_keys=True))
         return 0
 
@@ -159,6 +167,10 @@ def main(argv: list[str] | None = None) -> int:
         f"({summary['deduped_probes']} probes, "
         f"{summary['deduped_scalars']} scalars deduped)"
     )
+    def print_agca(position: int, statement) -> None:
+        if args.agca:
+            print(f"-- statement {position} AGCA: {statement.pretty()}")
+
     for trigger in triggers:
         fused = executor.trigger_kernel_for(trigger.sign, trigger.relation)
         print()
@@ -169,6 +181,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"{fused.deduped_probes} probes + "
                 f"{fused.deduped_scalars} scalars deduped) =="
             )
+            for position, statement in enumerate(trigger.statements):
+                print_agca(position, statement)
             print(fused.source, end="")
             print(f"-- IR ops: {_format_ops(fused.ir_ops)}")
             if not args.per_statement:
@@ -178,10 +192,12 @@ def main(argv: list[str] | None = None) -> int:
         for position, statement in enumerate(trigger.statements):
             kernel = executor.kernel_for(statement)
             print()
+            print_agca(position, statement)
             if kernel is None:
+                reason = describe_statement(statement, program)["fallback_reason"]
                 print(
                     f"-- statement {position} -> {statement.target}: "
-                    f"interpreter fallback"
+                    f"interpreter fallback ({reason})"
                 )
                 continue
             print(f"-- statement {position} -> {statement.target}:")

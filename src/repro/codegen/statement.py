@@ -42,6 +42,10 @@ statement classes that used to be interpreter-only:
   atom guarded by a single ordering comparison on one key column — the
   ``SUM(volume) WHERE price > p`` shape of the financial queries — or (c) an
   inline scan loop reproducing the evaluator's aggregation chain exactly;
+* **lifted sums** — a lift over a sum of scalar terms, the ``Q + ΔQ`` that
+  the delta of a nested aggregate lifts (``Sum[](M[k]) + {k = t} * q``),
+  plans each addend as the aggregate it would be alone and chains the
+  results the way GMR ``+`` does (add, drop on zero, normalize);
 * **grouped aggregate factors** — ``AggSum([g], ...)`` inside a product
   plans as a dict-accumulation loop followed by iteration, replicating
   GMR construction order;
@@ -286,15 +290,16 @@ class _AggSpec:
 
     ``mode`` selects the lowering: ``"total"`` (nullary map: one primary-dict
     probe), ``"probe"`` (ordered range probe via ``IndexedTable.range_sum``,
-    optionally after prelude lift bindings feeding the cutoff) or ``"loop"``
+    optionally after prelude lift bindings feeding the cutoff), ``"loop"``
     (inline scan replicating the evaluator's aggregation chain over a
-    sub-plan).  ``chain`` distinguishes the ``AggSum`` chain semantics from
+    sub-plan) or ``"sum"`` (a lifted sum of scalar terms: ``parts`` chained
+    in order).  ``chain`` distinguishes the ``AggSum`` chain semantics from
     the plain summation of ``Exists``.
     """
 
     __slots__ = (
         "mode", "chain", "result", "handle", "probe", "column", "op",
-        "cutoff", "prelude", "plan",
+        "cutoff", "prelude", "plan", "parts",
     )
 
     def __init__(self, result: str, chain: bool) -> None:
@@ -308,6 +313,7 @@ class _AggSpec:
         self.cutoff = ""
         self.prelude: list[tuple] = []
         self.plan: "_TermPlan | None" = None
+        self.parts: "list[_AggSpec]" = []
 
 
 class _GroupAggStep:
@@ -728,11 +734,9 @@ class _StatementCompiler:
                         bound[node.var] = step.local
                         plan.colset.add(node.var)
                     plan.steps.append(step)
-                elif isinstance(node.term, AggSum) and not node.term.group:
+                elif isinstance(node.term, (AggSum, Sum)):
                     deps: set[str] = set()
-                    spec = self._plan_scalar_agg(
-                        node.term.term, child_resolve_for(deps), True, depth
-                    )
+                    spec = self._plan_lift_body(node.term, child_resolve_for(deps), depth)
                     slot_deps = deps | ({node.var} if already else set())
                     slot = self._slot_for(slot_deps, bound, plan)
                     step = _ScalarStep("lift_agg_eq" if already else "lift_agg", slot)
@@ -745,7 +749,9 @@ class _StatementCompiler:
                         plan.colset.add(node.var)
                     plan.steps.append(step)
                 else:
-                    raise Unsupported("lift over a non-scalar body")
+                    raise Unsupported(
+                        f"lift over a {type(node.term).__name__} body"
+                    )
             elif isinstance(node, AggSum):
                 if node.group:
                     if depth > 0:
@@ -830,6 +836,33 @@ class _StatementCompiler:
             return spec
         spec.mode = "loop"
         spec.plan = self._plan_term(term, resolve=resolve, depth=depth + 1)
+        return spec
+
+    def _plan_lift_body(self, body: Expr, resolve, depth: int) -> _AggSpec:
+        """Plan the scalar a lift binds: one aggregate, or a sum of scalar terms.
+
+        The delta of a nested aggregate lifts ``Q + ΔQ``: a sum whose addends
+        are each a scalar aggregate or a product of values and conditions
+        (``Sum[](M2[k]) + {k = t} * q``).  Every addend takes the lowering
+        it would take as an aggregate on its own, and the results chain
+        exactly like the evaluator's GMR ``+`` over nullary rows: add, drop
+        on zero, normalize per step.
+        """
+        if isinstance(body, AggSum):
+            if body.group:
+                raise Unsupported("lift over a grouped aggregate")
+            return self._plan_scalar_agg(body.term, resolve, True, depth)
+        spec = _AggSpec(self._fresh("g"), True)
+        spec.mode = "sum"
+        for addend in body.terms:
+            if isinstance(addend, AggSum) and not addend.group:
+                addend = addend.term
+            elif not all(
+                isinstance(f, (Value, Cmp))
+                for f in (addend.terms if isinstance(addend, Product) else (addend,))
+            ):
+                raise Unsupported("lift over a sum with a non-scalar addend")
+            spec.parts.append(self._plan_scalar_agg(addend, resolve, True, depth))
         return spec
 
     def _try_plan_probe(self, spec: _AggSpec, factors, resolve, depth: int) -> bool:
@@ -1107,6 +1140,14 @@ class _StatementCompiler:
             nodes.append(ir.RangeProbe(
                 spec.result, spec.probe, spec.column, spec.op, spec.cutoff, spec.chain
             ))
+            return
+        if spec.mode == "sum":
+            # GMR ``+`` over nullary rows, addend by addend; an empty addend
+            # reads as the int 0, which leaves the running value untouched.
+            nodes.append(ir.Let(spec.result, "0"))
+            for part in spec.parts:
+                self._emit_agg_spec(nodes, part)
+                nodes.append(ir.ChainAccum(spec.result, part.result, self._fresh("h")))
             return
         # Inline scan loop.  The one-pass wrapper scopes the sub-term's
         # aborts: a failing hoisted condition inside the aggregate must empty

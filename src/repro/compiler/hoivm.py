@@ -24,18 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from repro.agca.ast import (
-    AggSum,
-    Cmp,
-    Exists,
-    Expr,
-    Lift,
-    Relation,
-    contains_relation,
-    free_variables,
-    relations_of,
-    walk,
-)
+from repro.agca.ast import AggSum, Expr, free_variables, relations_of
 from repro.agca.schema import degree, input_variables, output_variables
 from repro.compiler.materialization import CompilerOptions, MaterializationContext, options_for
 from repro.compiler.program import (
@@ -48,7 +37,7 @@ from repro.compiler.program import (
     order_statements,
 )
 from repro.delta.events import DELETE, INSERT, TriggerEvent, fresh_trigger_vars
-from repro.delta.rules import delta
+from repro.delta.rules import delta, nested_domains
 from repro.errors import CompilationError
 from repro.optimizer.pushdown import push_aggregates
 from repro.optimizer.range_restriction import apply_key_mapping, extract_range_restrictions
@@ -299,60 +288,17 @@ def _choose_reevaluation(
     inside a nested aggregate (lift/exists body): there the delta references
     the original nested query twice and is not structurally simpler.  The
     paper's rule: incremental maintenance pays off when the nested query is
-    correlated on an *equality* that the delta binds; otherwise re-evaluate.
+    correlated on an *equality* that the delta binds — exactly when the delta
+    rule extracts a non-empty domain for it
+    (:func:`repro.delta.rules.delta_domain`), so the delta touches the outer
+    tuples that equality selects; a nested aggregate with an empty domain
+    changes for every outer tuple and the view is re-evaluated instead.
     """
-    nested_nodes = [
-        node
-        for node in walk(definition)
-        if isinstance(node, (Lift, Exists)) and contains_relation(node.term, event.relation)
-    ]
-    if not nested_nodes:
+    domains = nested_domains(definition, event)
+    if not domains:
         return False
     if options.nested_strategy == "incremental":
         return False
     if options.nested_strategy == "reeval":
         return True
-    return not all(
-        _equality_correlated(definition, node, event.relation) for node in nested_nodes
-    )
-
-
-def _equality_correlated(definition: Expr, nested: Expr, relation: str) -> bool:
-    """True when a nested aggregate is equality-correlated on the delta relation.
-
-    After unification the correlation usually shows up as a shared variable:
-    the nested body uses a variable that the outer query also uses, and that
-    variable is a column of the delta relation's atom inside the body (or is
-    linked to one by an equality comparison).  In that case the delta only
-    touches a bounded subset of the outer tuples and incremental maintenance
-    wins; otherwise the whole view is re-evaluated.
-    """
-    body = nested.term
-    body_vars = free_variables(body)
-    correlation_vars = set(input_variables(body, ()))
-    # Shared-variable correlation (the post-unification form).
-    outer_vars: set[str] = set()
-    inside = {id(node) for node in walk(nested)}
-    for node in walk(definition):
-        if id(node) in inside:
-            continue
-        if isinstance(node, Relation):
-            outer_vars.update(node.columns)
-    correlation_vars |= body_vars & outer_vars
-    if not correlation_vars:
-        return False
-    delta_columns: set[str] = set()
-    for node in walk(body):
-        if isinstance(node, Relation) and node.name == relation:
-            delta_columns.update(node.columns)
-    if correlation_vars & delta_columns:
-        return True
-    for node in walk(body):
-        if isinstance(node, Cmp) and node.op in ("=", "=="):
-            left = getattr(node.left, "name", None)
-            right = getattr(node.right, "name", None)
-            if left in correlation_vars and right in delta_columns:
-                return True
-            if right in correlation_vars and left in delta_columns:
-                return True
-    return False
+    return not all(domains)

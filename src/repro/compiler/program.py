@@ -17,6 +17,7 @@ compilations emulating classical IVM / re-evaluation — base stream relations.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -164,6 +165,22 @@ class TriggerProgram:
         asks once per statement it plans.
         """
         return self._base_relations
+
+    @cached_property
+    def digest(self) -> str:
+        """A 64-bit checksum naming this program: maps, keys, definitions, statements.
+
+        Two compilations agree on it exactly when a state written by one can
+        be loaded by the other — same map names keyed the same way over the
+        same definitions, maintained by the same statements.  Compilation is
+        deterministic (no iteration over hash-ordered sets reaches the
+        output), so the digest is stable across processes and hash seeds;
+        engine checkpoints carry it and refuse to load under a different one.
+        """
+        text = self.pretty().encode()
+        # Two independent 32-bit checksums from zlib (already loaded for the
+        # WAL); hashlib would pull OpenSSL into every process for 3.5 MB.
+        return f"{zlib.crc32(text):08x}{zlib.adler32(text):08x}"
 
     def map_count(self) -> int:
         """Number of materialized views (including roots)."""

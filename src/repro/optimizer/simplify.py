@@ -11,6 +11,9 @@ paper's toolbox:
   side is an unbound variable, and assignments of simple values are
   propagated through the rest of the product (β-reduction style), honouring
   AGCA's restriction that constants cannot be pushed into relation atoms;
+  an equality against trigger values shared by every addend of a
+  nested-aggregate delta is first pulled out of the sum, so that it can become
+  the probe key of the atoms to its left, and ``{x = x}`` folds to ``1``;
 * **merging and cancellation of sum terms** — syntactically equal monomials
   combine their constant coefficients, which is what collapses
   ``(x := Q + ∆Q) - (x := Q)`` to zero whenever ``∆Q`` vanished.
@@ -44,10 +47,12 @@ from repro.agca.ast import (
     rename_variables,
     substitute_variable,
     value_variables,
+    walk,
 )
 from repro.agca.builders import plus, prod
 from repro.agca.schema import output_variables
 from repro.core.values import comparison_holds, div, is_zero
+from repro.errors import SchemaError
 from repro.optimizer.expansion import product_factors
 
 _MAX_PASSES = 8
@@ -121,6 +126,8 @@ def _simplify(expr: Expr, bound: frozenset[str], needed: frozenset[str]) -> Expr
         right = fold_value(expr.right)
         if isinstance(left, VConst) and isinstance(right, VConst):
             return Value(VConst(comparison_holds(left.value, expr.op, right.value)))
+        if expr.op in ("=", "==") and isinstance(left, VVar) and left == right:
+            return Value(VConst(1))  # {x = x}, left behind by unification
         return Cmp(left, expr.op, right)
 
     if isinstance(expr, (Relation, MapRef)):
@@ -235,6 +242,20 @@ def _simplify_sum(expr: Sum, bound: frozenset[str], needed: frozenset[str]) -> E
 # ---------------------------------------------------------------------------
 
 
+def _pin_to_bound(factor: Expr, bound: frozenset[str]) -> tuple[str, ValueExpr] | None:
+    """``(x, t)`` when ``factor`` is ``{x = t}`` (either way round) with ``x`` a
+    variable not bound from outside and ``t`` a value over ``bound`` only."""
+    if isinstance(factor, Cmp) and factor.op in ("=", "=="):
+        for var_side, val_side in ((factor.left, factor.right), (factor.right, factor.left)):
+            if (
+                isinstance(var_side, VVar)
+                and var_side.name not in bound
+                and value_variables(val_side) <= bound
+            ):
+                return var_side.name, val_side
+    return None
+
+
 def _hoist_bound_equalities(factors: list[Expr], bound: frozenset[str]) -> list[Expr]:
     """Commute equalities against externally bound values to the front as lifts.
 
@@ -248,23 +269,67 @@ def _hoist_bound_equalities(factors: list[Expr], bound: frozenset[str]) -> list[
     rest: list[Expr] = []
     pinned: set[str] = set()
     for factor in factors:
-        if isinstance(factor, Cmp) and factor.op in ("=", "=="):
-            left, right = factor.left, factor.right
-            for var_side, val_side in ((left, right), (right, left)):
-                if (
-                    isinstance(var_side, VVar)
-                    and var_side.name not in bound
-                    and var_side.name not in pinned
-                    and value_variables(val_side) <= bound
-                ):
-                    hoisted.append(Lift(var_side.name, Value(val_side)))
-                    pinned.add(var_side.name)
-                    break
-            else:
-                rest.append(factor)
-            continue
-        rest.append(factor)
+        pin = _pin_to_bound(factor, bound)
+        if pin is not None and pin[0] not in pinned:
+            hoisted.append(Lift(pin[0], Value(pin[1])))
+            pinned.add(pin[0])
+        else:
+            rest.append(factor)
     return hoisted + rest
+
+
+def _has_nested_aggregate(expr: Expr) -> bool:
+    return any(
+        isinstance(node, Exists)
+        or (isinstance(node, Lift) and not isinstance(node.term, Value))
+        for node in walk(expr)
+    )
+
+
+def _factor_out_shared_equalities(factors: list[Expr], bound: frozenset[str]) -> list[Expr]:
+    """Pull an equality every addend of a nested-aggregate delta carries out of the sum.
+
+    ``A * (E*x + E*y)`` is ``A * E * (x + y)``.  Where a product holds a
+    nested aggregate over the updated relation next to another atom of it
+    (Q18a), the tail's delta is a sum whose addends each carry the update's
+    equality — as the changed atom's lift or as the aggregate's domain
+    (:func:`repro.delta.rules.delta_domain`) — where the factors to their
+    left (``A``) cannot see it.  Lifted to the product level,
+    :func:`_hoist_bound_equalities` turns it into the key ``A`` is probed by
+    instead of a filter over its scan.  Only equalities pinning a variable
+    bound at the sum's position to externally bound (trigger) values move,
+    so the rewrite never unbinds a condition; every copy goes, because a
+    condition is idempotent (``E * E`` is ``E``).  Sums without a nested
+    aggregate are left as they are.
+    """
+    out: list[Expr] = []
+    for factor in factors:
+        if (
+            isinstance(factor, Sum)
+            and len(factor.terms) > 1
+            and _has_nested_aggregate(factor)
+        ):
+            try:
+                available = bound | output_variables(prod(*out), bound)
+            except SchemaError:  # an intermediate shape: only the outside counts
+                available = bound
+            addends = [product_factors(term) for term in factor.terms]
+            shared = []
+            for f in dict.fromkeys(addends[0]):
+                pin = _pin_to_bound(f, bound)
+                if (
+                    pin is not None
+                    and pin[0] in available
+                    and all(f in other for other in addends[1:])
+                ):
+                    shared.append(f)
+            if shared:
+                out.extend(shared)
+                factor = Sum(tuple(
+                    prod(*(f for f in addend if f not in shared)) for addend in addends
+                ))
+        out.append(factor)
+    return out
 
 
 def _unify_variable_equalities(
@@ -309,7 +374,8 @@ def _unify_variable_equalities(
 
 
 def _simplify_product(expr: Product, bound: frozenset[str], needed: frozenset[str]) -> Expr:
-    pending: list[Expr] = _hoist_bound_equalities(list(product_factors(expr)), bound)
+    pending: list[Expr] = _factor_out_shared_equalities(list(product_factors(expr)), bound)
+    pending = _hoist_bound_equalities(pending, bound)
     pending = _unify_variable_equalities(pending, bound, needed)
     kept: list[Expr] = []
     current_bound = set(bound)

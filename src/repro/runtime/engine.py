@@ -444,6 +444,7 @@ class IncrementalEngine:
         state: dict[str, Any] = {
             "format": STATE_FORMAT,
             "kind": STATE_SINGLE,
+            "program": self.program.digest,
             "events_processed": self.events_processed,
             "maps": maps,
             "relations": relations,
@@ -455,9 +456,10 @@ class IncrementalEngine:
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Load a :meth:`checkpoint_state` dictionary into this engine.
 
-        Intended for freshly built engines running the *same* trigger program;
-        unknown map or relation names mean the state belongs to a different
-        program and raise.
+        Intended for freshly built engines running the *same* trigger program:
+        a state naming a different program digest is refused, as are unknown
+        map or relation names.  A state without a digest (written before
+        checkpoints carried one) is held to the name check alone.
         """
         if state.get("kind") != STATE_SINGLE:
             raise RuntimeEngineError(
@@ -467,6 +469,13 @@ class IncrementalEngine:
             raise RuntimeEngineError(
                 f"engine state has format {state.get('format')!r}; "
                 f"this build reads format {STATE_FORMAT}"
+            )
+        written_by = state.get("program")
+        if written_by is not None and written_by != self.program.digest:
+            raise RuntimeEngineError(
+                f"state was written by program {written_by}, this engine runs "
+                f"program {self.program.digest}: the compiled maps differ, so "
+                "the state cannot be loaded (replay the stream instead)"
             )
         declared = set(self.maps.names())
         unknown = set(state["maps"]) - declared

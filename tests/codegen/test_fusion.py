@@ -628,3 +628,36 @@ def test_dump_cli_per_statement_listing(capsys):
     assert main(["dump", "Q6", "--per-statement"]) == 0
     out = capsys.readouterr().out
     assert "def _kernel(_values, _scale):" in out  # per-statement kernels too
+
+
+def test_dump_cli_agca_prints_each_statement_above_its_kernel(capsys):
+    from repro.codegen.__main__ import main
+
+    assert main(["dump", "Q17a", "--trigger", "Lineitem:+", "--agca"]) == 0
+    out = capsys.readouterr().out
+    agca = [line for line in out.splitlines() if line.startswith("-- statement 0 AGCA:")]
+    assert len(agca) == 1 and out.index(agca[0]) < out.index("def _kernel")
+    # The domain equality became the probe key: the slice of the outer view
+    # and the lifted sum are both keyed by the trigger's part key.
+    assert "M3[lineitem_partkey, l_quantity]" in agca[0]
+    assert "(__sq1 := (Sum[](M2[lineitem_partkey]) + lineitem_quantity))" in agca[0]
+    assert "interpreter fallback" not in out
+
+
+def test_dump_cli_prints_the_reason_on_fallback_lines(capsys, monkeypatch):
+    from repro.codegen import statement as statement_module
+    from repro.codegen.__main__ import main
+    from repro.codegen.lowering import Unsupported
+
+    def refuse(self, body, resolve, depth):
+        raise Unsupported("lift bodies refused for this test")
+
+    monkeypatch.setattr(statement_module._StatementCompiler, "_plan_lift_body", refuse)
+    assert main(["dump", "Q17a", "--trigger", "Lineitem:+", "--agca"]) == 0
+    out = capsys.readouterr().out
+    assert "per-statement dispatch (no fused kernel)" in out
+    assert (
+        "-- statement 0 -> Q17a_query17a: interpreter fallback "
+        "(lift bodies refused for this test)"
+    ) in out
+    assert "-- statement 0 AGCA: Q17a_query17a[] +=" in out

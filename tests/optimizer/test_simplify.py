@@ -1,6 +1,6 @@
 """Tests for expression simplification (unification, partial evaluation, cancellation)."""
 
-from repro.agca.ast import Cmp, Lift, Product, Relation, Sum, Value, VConst, VVar
+from repro.agca.ast import Cmp, Lift, MapRef, Product, Relation, Sum, Value, VConst, VVar
 from repro.agca.builders import agg, cmp, const, lift, neg, plus, prod, rel, val, var, vadd, vmul
 from repro.agca.evaluator import DictSource, Evaluator
 from repro.agca.printer import to_string
@@ -142,3 +142,59 @@ def test_simplify_is_idempotent():
     once = simplify(expr, bound=["x"])
     twice = simplify(once, bound=["x"])
     assert once == twice
+
+
+def test_equality_of_a_variable_with_itself_folds_to_one():
+    assert simplify(cmp("x", "=", "x")) == Value(VConst(1))
+    # The shape Q22a's lifted body takes once its domain has been propagated.
+    body = plus(agg((), MapRef("M", ("t",))), cmp("t", "=", "t"))
+    assert simplify(lift("s", body), bound=("t",)) == lift(
+        "s", plus(agg((), MapRef("M", ("t",))), const(1))
+    )
+    assert simplify(cmp("x", "=", "y")) == cmp("x", "=", "y")
+
+
+def _nested_delta_sum(equalities):
+    """``R(k, c) * (E * lift_old * c  +  S(k, a) * E * (lift_new - lift_old))``."""
+    nested = agg((), prod(rel("S", "k", "b"), val("b")))
+    old = lift("s", nested)
+    new = lift("s", plus(nested, val("t_b")))
+    return agg(("k",), prod(
+        rel("R", "k", "c"),
+        plus(
+            prod(*equalities, old, cmp("c", "<", "s")),
+            prod(rel("S", "k", "a"), *equalities, plus(new, neg(old)), cmp("a", "<", "s")),
+        ),
+    ))
+
+
+def test_equality_shared_by_a_nested_delta_sum_becomes_the_probe_key():
+    expr = _nested_delta_sum([cmp("k", "=", "t_k"), cmp("k", "=", "t_k")])
+    simplified = simplify(expr, bound=("t_k", "t_b"), needed=("k",))
+    text = to_string(simplified)
+    # The atom left of the sum is read by the trigger key, and neither the
+    # equality nor its duplicate survives inside the addends.
+    assert "R(t_k, c)" in text and "S(t_k, a)" in text
+    assert "=" not in text.replace(":=", "")
+
+    source = DictSource(
+        relations={
+            "R": GMR.from_rows([{"k": 1, "c": 2}, {"k": 2, "c": 9}]),
+            "S": GMR.from_rows([{"k": 1, "b": 4}, {"k": 1, "b": 1}, {"k": 2, "b": 7}]),
+        },
+        schemas={"R": ("k", "c"), "S": ("k", "b")},
+    )
+    for t_k in (1, 2, 3):
+        context = {"t_k": t_k, "t_b": 5}
+        evaluator = Evaluator(source)
+        assert evaluator.evaluate(simplified, context) == evaluator.evaluate(expr, context)
+
+
+def test_shared_equality_stays_put_in_sums_without_a_nested_aggregate():
+    # An OR expanded into a sum of condition products (Q19) keeps its shape.
+    expr = prod(
+        rel("R", "k", "c"),
+        plus(prod(cmp("k", "=", "t_k"), cmp("c", "<", 3)), prod(cmp("k", "=", "t_k"), cmp("c", ">", 7))),
+    )
+    simplified = simplify(expr, bound=("t_k",))
+    assert "R(k, c)" in to_string(simplified)

@@ -251,6 +251,11 @@ def test_restore_rejects_states_from_other_programs(q1, q3):
     foreign = engine_for_mode(q3.program, "incremental")
     state = foreign.checkpoint_state()
     engine = engine_for_mode(q1.program, "incremental")
+    with pytest.raises(RuntimeEngineError, match=q3.program.digest):
+        engine.restore_state(state)
+    # A state written before checkpoints named their program: the map names
+    # are all there is to go by.
+    del state["program"]
     with pytest.raises(RuntimeEngineError, match="not declared"):
         engine.restore_state(state)
 
