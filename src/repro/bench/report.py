@@ -154,7 +154,7 @@ def format_engine_statistics(statistics: Mapping[str, object], label: str = "") 
         lines.append(
             f"  batching: size {batching['batch_size']}, "
             f"{batching['batches_flushed']} batches, "
-            f"{batching['bulk_events']} bulk / {batching['fallback_events']} fallback events"
+            f"{batching['bulk_events']} bulk / {batching['fallback_events']} replayed events"
         )
     codegen = statistics.get("codegen")
     if codegen:

@@ -11,7 +11,8 @@ dbtoaster-comp   HO-IVM with triggers compiled to specialized Python code
                  per trigger, per-statement interpreter fallback)
 dbtoaster-batch  HO-IVM with delta-batched trigger execution over a
                  compiled inner engine (:class:`repro.exec.BatchedEngine`;
-                 large folded groups run numpy kernels when numpy is present)
+                 long runs take numpy kernels when numpy is present, short
+                 ones go whole to the fused kernel)
 dbtoaster-par    HO-IVM hash-partitioned across compiled engines with
                  merge-on-read (:class:`repro.exec.PartitionedEngine`)
 naive            the naive viewlet transform (no decomposition /

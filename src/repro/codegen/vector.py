@@ -2,8 +2,8 @@
 
 The scalar pipeline (plan -> IR -> emit) produces per-event kernels; this
 module walks the *same* statement IR and emits a kernel that processes an
-entire folded delta batch per call — one ndarray per trigger column, masks
-instead of branch guards, hash-probe gathers against the table primaries,
+entire run of same-trigger events per call — one ndarray per trigger column,
+masks instead of branch guards, hash-probe gathers against the table primaries,
 prefix-sum range probes against :class:`~repro.runtime.ordered.OrderedRangeIndex`,
 and a segmented seeded-cumsum sink that reproduces the scalar add chain.
 
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import ast
 import os
+from operator import itemgetter
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.codegen import ir
@@ -88,41 +89,39 @@ _MISSING = object()
 
 
 class ColumnBatch:
-    """Columnarized view of one folded delta group's ``(values, mult)`` items.
+    """Columnarized view of one run's value tuples, in arrival order.
 
-    Columns classify lazily on first use: homogeneous ``int`` columns become
-    int64 (overflow falls back), ``float`` columns float64 (non-finite falls
-    back), ``str`` columns ``'<U'`` arrays (raw use only); anything else —
-    bools, ``Fraction``, ``None``, mixed types — raises
-    :class:`VectorFallback`.  ``num()`` converts to float64 after the 2**53
-    exactness check; ``raw()`` keeps the native dtype for guards and probe
-    keys.  Sink-key factorizations are cached per position tuple so sibling
-    statements keyed by the same columns (the Q1 shape) pay once per batch.
+    Columns materialize lazily on first use, straight from the event tuples
+    (one C-level ``itemgetter`` pass each), and classify by their set of
+    element types: homogeneous ``int`` columns become int64 (overflow falls
+    back), ``float`` columns float64 (non-finite falls back), ``str``
+    columns object arrays (raw use only); anything else — bools,
+    ``Fraction``, ``None``, mixed types — raises :class:`VectorFallback`.
+    ``num()`` converts to float64 after the 2**53 exactness check; ``raw()``
+    keeps the native dtype for guards and probe keys.  Sink-key
+    factorizations are cached per position tuple so sibling statements keyed
+    by the same columns (the Q1 shape) pay once per batch.
     """
 
-    __slots__ = ("n", "_values", "_mult_list", "_lists", "_raw", "_num",
-                 "_mults", "_key_cache")
+    __slots__ = ("n", "_rows", "_lists", "_raw", "_num", "_key_cache")
 
-    def __init__(self, items: Sequence[tuple[tuple, int]]) -> None:
-        self.n = len(items)
-        self._values = [item[0] for item in items]
-        self._mult_list = [item[1] for item in items]
+    def __init__(self, rows: Sequence[tuple]) -> None:
+        self.n = len(rows)
+        self._rows = rows
         self._lists: dict[int, list] = {}
         self._raw: dict[int, Any] = {}
         self._num: dict[int, Any] = {}
-        self._mults = None
         self._key_cache: dict[tuple, tuple] = {}
 
     def col_list(self, index: int) -> list:
         """The native Python values of one event column (keys use these)."""
         vals = self._lists.get(index)
         if vals is None:
-            vals = [values[index] for values in self._values]
-            self._lists[index] = vals
+            vals = self._lists[index] = list(map(itemgetter(index), self._rows))
         return vals
 
     def raw(self, index: int):
-        """Native-dtype ndarray of one column (int64 / float64 / '<U')."""
+        """Native-dtype ndarray of one column (int64 / float64 / object for str)."""
         arr = self._raw.get(index)
         if arr is None:
             arr = self._classify(self.col_list(index))
@@ -146,15 +145,9 @@ class ColumnBatch:
             self._num[index] = arr
         return arr
 
-    def mults(self):
-        """float64 array of folded multiplicities."""
-        if self._mults is None:
-            self._mults = np.array(self._mult_list, dtype=np.float64)
-        return self._mults
-
     @staticmethod
     def _classify(vals: list):
-        kinds = {type(v) for v in vals}
+        kinds = set(map(type, vals))
         if kinds == {int}:
             try:
                 return np.array(vals, dtype=np.int64)
@@ -166,7 +159,9 @@ class ColumnBatch:
                 raise VectorFallback("non-finite")
             return arr
         if kinds == {str}:
-            return np.array(vals)
+            # Guards only: object arrays compare element-wise with Python's
+            # own ``str`` ordering and skip the fixed-width '<U' conversion.
+            return np.array(vals, dtype=object)
         raise VectorFallback("mixed-column")
 
     def key_groups(self, positions: tuple[int, ...], columns: tuple[str, ...]):
@@ -210,8 +205,6 @@ class ColumnBatch:
                     self.raw(arg)
                 elif kind == "key":
                     self.key_groups(arg[0], arg[1])
-                elif kind == "mults":
-                    self.mults()
         except VectorFallback:
             pass  # the apply path will fall back with the recorded reason
 
@@ -428,8 +421,8 @@ class _ExprTranslator:
 
     Numeric context computes in float64 with :func:`_ck` wrapped around every
     ``+ - *`` result; comparison operands that are bare event columns or
-    string constants stay *raw* (int64 comparisons integer-exact, ``'<U'``
-    arrays support lexicographic compare against ``str``).
+    string constants stay *raw* (int64 comparisons integer-exact, object
+    arrays of ``str`` compare with Python's own ordering).
     """
 
     _NUM_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
@@ -592,7 +585,9 @@ class BoundVectorKernel:
         deltas = np.asarray(acc, dtype=np.float64)
         if deltas.ndim == 0:
             deltas = np.full(batch.n, float(deltas))
-        deltas = _ck(deltas * batch.mults())
+        # One row per event (multiplicity 1): the seeded cumsum below adds
+        # each event's delta in arrival order, as per-event execution does.
+        deltas = _ck(deltas)
         if mask is not None:
             selected = np.flatnonzero(mask)
             if selected.size == 0:
@@ -807,7 +802,6 @@ def compile_vector(statement: Statement, program: TriggerProgram) -> VectorKerne
     env["np"] = np
     env.update(tx.consts)
     uses = list(dict.fromkeys(tx.uses))
-    uses.append(("mults", None))
     return VectorKernel(
         statement, "\n".join(lines) + "\n", env, ctx.tables, uses,
         sink[0], sink[1],

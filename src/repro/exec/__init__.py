@@ -3,8 +3,8 @@
 A second execution mode alongside the per-event
 :class:`~repro.runtime.engine.IncrementalEngine`:
 
-* :class:`~repro.exec.batching.BatchedEngine` coalesces agenda slices into
-  per-relation delta GMRs and applies each trigger once per batch;
+* :class:`~repro.exec.batching.BatchedEngine` partitions agenda slices into
+  runs of same-trigger events and dispatches each run once;
 * :class:`~repro.exec.partitioning.PartitionedEngine` hash-partitions map
   state and base relations across per-partition engines and merges views on
   read (with a broadcast path for non-partitionable relations);

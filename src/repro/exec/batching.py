@@ -2,33 +2,34 @@
 
 A per-event engine runs every trigger statement once per stream event, and
 much of that cost is fixed overhead — trigger lookup, dispatch, key-row
-construction — that is identical across events.  This module coalesces a
-slice of the agenda into per-relation *delta GMRs* (Section 3.4's bulk
-updates made concrete: tuple -> folded multiplicity) and applies each trigger
-once per batch.
+construction — that is identical across events.  This module partitions a
+slice of the agenda into *runs* — ordered lists of events sharing one
+(relation, sign) trigger, Section 3.4's bulk updates made concrete — and
+dispatches each run once.
 
 Exactness is never traded for speed.  A static analysis decides, per trigger,
 whether bulk application is equivalent to sequential application:
 
 * a trigger is **bulk-safe** when none of its ``+=`` statements read a map the
   same trigger writes, none read the triggering base relation itself, and its
-  ``:=`` statements do not depend on the trigger variables.  For such triggers
-  the per-tuple deltas are independent of the order in which the batch's
-  events are applied, so one pass per statement over the folded delta (scaled
-  by each tuple's multiplicity) produces exactly the sequential result.
+  ``:=`` statements do not depend on the trigger variables.  The per-tuple
+  deltas are then independent of the order the run's events are applied in,
+  so one pass per statement over the run is exactly the sequential result.
 * all other triggers (self-joins, nested-aggregate view maintenance, ...)
-  fall back to per-event application *inside the batch*, preserving order.
+  replay their events in order through the fused trigger kernel.
 
-Batches additionally merge non-adjacent events of the same (relation, sign)
-when the intervening triggers *commute* (their read/write sets are disjoint),
-which turns the short per-relation runs of realistic streams into large
-foldable groups.
+Runs also merge non-adjacent events of the same (relation, sign) when the
+intervening triggers *commute* (their read/write sets are disjoint), which
+turns the short per-relation runs of realistic streams into large ones.  A
+run is never slower than its events one by one: it takes the bulk path only
+where that wins (a vector kernel over enough rows, ``:=`` statements that
+then run once per run) and is otherwise handed whole to the fused kernel.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from repro.agca.ast import free_variables
 from repro.codegen.engine import CompiledEngine
@@ -40,23 +41,19 @@ from repro.codegen.vector import (
 )
 from repro.compiler.program import ASSIGN, INCREMENT, Statement, TriggerProgram
 from repro.core.gmr import GMR
-from repro.core.rows import Row
 from repro.delta.events import StreamEvent
 from repro.errors import ExecutionError
 
 #: Default number of events coalesced into one delta batch.
 DEFAULT_BATCH_SIZE = 100
 
-#: Smallest folded group dispatched to the vector backend.  Below this the
-#: fixed numpy kernel-invocation cost (array wrapping, mask allocation, probe
-#: setup) exceeds the scalar loop's total work, so tiny groups — the common
-#: shape when interleaved multi-relation streams fold into many short runs —
-#: stay on the compiled statement runners.  Breakeven sits around 6-10 rows
-#: per group.
-DEFAULT_MIN_VECTOR_ROWS = 16
-
-#: How many trailing groups the folder scans for a commuting merge target.
-_MERGE_LOOKBACK = 8
+#: Shortest run dispatched to the vector backend.  A vector kernel call costs
+#: a fixed ~40 us of numpy dispatch per statement however short the run, so
+#: shorter runs — the common shape when interleaved multi-relation streams
+#: partition into many of them — replay through the fused trigger kernel.
+#: The value is the measured crossover on Q1's Lineitem trigger, the one the
+#: vector backend helps most (table in DESIGN.md "Small-run cutoff").
+DEFAULT_MIN_VECTOR_ROWS = 160
 
 TriggerKey = tuple[str, int]
 
@@ -67,6 +64,7 @@ class TriggerAnalysis:
     def __init__(self, program: TriggerProgram, relation: str, sign: int) -> None:
         self.relation = relation
         self.sign = sign
+        self.name = f"{relation}:{'+' if sign > 0 else '-'}"
         trigger = program.trigger_for(sign, relation)
         statements: Sequence[Statement] = trigger.statements if trigger else ()
         self.increments = [s for s in statements if s.operation == INCREMENT]
@@ -74,24 +72,23 @@ class TriggerAnalysis:
 
         self.writes = frozenset(s.target for s in statements)
         self.assign_targets = frozenset(s.target for s in self.assigns)
-        self.reads_maps = frozenset().union(*(s.reads_maps() for s in statements)) \
-            if statements else frozenset()
-        self.reads_relations = frozenset().union(*(s.reads_relations() for s in statements)) \
-            if statements else frozenset()
+        self.reads_maps = frozenset().union(*(s.reads_maps() for s in statements))
+        self.reads_relations = frozenset().union(*(s.reads_relations() for s in statements))
         self.updates_base = relation in program.requires_base_relations()
 
         self.safe = self._bulk_safe()
+        # Bulk at any run length: := statements then run once per run (or none run).
+        self.always_bulk = self.safe and bool(self.assigns or not self.increments)
         self._program = program
         self._vector: dict[int, Any] | None = None
 
     def vector_kernels(self) -> dict[int, Any]:
         """Columnar batch kernels by ``id(statement)`` (compiled lazily).
 
-        Only bulk-safe triggers qualify (vector application is one pass per
-        statement over the folded delta, which is exactly the bulk
-        contract); within them, any ``+=`` statement the vector emitter can
-        lower gets a kernel, the rest stay on their statement runners.
-        Without numpy nothing compiles and the dictionary is empty.
+        Only bulk-safe triggers qualify (one pass per statement over the run
+        is exactly the bulk contract); within them, any ``+=`` statement the
+        vector emitter can lower gets a kernel, the rest stay on their
+        statement runners.  Without numpy the dictionary is empty.
         """
         if self._vector is None:
             kernels: dict[int, Any] = {}
@@ -130,38 +127,38 @@ class TriggerAnalysis:
             return False
         return True
 
+    def bulk(self, count: int) -> bool:
+        """Whether a run of ``count`` events takes the bulk path.
 
-class DeltaGroup:
-    """A maximal reorderable run of events sharing one (relation, sign) key.
+        Static trigger facts and the run length decide, so a run is never
+        below its events one by one: bulk wins when ``:=`` statements then
+        run once per run, or vector kernels amortise over enough rows; every
+        other run goes whole to the fused trigger kernel.
+        """
+        return self.always_bulk or self.vectorizes(count)
 
-    Bulk-safe groups fold events into ``tuple -> multiplicity``; unsafe groups
-    keep the raw ordered event list for per-event replay.
-    """
+    def vectorizes(self, count: int) -> bool:
+        """Whether a run of ``count`` events reaches the vector kernels."""
+        return count >= DEFAULT_MIN_VECTOR_ROWS and bool(self.vector_kernels())
 
-    __slots__ = ("relation", "sign", "key", "count", "folded", "events")
+    def policy(self) -> str:
+        """The static half of :meth:`bulk`, as ``explain`` prints it."""
+        if self.always_bulk:
+            return "bulk (:= once per group)"
+        kernels = len(self.vector_kernels())  # none for a bulk-unsafe trigger
+        if not kernels:
+            return "replay (fused)"
+        return (
+            f"vector ×{kernels} statements from {DEFAULT_MIN_VECTOR_ROWS} events, "
+            "below that replay (fused)"
+        )
 
-    def __init__(self, relation: str, sign: int, safe: bool) -> None:
-        self.relation = relation
-        self.sign = sign
-        self.key: TriggerKey = (relation, sign)
-        self.count = 0
-        self.folded: dict[tuple, int] | None = {} if safe else None
-        self.events: list[StreamEvent] | None = None if safe else []
 
-    def add(self, event: StreamEvent) -> None:
-        self.count += 1
-        if self.folded is not None:
-            self.folded[event.values] = self.folded.get(event.values, 0) + 1
-        else:
-            self.events.append(event)
+class DeltaGroup(NamedTuple):
+    """A maximal reorderable run: one trigger's events in arrival order."""
 
-    def delta_gmr(self, columns: Sequence[str]) -> GMR:
-        """The group's delta as a signed GMR over the relation's columns."""
-        if self.folded is not None:
-            items = ((values, self.sign * mult) for values, mult in self.folded.items())
-        else:
-            items = ((event.values, self.sign) for event in self.events)
-        return GMR((Row(zip(columns, values)), mult) for values, mult in items)
+    analysis: TriggerAnalysis
+    events: list[StreamEvent]
 
 
 class BatchPlan:
@@ -173,43 +170,79 @@ class BatchPlan:
         for relation in program.stream_relations:
             for sign in (1, -1):
                 self._analyses[(relation, sign)] = TriggerAnalysis(program, relation, sign)
+        # The commute relation, once per program: the triggers whose runs an
+        # event of each key may not move across.
+        self.blocks: dict[TriggerKey, tuple[TriggerKey, ...]] = {
+            key: tuple(
+                other for other, theirs in self._analyses.items()
+                if other != key and not mine.commutes_with(theirs)
+            )
+            for key, mine in self._analyses.items()
+        }
 
     def analysis(self, relation: str, sign: int) -> TriggerAnalysis:
         return self._analyses[(relation, sign)]
 
     def fold(self, events: Iterable[StreamEvent]) -> list[DeltaGroup]:
-        """Partition an event slice into ordered, internally folded delta groups.
+        """Partition an event slice into ordered runs, one pass.
 
-        Events join the most recent group with their key when every group in
-        between commutes with their trigger; otherwise a fresh group starts.
+        An event joins its key's *open* run, or opens one.  Opening a run
+        closes the runs of every key it does not commute with, so a run stays
+        open exactly while every run created since commutes with it: arrival
+        order is kept inside each run and between any two non-commuting events.
         """
-        groups: list[DeltaGroup] = []
-        analyses = self._analyses
+        # Parallel lists, zipped into groups at the end: cheaper per run than
+        # building each pair in the loop (Q3 opens one run per two events).
+        owners: list[TriggerAnalysis] = []
+        runs: list[list[StreamEvent]] = []
+        open_runs: dict[TriggerKey, list[StreamEvent]] = {}
+        analyses, blocks = self._analyses, self.blocks
+        relation = sign = run = None
         for event in events:
-            key = (event.relation, event.sign)
-            analysis = analyses[key]
-            target: DeltaGroup | None = None
-            for group in reversed(groups[-_MERGE_LOOKBACK:]):
-                if group.key == key:
-                    target = group
-                    break
-                if not analysis.commutes_with(analyses[group.key]):
-                    break
-            if target is None:
-                target = DeltaGroup(event.relation, event.sign, analysis.safe)
-                groups.append(target)
-            target.add(event)
-        return groups
+            if event.sign == sign and event.relation == relation:
+                run.append(event)
+                continue
+            relation, sign = event.relation, event.sign
+            key = (relation, sign)
+            run = open_runs.get(key)
+            if run is None:
+                run = open_runs[key] = []
+                owners.append(analyses[key])
+                runs.append(run)
+                for blocked in blocks[key]:
+                    if blocked in open_runs:
+                        del open_runs[blocked]
+            run.append(event)
+        return list(map(DeltaGroup._make, zip(owners, runs)))
+
+    def describe(self) -> list[dict[str, Any]]:
+        """Per trigger with statements: the static run policy and its blockers."""
+        return [
+            {
+                "trigger": analysis.name,
+                "policy": analysis.policy(),
+                "blocked_by": [self._analyses[other].name for other in self.blocks[key]],
+            }
+            for key, analysis in self._analyses.items()
+            if analysis.increments or analysis.assigns
+        ]
 
 
-class StagedBatch:
-    """A pre-folded, pre-columnarized event slice (see ``BatchedEngine.stage``)."""
+def render_policies(entries: Iterable[dict[str, Any]]) -> list[str]:
+    """One line per :meth:`BatchPlan.describe` entry (``explain`` prints these)."""
+    return [
+        f"  {entry['trigger']} {entry['policy']}; "
+        f"merges blocked by: {', '.join(entry['blocked_by']) or '-'}"
+        for entry in entries
+    ]
 
-    __slots__ = ("groups", "events")
 
-    def __init__(self, groups: list, events: int) -> None:
-        self.groups = groups
-        self.events = events
+class StagedBatch(NamedTuple):
+    """A pre-partitioned, pre-columnarized event slice (see ``BatchedEngine.stage``)."""
+
+    groups: list[DeltaGroup]
+    batches: list[ColumnBatch | None]  # by group index
+    events: int
 
 
 class BatchedEngine:
@@ -217,8 +250,8 @@ class BatchedEngine:
 
     Buffers incoming events and applies them in batches of ``batch_size``
     through :class:`BatchPlan`.  Views are always read through :meth:`flush`,
-    so observable results are identical to per-event execution (bulk-unsafe
-    triggers replay their events in order inside the batch).
+    so observable results are identical to per-event execution (runs outside
+    the bulk policy replay their events in order inside the batch).
     """
 
     def __init__(
@@ -230,8 +263,7 @@ class BatchedEngine:
     ) -> None:
         if batch_size < 1:
             raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
-        # Why vector dispatch is off (numpy missing or REPRO_NO_NUMPY), else
-        # None: the statement runners are the semantics of record anyway.
+        # Why vector dispatch is off (numpy missing or REPRO_NO_NUMPY), else None.
         self.vector_reason: str | None = vector_unavailable_reason()
         self.program = program
         self.batch_size = batch_size
@@ -239,62 +271,44 @@ class BatchedEngine:
             from repro.telemetry import current
 
             telemetry = current()
-        # The inner engine shares this telemetry: fallback groups replay
-        # through its per-event apply (it observes them), bulk groups bypass
-        # it and are accounted through count_bulk_events — summed at scrape,
-        # events in == events accounted, nothing counted twice.
+        # The inner engine shares this telemetry: replayed runs go through
+        # its apply_run (per-event apply while an observer is armed), bulk
+        # runs bypass it and are accounted through count_bulk_events — summed
+        # at scrape, events in == events accounted, nothing counted twice.
         self.telemetry = telemetry
         self.engine = CompiledEngine(program, telemetry=telemetry)
         self.plan = plan if plan is not None and plan.program is program else BatchPlan(program)
         self._buffer: list[StreamEvent] = []
         self._stream_relations = frozenset(program.stream_relations)
-        # Accounting for reports / tests.
-        self.batches_flushed = 0
-        self.groups_applied = 0
-        self.bulk_events = 0
-        self.fallback_events = 0
-        self.vector_events = 0
+        self.batches_flushed = self.runs_bulk = self.runs_replayed = 0
+        self.bulk_events = self.fallback_events = self.vector_events = 0
         self.vector_fallbacks: dict[str, int] = {}
-        # Bound vector kernels per trigger, dropped whenever the inner
-        # engine's tables are replaced wholesale (state restores).
-        self._vector_bound: dict[TriggerKey, dict[int, Any]] = {}
+        # Bound vector kernels per trigger, dropped on state restores.
+        self._vector_bound: dict[str, dict[int, Any]] = {}
+        self._fold_hist = self._apply_hist = None
         if telemetry.enabled:
             registry = telemetry.registry
             self._fold_hist = registry.histogram(
                 "repro_exec_batch_fold_seconds",
-                help="Time folding one buffer into delta groups",
+                help="Time partitioning one buffer into runs",
             )
             self._apply_hist = registry.histogram(
                 "repro_exec_batch_apply_seconds",
-                help="Time applying one folded batch through the inner engine",
+                help="Time applying one partitioned batch through the inner engine",
             )
             registry.add_collector(self._collect_telemetry)
-        else:
-            self._fold_hist = None
-            self._apply_hist = None
 
     def _collect_telemetry(self, registry) -> None:
-        registry.counter(
-            "repro_exec_batches_flushed_total", help="Delta batches flushed"
-        ).value = self.batches_flushed
-        registry.counter(
-            "repro_exec_groups_applied_total", help="Delta groups applied"
-        ).value = self.groups_applied
-        registry.counter(
-            "repro_exec_bulk_events_total", help="Events applied through bulk folds"
-        ).value = self.bulk_events
-        registry.counter(
-            "repro_exec_fallback_events_total",
-            help="Events replayed per-event inside batches",
-        ).value = self.fallback_events
-        registry.counter(
-            "repro_exec_vector_events_total",
-            help="Events applied through columnar vector kernels",
-        ).value = self.vector_events
-        registry.counter(
-            "repro_exec_vector_fallbacks_total",
-            help="Vector-kernel statement applications that fell back to scalar",
-        ).value = sum(self.vector_fallbacks.values())
+        for name, help_text, value in (
+            ("batches_flushed", "Delta batches flushed", self.batches_flushed),
+            ("groups_applied", "Delta groups applied", self.runs_bulk + self.runs_replayed),
+            ("bulk_events", "Events applied through bulk runs", self.bulk_events),
+            ("fallback_events", "Events replayed per-event inside batches", self.fallback_events),
+            ("vector_events", "Events applied through columnar vector kernels", self.vector_events),
+            ("vector_fallbacks", "Vector-kernel statement applications that fell back to scalar",
+             sum(self.vector_fallbacks.values())),
+        ):
+            registry.counter(f"repro_exec_{name}_total", help=help_text).value = value
         registry.gauge(
             "repro_exec_batch_buffer_events", help="Events currently buffered"
         ).set(len(self._buffer))
@@ -307,51 +321,63 @@ class BatchedEngine:
     def load_static(self, relation: str, rows) -> int:
         return self.engine.load_static(relation, rows)
 
+    def _check_relations(self, events: Iterable[StreamEvent]) -> None:
+        unknown = {event.relation for event in events} - self._stream_relations
+        if unknown:
+            raise ExecutionError(
+                f"relation {min(unknown)!r} is not a stream relation of this program"
+            )
+
     def apply(self, event: StreamEvent) -> None:
         """Buffer one event, flushing a full batch when the buffer fills."""
         if event.relation not in self._stream_relations:
-            raise ExecutionError(
-                f"relation {event.relation!r} is not a stream relation of this program"
-            )
+            self._check_relations((event,))
         self._buffer.append(event)
         if len(self._buffer) >= self.batch_size:
             self.flush()
 
     def apply_many(self, events: Iterable[StreamEvent]) -> int:
-        count = 0
-        for event in events:
-            self.apply(event)
-            count += 1
-        return count
+        """Buffer a slice, applying every batch it fills, where :meth:`apply` would.
+
+        All-or-nothing: relations are validated before anything is buffered,
+        so an :class:`ExecutionError` leaves the engine exactly as it was.
+        """
+        events = list(events)
+        self._check_relations(events)
+        pending = self._buffer
+        pending.extend(events)
+        size = self.batch_size
+        full = len(pending) - len(pending) % size
+        if full:
+            self._buffer = []
+            for start in range(0, full, size):
+                self._apply_batch(pending[start:start + size])
+            self._buffer = pending[full:]
+        return len(events)
 
     def flush(self) -> None:
         """Apply every buffered event; views are fresh afterwards."""
-        if not self._buffer:
-            return
-        buffer, self._buffer = self._buffer, []
+        if self._buffer:
+            buffer, self._buffer = self._buffer, []
+            self._apply_batch(buffer)
+
+    def _apply_batch(self, buffer: list[StreamEvent]) -> None:
         self.batches_flushed += 1
-        fold_hist = self._fold_hist
-        if fold_hist is None:
-            for group in self.plan.fold(buffer):
-                self._apply_group(group)
-            return
         started = perf_counter()
         groups = self.plan.fold(buffer)
-        fold_hist.observe(perf_counter() - started)
-        started = perf_counter()
-        for group in groups:
-            self._apply_group(group)
-        self._apply_hist.observe(perf_counter() - started)
+        folded = perf_counter()
+        self._apply_groups(groups)
+        if self._fold_hist is not None:
+            self._fold_hist.observe(folded - started)
+            self._apply_hist.observe(perf_counter() - folded)
 
     def _vector_bindings(self, analysis: TriggerAnalysis) -> dict[int, Any]:
-        key = (analysis.relation, analysis.sign)
-        bound = self._vector_bound.get(key)
+        bound = self._vector_bound.get(analysis.name)
         if bound is None:
-            bound = {
+            bound = self._vector_bound[analysis.name] = {
                 sid: kernel.bind(self.engine.maps, self.engine.database)
                 for sid, kernel in analysis.vector_kernels().items()
             }
-            self._vector_bound[key] = bound
         return bound
 
     def _note_fallback(self, reason: str) -> None:
@@ -360,10 +386,9 @@ class BatchedEngine:
     def _try_vector(self, kernel, statement: Statement, batch) -> bool:
         """Run one statement through its vector kernel; False demands the runner.
 
-        ``compute`` touches no engine state, so a failure at any point —
-        regime violation, overflow risk, or an unexpected error a masked-out
-        scalar path would never hit — leaves the tables untouched and the
-        statement runner produces the exact sequential result.
+        ``compute`` touches no engine state, so any failure — regime
+        violation, overflow risk, an error a masked-out scalar path would
+        never hit — leaves the tables untouched for the statement runner.
         """
         table = self.engine.maps.table(statement.target)
         if table._watcher is not None:
@@ -382,58 +407,48 @@ class BatchedEngine:
         kernel.commit(table, writes)
         return True
 
-    def _apply_group(self, group: DeltaGroup, prebuilt=None) -> None:
-        self.groups_applied += 1
+    def _apply_groups(self, groups: list[DeltaGroup], batches: Sequence = ()) -> None:
+        """Dispatch each run once, in order (``batches``: staged columns by index)."""
+        apply_run, floor = self.engine.apply_run, DEFAULT_MIN_VECTOR_ROWS
+        for index, (analysis, events) in enumerate(groups):
+            # (The length test short-cuts bulk() for the many short runs.)
+            if analysis.always_bulk or len(events) >= floor and analysis.bulk(len(events)):
+                self._apply_bulk(analysis, events, batches[index] if batches else None)
+            else:
+                # The whole run to the fused trigger kernel, in arrival
+                # order: per-event execution minus the per-event lookup.
+                self.runs_replayed += 1
+                self.fallback_events += len(events)
+                apply_run(analysis.sign, analysis.relation, events)
+
+    def _apply_bulk(
+        self, analysis: TriggerAnalysis, events: list[StreamEvent], batch: ColumnBatch | None
+    ) -> None:
+        """One pass per statement over a bulk-safe run (see ``TriggerAnalysis.bulk``)."""
         engine = self.engine
-        if group.events is not None:
-            # Bulk-unsafe: in-order replay through the fused trigger kernels.
-            self.fallback_events += group.count
-            for event in group.events:
-                engine.apply(event)
-            return
-
-        self.bulk_events += group.count
-        engine.count_bulk_events(group.sign, group.relation, group.count)
-        analysis = self.plan.analysis(group.relation, group.sign)
+        count = len(events)
+        relation, sign = analysis.relation, analysis.sign
+        self.runs_bulk += 1
+        self.bulk_events += count
+        engine.count_bulk_events(sign, relation, count)
         runner_for = engine.codegen.runner_for
-        folded = group.folded
-        # Materialized lazily: a fully-vectorized group never needs the
-        # per-tuple list, and building it costs ~50ns/event at large batches.
-        items: list | None = None
 
-        # Bulk folds bypass per-event apply, so provenance attributes every
-        # transition of this group to the fold descriptor (the documented
-        # batching attribution rule), stamped with the post-group version.
+        # Bulk runs bypass per-event apply: provenance attributes their
+        # transitions to the fold descriptor, stamped with the post-run version.
         prov = engine.provenance
         if prov is not None:
-            prov.version = engine.events_processed + group.count
-            prov.cause = (
-                "fold",
-                group.relation,
-                "insert" if group.sign > 0 else "delete",
-                group.count,
-                len(folded),
-            )
+            prov.version = engine.events_processed + count
+            prov.cause = ("fold", relation, "insert" if sign > 0 else "delete", count, count)
 
         # Per statement, in trigger order: the bound vector kernel when the
-        # group reaches the cutoff, else (or on any vector fallback) the
-        # compiled executor's statement runner over the folded pairs.
-        # Provenance groups skip vector dispatch wholesale — set_total does
-        # not record transitions.
+        # run reaches the cutoff, else (or on any vector fallback) the
+        # statement runner over the run's tuples.  Provenance runs skip
+        # vector dispatch wholesale — set_total does not record transitions.
         vec: dict[int, Any] = {}
-        if prov is None:
+        if prov is None and analysis.vectorizes(count):
             vec = self._vector_bindings(analysis)
-        batch = prebuilt
-        if vec and batch is None:
-            if len(folded) < DEFAULT_MIN_VECTOR_ROWS:
-                # Tiny folded groups (interleaved multi-relation streams fold
-                # into runs of a handful of tuples) pay more in per-call
-                # numpy overhead than vectorization saves.
-                self._note_fallback("small-group")
-                vec = {}
-            else:
-                items = list(folded.items())
-                batch = ColumnBatch(items)
+            if batch is None:
+                batch = ColumnBatch([event.values for event in events])
         vectorized = False
 
         for statement in analysis.increments:
@@ -441,56 +456,44 @@ class BatchedEngine:
             if kernel is not None and self._try_vector(kernel, statement, batch):
                 vectorized = True
                 continue
-            if items is None:
-                items = list(folded.items())
             run = runner_for(statement)
-            for values, multiplicity in items:
-                run(values, multiplicity)
+            for event in events:
+                run(event.values, 1)
         if vectorized:
-            self.vector_events += group.count
+            self.vector_events += count
 
         if analysis.updates_base:
-            if items is None:
-                items = list(folded.items())
-            table = engine.database.table(group.relation)
-            for values, multiplicity in items:
-                table.add(values, group.sign * multiplicity)
+            table = engine.database.table(relation)
+            for event in events:
+                table.add(event.values, sign)
 
         # Bulk-safe ``:=`` statements do not depend on the trigger variables:
-        # once per group, under any one of its tuples.
+        # once per run, under any one of its tuples.
         for statement in analysis.assigns:
-            runner_for(statement)(next(iter(folded)), 1)
+            runner_for(statement)(events[0].values, 1)
 
-        engine.events_processed += group.count
+        engine.events_processed += count
 
     # -- staged ingest -----------------------------------------------------------
     def stage(self, events: Iterable[StreamEvent]) -> "StagedBatch":
-        """Fold and pre-columnarize ``events`` ahead of :meth:`apply_staged`.
+        """Partition and pre-columnarize ``events`` ahead of :meth:`apply_staged`.
 
-        Folding and row→column conversion are per-event costs that do not
-        depend on engine state; staging performs them up front so the apply
-        call measures (and spends) only the actual view-maintenance work.
+        Both are per-event costs that do not depend on engine state; staged
+        up front, the apply call measures (and spends) only view maintenance.
         Results are identical to ``apply_many(events)`` + ``flush()``.
         """
         events = list(events)
-        for event in events:
-            if event.relation not in self._stream_relations:
-                raise ExecutionError(
-                    f"relation {event.relation!r} is not a stream relation of this program"
-                )
+        self._check_relations(events)
         groups = self.plan.fold(events)
-        staged: list[tuple[DeltaGroup, Any]] = []
-        for group in groups:
+        batches: list[ColumnBatch | None] = []
+        for analysis, run in groups:
             batch = None
-            if group.folded is not None and len(group.folded) >= DEFAULT_MIN_VECTOR_ROWS:
-                analysis = self.plan.analysis(group.relation, group.sign)
-                kernels = analysis.vector_kernels()
-                if kernels:
-                    batch = ColumnBatch(list(group.folded.items()))
-                    for kernel in kernels.values():
-                        batch.prewarm(kernel.uses)
-            staged.append((group, batch))
-        return StagedBatch(staged, len(events))
+            if analysis.vectorizes(len(run)):
+                batch = ColumnBatch([event.values for event in run])
+                for kernel in analysis.vector_kernels().values():
+                    batch.prewarm(kernel.uses)
+            batches.append(batch)
+        return StagedBatch(groups, batches, len(events))
 
     def apply_staged(self, staged: "StagedBatch") -> int:
         """Apply a staged batch; buffered events flush first to keep order."""
@@ -498,8 +501,7 @@ class BatchedEngine:
         if not staged.groups:
             return 0
         self.batches_flushed += 1
-        for group, batch in staged.groups:
-            self._apply_group(group, prebuilt=batch)
+        self._apply_groups(staged.groups, staged.batches)
         return staged.events
 
     # -- row provenance ----------------------------------------------------------
@@ -508,7 +510,7 @@ class BatchedEngine:
         return self.engine.provenance
 
     def enable_provenance(self, depth: int | None = None, views=None):
-        """Enable row provenance on the inner engine (fold attribution applies)."""
+        """Enable row provenance on the inner engine (bulk runs attribute to folds)."""
         return self.engine.enable_provenance(depth=depth, views=views)
 
     def explain_row(self, view: str | None = None, key=None) -> dict[str, Any]:
@@ -541,33 +543,31 @@ class BatchedEngine:
         """Inner-engine statistics plus batching counters."""
         self.flush()
         stats = self.engine.statistics()
-        vector_statements = sum(
-            len(analysis.vector_kernels())
-            for analysis in self.plan._analyses.values()
-        )
+        analyses = self.plan._analyses.values()
         stats["batching"] = {
             "batch_size": self.batch_size,
             "batches_flushed": self.batches_flushed,
-            "groups_applied": self.groups_applied,
+            "groups_applied": self.runs_bulk + self.runs_replayed,
+            "runs_bulk": self.runs_bulk,
+            "runs_replayed": self.runs_replayed,
             "bulk_events": self.bulk_events,
             "fallback_events": self.fallback_events,
             "vector_reason": self.vector_reason,
-            "vector_statements": vector_statements,
+            "vector_statements": sum(len(a.vector_kernels()) for a in analyses),
             "vector_events": self.vector_events,
             "vector_fallbacks": dict(self.vector_fallbacks),
         }
         return stats
 
     def describe(self) -> str:
-        return self.engine.describe()
+        """The inner engine's listing plus each trigger's run policy."""
+        policies = render_policies(self.plan.describe())
+        return "\n".join([self.engine.describe(), "-- batching --", *policies])
 
     # -- durable state / lifecycle ------------------------------------------------
     def checkpoint_state(self) -> dict[str, Any]:
-        """Flush, then capture the inner engine's state (``kind: "single"``).
-
-        Batched and per-event engines produce interchangeable states: the
-        buffer is drained first, so the state reflects every accepted event.
-        """
+        """Flush, then capture the inner engine's state (``kind: "single"``,
+        interchangeable with per-event engines': every accepted event is in)."""
         self.flush()
         return self.engine.checkpoint_state()
 

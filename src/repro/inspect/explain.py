@@ -14,7 +14,9 @@ explain`` prints.
 
 Statistics from every engine mode normalize into the same observed shape:
 single engines report their map table stats directly, batched engines add
-fold counters, partitioned engines sum their per-partition map counters.
+run counters, partitioned engines sum their per-partition map counters.  The
+``batching`` section is static: the run policy a batched engine applies to
+each trigger and the commute table that bounds its merges.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Any, Mapping
 
 from repro.codegen.describe import KERNELS_SCHEMA, describe_program
 from repro.compiler.program import TriggerProgram
+from repro.exec.batching import BatchPlan, render_policies
 
 #: Schema tag of the explain document.
 EXPLAIN_SCHEMA = "repro.explain/1"
@@ -101,6 +104,9 @@ def build_explain_report(
         "plan_schema": KERNELS_SCHEMA,
         "plan": plan,
         "maps": joined,
+        # Static per program: how a BatchedEngine dispatches each trigger's
+        # runs, and which triggers' events its merges may not cross.
+        "batching": BatchPlan(program).describe(),
         "observed": observed,
     }
 
@@ -162,6 +168,9 @@ def render_explain_text(report: Mapping[str, Any]) -> str:
                     f"    fallback {statement['target']}: "
                     f"{statement['fallback_reason']}"
                 )
+    if report.get("batching"):
+        lines.append("batched run policy:")
+        lines.extend(render_policies(report["batching"]))
     observed = report.get("observed")
     if observed is not None:
         line = f"observed: events={observed['events_processed']}"
@@ -177,6 +186,8 @@ def render_explain_text(report: Mapping[str, Any]) -> str:
                 f" bulk_events={batching.get('bulk_events', 0)}"
                 f" fallback_events={batching.get('fallback_events', 0)}"
                 f" vector_events={batching.get('vector_events', 0)}"
+                f" runs_bulk={batching.get('runs_bulk', 0)}"
+                f" runs_replayed={batching.get('runs_replayed', 0)}"
             )
             fallbacks = batching.get("vector_fallbacks") or {}
             if fallbacks:

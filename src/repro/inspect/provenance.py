@@ -18,11 +18,13 @@ tuple pack plus one deque append per transition.
 version the service stamps on snapshots); ``cause`` identifies what drove the
 mutation:
 
-* ``("event", relation, op, values)`` — one stream event (per-event engines);
-* ``("fold", relation, op, events, tuples)`` — a batched delta group: the
-  bulk path applies a fold of ``events`` events collapsed into ``tuples``
-  distinct delta tuples, so individual transitions attribute to the fold, not
-  to a single event (the documented batching attribution rule);
+* ``("event", relation, op, values)`` — one stream event (per-event engines,
+  and the batched engine's replayed runs);
+* ``("fold", relation, op, events, tuples)`` — a bulk run of the batched
+  engine: one pass per statement applies ``events`` events at once
+  (``tuples == events``: runs keep duplicate tuples apart), so individual
+  transitions attribute to the run, not to a single event (the documented
+  batching attribution rule);
 * ``("restore", version)`` — state swapped in by a checkpoint restore.
 
 The ring is bounded and opt-in: a disabled engine pays nothing, an enabled

@@ -1,7 +1,10 @@
-"""Tests for delta-batch folding, trigger safety analysis and BatchedEngine."""
+"""Tests for the run partition, trigger safety analysis and BatchedEngine."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.codegen.engine import CompiledEngine
+from repro.codegen.vector import numpy_available
 from repro.compiler.hoivm import compile_query
 from repro.delta.events import delete, insert
 from repro.errors import ExecutionError
@@ -83,19 +86,21 @@ def test_fold_merges_runs_across_commuting_triggers():
     # Q1 only touches Lineitem; every other TPC-H trigger is a no-op and
     # commutes, so the whole insert prefix folds into very few groups.
     assert len(groups) < 20
-    assert sum(group.count for group in groups) == len(agenda)
+    assert sum(len(group.events) for group in groups) == len(agenda)
 
 
-def test_fold_folds_duplicate_tuples_with_multiplicity():
+def test_duplicate_tuples_stay_separate_events_in_arrival_order():
     _, program = _program("Q1")
     plan = BatchPlan(program)
     row = ("k", 1, 1, 1, 5, 10.0, 0.0, 0.0, "N", "O",
            "1995-01-01", "1995-01-01", "1995-01-01", "MAIL", "NONE")
-    events = [insert("Lineitem", *row), insert("Lineitem", *row)]
+    other = ("j",) + row[1:]
+    events = [insert("Lineitem", *row), insert("Lineitem", *other), insert("Lineitem", *row)]
     groups = plan.fold(events)
     assert len(groups) == 1
-    assert groups[0].folded == {tuple(row): 2}
-    assert groups[0].count == 2
+    # A run is the events themselves: nothing is merged, nothing reordered.
+    assert all(got is sent for got, sent in zip(groups[0].events, events))
+    assert len(groups[0].events) == 3
 
 
 def test_fold_keeps_insert_and_delete_groups_ordered():
@@ -105,20 +110,24 @@ def test_fold_keeps_insert_and_delete_groups_ordered():
            "1995-01-01", "1995-01-01", "1995-01-01", "MAIL", "NONE")
     events = [insert("Lineitem", *row), delete("Lineitem", *row), insert("Lineitem", *row)]
     groups = plan.fold(events)
-    signs = [group.sign for group in groups]
+    signs = [group.analysis.sign for group in groups]
     assert signs == [1, -1, 1] or signs == [1, -1]  # merge of outer inserts is
     # only legal when insert/delete triggers commute, which they do for Q1.
-    assert sum(group.sign * group.count for group in groups) == 1
+    assert sum(group.analysis.sign * len(group.events) for group in groups) == 1
 
 
-def test_delta_gmr_folds_signed_multiplicities():
-    _, program = _program("Q1")
-    plan = BatchPlan(program)
+def test_duplicate_inserts_and_deletes_match_the_per_event_engine():
+    translated, program = _program("Q1")
+    spec = workload("Q1")
     row = ("k", 1, 1, 1, 5, 10.0, 0.0, 0.0, "N", "O",
            "1995-01-01", "1995-01-01", "1995-01-01", "MAIL", "NONE")
-    groups = plan.fold([delete("Lineitem", *row), delete("Lineitem", *row)])
-    gmr = groups[0].delta_gmr(program.schemas["Lineitem"])
-    assert gmr.total_multiplicity() == -2
+    events = [insert("Lineitem", *row)] * 3 + [delete("Lineitem", *row)] * 2
+    baseline = _replay(CompiledEngine(program), spec, events)
+    for batch_size in (1, 2, 5, 100):
+        batched = _replay(BatchedEngine(program, batch_size), spec, events)
+        for root in translated.roots():
+            assert batched.result_dict(root) == baseline.result_dict(root)
+    assert list(baseline.result_dict("Q1_sum_qty").values()) == [5]
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +140,6 @@ def test_constructor_surfaces_have_no_execution_path_knobs():
     nothing on these signatures selects an execution path."""
     import inspect
 
-    from repro.codegen.engine import CompiledEngine
     from repro.exec import PartitionedEngine, make_backend
     from repro.exec.executor import MultiprocessBackend, SequentialBackend
 
@@ -197,3 +205,177 @@ def test_statistics_include_batching_counters():
     assert stats["batching"]["batch_size"] == 25
     assert stats["batching"]["bulk_events"] + stats["batching"]["fallback_events"] == 100
     assert "maps" in stats and stats["events_processed"] == 100
+
+
+# ---------------------------------------------------------------------------
+# apply_many is all-or-nothing
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad_at", [0, 30, 59])
+@pytest.mark.parametrize("batch_size", [7, 1000])
+def test_apply_many_rejects_the_whole_slice_or_nothing(bad_at, batch_size):
+    spec = workload("Q1")
+    _, program = _program("Q1")
+    events = list(spec.stream_factory(events=70))
+    engine = BatchedEngine(program, batch_size)
+    engine.apply_many(events[:10])  # leaves 3 (or 10) buffered: the slice crosses a boundary
+    assert engine._buffer
+    before = (list(engine._buffer), engine.events_processed, _counters(engine))
+    slice_ = events[10:70]
+    slice_[bad_at] = insert("Nation", 1, "FRANCE", 1)  # static, not a stream
+    with pytest.raises(ExecutionError):
+        engine.apply_many(slice_)
+    assert (list(engine._buffer), engine.events_processed, _counters(engine)) == before
+    with pytest.raises(ExecutionError):
+        engine.stage(slice_)
+    # The engine is still usable and exact afterwards.
+    slice_[bad_at] = events[10 + bad_at]
+    assert engine.apply_many(slice_) == 60
+    reference = CompiledEngine(program)
+    reference.apply_many(events)
+    assert engine.result_dict("Q1_sum_qty") == reference.result_dict("Q1_sum_qty")
+
+
+def _counters(engine):
+    return (
+        engine.batches_flushed, engine.runs_bulk, engine.runs_replayed,
+        engine.bulk_events, engine.fallback_events, engine.vector_events,
+        dict(engine.vector_fallbacks), engine.engine.events_processed,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The run partition is a sound reordering
+# ---------------------------------------------------------------------------
+
+_PARTITION_PLANS = {}
+
+
+def _partition_plan(name):
+    if name not in _PARTITION_PLANS:
+        _PARTITION_PLANS[name] = BatchPlan(_program(name)[1])
+    return _PARTITION_PLANS[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["Q3", "VWAP", "BSV", "Q1"]))
+def test_partition_is_an_order_respecting_permutation(data, name):
+    plan = _partition_plan(name)
+    keys = sorted(plan._analyses)
+    picks = data.draw(st.lists(st.sampled_from(keys), max_size=40))
+    # fold never looks at the values: the arrival index stands in for them.
+    events = [
+        (insert if sign > 0 else delete)(relation, index)
+        for index, (relation, sign) in enumerate(picks)
+    ]
+    groups = plan.fold(events)
+    order = [event for group in groups for event in group.events]
+    assert sorted(e.values for e in order) == [(i,) for i in range(len(events))]
+    for group in groups:
+        assert group.events, "no empty runs"
+        assert {(e.relation, e.sign) for e in group.events} == {
+            (group.analysis.relation, group.analysis.sign)
+        }
+        arrival = [e.values[0] for e in group.events]
+        assert arrival == sorted(arrival)
+    position = {event.values[0]: at for at, event in enumerate(order)}
+    for later, (relation, sign) in enumerate(picks):
+        mine = plan.analysis(relation, sign)
+        for earlier in range(later):
+            theirs = plan.analysis(*picks[earlier])
+            if theirs is mine or not mine.commutes_with(theirs):
+                assert position[earlier] < position[later], (picks, earlier, later)
+
+
+def test_partition_merges_past_any_number_of_commuting_runs():
+    """No look-back window: a run stays open while everything since commutes."""
+    plan = _partition_plan("Q1")
+    others = [r for r in plan.program.stream_relations if r != "Lineitem"]
+    events = []
+    for index in range(40):
+        events.append(insert("Lineitem", index))
+        events.append(insert(others[index % len(others)], index))
+        events.append(delete(others[(index + 1) % len(others)], index))
+    groups = plan.fold(events)
+    lineitem = [events for analysis, events in groups if analysis.relation == "Lineitem"]
+    assert len(lineitem) == 1 and len(lineitem[0]) == 40
+
+
+# ---------------------------------------------------------------------------
+# No cliff, by count: one dispatch per run, nothing per event on top
+# ---------------------------------------------------------------------------
+
+
+class _Calls:
+    """Counts calls of the callables it wraps, per label."""
+
+    def __init__(self):
+        self.counts = {}
+
+    def wrap(self, label, fn):
+        def counted(*args):
+            self.counts[label] = self.counts.get(label, 0) + 1
+            return fn(*args)
+        return counted
+
+    def snapshot(self):
+        return dict(self.counts)
+
+    def since(self, before, label):
+        return self.counts.get(label, 0) - before.get(label, 0)
+
+
+@pytest.mark.parametrize("name", ["Q1", "Q6", "Q3", "VWAP", "AXF", "BSP"])
+def test_runs_dispatch_once_and_never_per_event_on_top(name):
+    spec = workload(name)
+    _, program = _program(name)
+    agenda, static = spec.prepare(3000, 7)
+    engine = BatchedEngine(program, 1000)
+    for relation, rows in (static or {}).items():
+        if relation in program.static_relations:
+            engine.load_static(relation, rows)
+    inner, calls = engine.engine, _Calls()
+    executor = inner.codegen
+    executor._fused = {
+        key: (calls.wrap("fused", runner), arity)
+        for key, (runner, arity) in executor._fused.items()
+    }
+    executor._runners = {
+        sid: calls.wrap("runner", runner) for sid, runner in executor._runners.items()
+    }
+    inner.apply = calls.wrap("apply", inner.apply)
+    for analysis in engine.plan._analyses.values():
+        for bound in engine._vector_bindings(analysis).values():
+            bound._fn = calls.wrap("vector", bound._fn)
+
+    events = list(agenda)
+    seen = set()
+    for start in range(0, len(events), 1000):
+        for group in engine.plan.fold(events[start:start + 1000]):
+            analysis, count = group.analysis, len(group.events)
+            before = calls.snapshot()
+            declined_before = sum(engine.vector_fallbacks.values())
+            engine._apply_groups([group])
+            declined = sum(engine.vector_fallbacks.values()) - declined_before
+            assert calls.since(before, "apply") == 0
+            if analysis.assigns or not analysis.increments:
+                continue  # := triggers keep the bulk path at any size
+            if not analysis.bulk(count):
+                seen.add("replayed")
+                assert calls.since(before, "fused") == count
+                assert calls.since(before, "runner") == 0
+                assert calls.since(before, "vector") == 0
+            else:
+                seen.add("vectorized")
+                kernels = len(analysis.vector_kernels())
+                assert calls.since(before, "fused") == 0
+                assert calls.since(before, "vector") == kernels
+                scalar = len(analysis.increments) - kernels + declined
+                assert calls.since(before, "runner") == scalar * count
+    if name == "VWAP":
+        assert not seen  # every VWAP trigger re-evaluates with :=
+    elif name in ("Q1", "Q6") and numpy_available():
+        assert "vectorized" in seen  # a short tail run may still replay
+    else:
+        assert seen == {"replayed"}

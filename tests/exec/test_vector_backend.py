@@ -179,34 +179,38 @@ def test_empty_and_singleton_batches(vector_everywhere):
 
 @needs_numpy
 def test_small_groups_stay_scalar_under_default_cutoff():
-    """Folded groups below the cutoff constant skip vector dispatch entirely.
+    """Runs below the cutoff constant never reach a vector kernel.
 
-    Tiny groups pay more in per-call numpy overhead than vectorization
-    saves, so the engine routes them through the statement runners and
-    records the decision as a "small-group" fallback.
+    A kernel call costs a fixed few dozen microseconds of numpy dispatch per
+    statement, more than the fused trigger kernel spends on a short run, so
+    the engine hands such runs whole to the fused kernel.  Q3's interleaved
+    Orders/Lineitem triggers do not commute: every run is a handful of
+    events and the whole stream replays.
     """
-    assert batching.DEFAULT_MIN_VECTOR_ROWS == 16
+    assert batching.DEFAULT_MIN_VECTOR_ROWS == 160
 
+    program, static, events, reference = _scenario("Q3")
+    engine, results = _run(program, static, events, 100)
+    _assert_bit_identical(reference, results, "Q3 small runs")
+    stats = engine.statistics()["batching"]
+    worked = sum(
+        1 for event in events
+        if engine.plan.analysis(event.relation, event.sign).increments
+    )
+    assert stats["fallback_events"] == worked > 0
+    assert stats["vector_events"] == 0
+    assert stats["vector_fallbacks"] == {}
+
+    # A run at the cutoff vectorizes; one event short of it replays.
     _, program = _custom_program(
         "SELECT r.grp, SUM(r.x) AS total FROM R r GROUP BY r.grp"
     )
-    events = [insert("R", i, "a", float(i), "s") for i in range(12)]
-    reference = _reference(program, {}, events)
-    engine = BatchedEngine(program, batch_size=4)
-    for event in events:
-        engine.apply(event)
-    engine.flush()
-    results = {root: engine.result_dict(root) for root in program.roots}
-    _assert_bit_identical(reference, results, "small groups")
-    stats = engine.statistics()["batching"]
-    assert stats["vector_events"] == 0
-    assert "small-group" in stats["vector_fallbacks"]
-    # Raising the batch above the cutoff re-enables vector dispatch.
-    big = BatchedEngine(program, batch_size=32)
-    for event in events + [insert("R", 100 + i, "b", 1.0, "s") for i in range(20)]:
-        big.apply(event)
-    big.flush()
-    assert big.statistics()["batching"]["vector_events"] > 0
+    cutoff = batching.DEFAULT_MIN_VECTOR_ROWS
+    for size, vectorized in ((cutoff - 1, 0), (cutoff, cutoff)):
+        events = [insert("R", i, "ab"[i % 2], float(i), "s") for i in range(size)]
+        engine, results = _run(program, {}, events, size)
+        _assert_bit_identical(_reference(program, {}, events), results, f"run of {size}")
+        assert engine.statistics()["batching"]["vector_events"] == vectorized
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,27 @@ class TestExplainReport:
         text = render_explain_text(report)
         assert "observed:" in text
 
+    def test_run_policy_and_commute_table_are_explained(self, q3):
+        """"Why are my Q3 groups two events long" is answerable from the tool."""
+        report = build_explain_report(q3.program, query="Q3")
+        by_trigger = {entry["trigger"]: entry for entry in report["batching"]}
+        assert set(by_trigger["Lineitem:+"]["blocked_by"]) >= {"Orders:+", "Orders:-"}
+        assert "Lineitem:-" not in by_trigger["Lineitem:+"]["blocked_by"]
+        assert by_trigger["Lineitem:+"]["policy"].endswith("replay (fused)")
+        text = render_explain_text(report)
+        assert "batched run policy:" in text
+        assert "merges blocked by: Customer:+, Customer:-, Orders:+, Orders:-" in text
+        policies = {
+            name: {e["policy"] for e in build_explain_report(compile_workload(name))["batching"]}
+            for name in ("VWAP", "BSP")
+        }
+        assert policies == {
+            "VWAP": {"bulk (:= once per group)"}, "BSP": {"replay (fused)"},
+        }
+        batched = engine_for_mode(q3.program, "batched", batch_size=8)
+        assert render_explain_text(report).split("batched run policy:\n")[1].split(
+            "\nobserved")[0] in batched.describe()
+
     def test_partitioned_statistics_are_merged(self, q3):
         engine = engine_for_mode(q3.program, "partitioned", partitions=2)
         try:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from inspect_helpers import load_statics
+from inspect_helpers import load_statics, make_fixture
 from repro.errors import RuntimeEngineError
 from repro.inspect.provenance import ProvenanceRecorder, cause_to_dict, entry_to_dict
 from repro.service import engine_for_mode
@@ -76,13 +76,31 @@ class TestModeEquivalence:
         assert incremental.provenance.history(view) == compiled.provenance.history(view)
         assert incremental.result_dict(view) == compiled.result_dict(view)
 
-    def test_batched_transitions_match_and_attribute_to_folds(self, q3):
+    def test_batched_replayed_runs_attribute_to_events(self, q3):
+        """Runs below the cutoff replay per event: exact per-event history."""
         compiled = run_with_provenance(q3, "compiled")
         batched = run_with_provenance(q3, "batched", batch_size=32)
         view = q3.root
         assert transitions(batched, view) == transitions(compiled, view)
+        history = batched.engine.provenance.history(view)
+        assert history and all(entry[4][0] == "event" for entry in history)
+        # Same causes as per-event execution (versions may differ: commuting
+        # triggers' events are reordered inside a batch).
+        assert [e[4] for e in history] == [e[4] for e in compiled.provenance.history(view)]
+
+    def test_batched_bulk_runs_attribute_to_folds(self):
+        """Only bulk runs carry fold causes: VWAP's := triggers are bulk at any length."""
+        vwap = make_fixture("VWAP", events=200)
+        compiled = run_with_provenance(vwap, "compiled")
+        batched = run_with_provenance(vwap, "batched", batch_size=32)
+        view = vwap.root
+        assert batched.result_dict(view) == compiled.result_dict(view)
+        stats = batched.statistics()["batching"]
+        assert stats["runs_bulk"] and not stats["runs_replayed"]
         causes = [e[4] for e in batched.engine.provenance.history(view)]
         assert causes and all(cause[0] == "fold" for cause in causes)
+        # Runs keep duplicate tuples apart: the descriptor's tuples == events.
+        assert all(cause[3] == cause[4] >= 1 for cause in causes)
 
     @pytest.mark.parametrize("backend", ["sequential", "process"])
     def test_partitioned_explain_row_matches_current_state(self, q3, backend):
