@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--partitions", type=int, default=None,
                        help="partition count for the dbtoaster-par strategy")
     rates.add_argument("--backend", choices=["sequential", "process"], default=None,
-                       help="executor backend for the dbtoaster-par strategy")
+                       help="partition placement for the dbtoaster-par strategy")
 
     trace = sub.add_parser("trace", help="Figures 8-10: time/rate/memory trace for one query")
     trace.add_argument("query")
@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--partitions", type=int, default=None)
     stats.add_argument("--backend", choices=["sequential", "process"], default=None)
     stats.add_argument("--json", action="store_true",
-                       help="emit the unified statistics schema (repro.stats/1) "
+                       help="emit the engine's statistics document (repro.stats/1) "
                             "as JSON instead of the formatted table")
 
     sub.add_parser("features", help="Figure 2: workload features and compiled-program stats")
@@ -175,14 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             import json
 
-            from repro.telemetry import unify_statistics
-
-            unified = unify_statistics(statistics)
-            unified.pop("raw", None)
-            partitioning = unified.get("partitioning") or {}
-            for partition in partitioning.get("partitions", ()):
-                partition.pop("raw", None)
-            print(json.dumps(unified, indent=2, sort_keys=True, default=str))
+            print(json.dumps(statistics, indent=2, sort_keys=True, default=str))
         else:
             print(format_engine_statistics(statistics, f"{args.query} / {args.strategy}"))
         return 0

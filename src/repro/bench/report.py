@@ -120,31 +120,13 @@ def _format_map_stats_rows(maps: Mapping[str, Mapping[str, object]]) -> list[str
 def format_engine_statistics(statistics: Mapping[str, object], label: str = "") -> str:
     """Per-map and per-secondary-index entry/memory counts for one engine.
 
-    Understands the plain engine shape (``maps`` / ``relations``), the
-    batched shape (plus ``batching`` counters) and the partitioned shape
-    (``partitions`` holding one nested statistics block per partition).
+    Reads the ``repro.stats/1`` document every engine returns; a partitioned
+    engine's maps are summed across partitions, and its layout, routing
+    counters and each partition's size get a line.
     """
     lines: list[str] = []
     header = f"statistics for {label}" if label else "engine statistics"
     lines.append(header)
-    if "spec" in statistics:  # partitioned engine
-        spec = statistics["spec"]
-        keys = ", ".join(f"{r} by ({', '.join(c)})" for r, c in spec["keys"].items())
-        lines.append(
-            f"  {spec['partitions']} partitions; keys: {keys or '-'}; "
-            f"replicated: {', '.join(spec['replicated']) or '-'}"
-        )
-        lines.append(
-            f"  routed per partition: {statistics['events_routed']}; "
-            f"broadcast: {statistics['events_broadcast']}"
-        )
-        for index, partition in enumerate(statistics.get("partitions", [])):
-            lines.append(
-                f"partition {index}: {partition.get('events_processed', 0)} events, "
-                f"{partition.get('memory_bytes', 0) / 1024:.1f} KB"
-            )
-            lines.extend(_format_map_stats_rows(partition.get("maps", {})))
-        return "\n".join(lines)
     lines.append(
         f"  {statistics.get('events_processed', 0)} events, "
         f"{statistics.get('memory_bytes', 0) / 1024:.1f} KB resident"
@@ -166,6 +148,21 @@ def format_engine_statistics(statistics: Mapping[str, object], label: str = "") 
             f"{codegen.get('deduped_probes', 0)} probes + "
             f"{codegen.get('deduped_scalars', 0)} scalars deduped)"
         )
+    partitioning = statistics.get("partitioning")
+    if partitioning:
+        spec = partitioning["spec"]
+        keys = ", ".join(f"{r} by ({', '.join(c)})" for r, c in spec["keys"].items())
+        lines.append(
+            f"  partitioning: {spec['partitions']} partitions; keys: {keys or '-'}; "
+            f"replicated: {', '.join(spec['replicated']) or '-'}; "
+            f"routed {partitioning['events_routed']}, "
+            f"broadcast {partitioning['events_broadcast']}"
+        )
+        for index, partition in enumerate(partitioning["partitions"]):
+            lines.append(
+                f"  partition {index}: {partition['events_processed']} events, "
+                f"{partition['memory_bytes'] / 1024:.1f} KB"
+            )
     lines.extend(_format_map_stats_rows(statistics.get("maps", {})))
     relations = statistics.get("relations") or {}
     if relations:

@@ -28,8 +28,8 @@ Durable state stays interchangeable with the other single engines: the
 checkpoint dictionary holds only map/relation entries and the event count,
 never code objects.  :meth:`CompiledEngine.restore_state` recompiles and
 rebinds every kernel after loading, so state pickled on one process (or one
-library version) runs on another — this is what lets the multiprocessing
-executor backend rebuild compiled workers from the pickled trigger program.
+library version) runs on another — this is what lets partitions placed in
+worker processes rebuild compiled engines from the pickled trigger program.
 Fused kernels cache their per-database table resolution, so a restore into
 the same engine reuses the already-linked runners instead of re-``exec``-ing
 every code object.
@@ -71,9 +71,9 @@ class CompiledExecutor:
 
     Every statement has a ``(values, scale)`` runner (:meth:`runner_for`):
     its bound kernel, or a closure handing the statement to the interpreter
-    when it is outside the codegen fragment.  ``fuse=False`` disables
-    whole-trigger fusion and dispatches per statement — the benchmark
-    baseline fused execution is gated against.
+    when it is outside the codegen fragment.  A trigger runs as one fused
+    kernel whenever :func:`~repro.codegen.trigger.try_fuse_trigger` fuses
+    it; per-statement dispatch is the safety net for the rest.
     """
 
     def __init__(
@@ -83,13 +83,11 @@ class CompiledExecutor:
         maps: MapStore,
         maintained_relations: frozenset[str] = frozenset(),
         interpreter: TriggerExecutor | None = None,
-        fuse: bool = True,
     ) -> None:
         self._program = program
         self._database = database
         self._maps = maps
         self._maintained = maintained_relations
-        self._fuse = fuse
         self._interpreter = interpreter if interpreter is not None else TriggerExecutor(
             program, database, maps, maintained_relations=maintained_relations
         )
@@ -133,7 +131,7 @@ class CompiledExecutor:
                     fully_compiled = False
             key = (trigger.sign, trigger.relation)
             self._plans[key] = plan
-            if self._fuse and fully_compiled:
+            if fully_compiled:
                 fuse_started = perf_counter()
                 fused = trigger_compiler.try_fuse_trigger(trigger, self._program)
                 fuse_spent += perf_counter() - fuse_started
@@ -274,14 +272,12 @@ class CompiledEngine(IncrementalEngine):
 
     Behaves exactly like :class:`IncrementalEngine` — same trigger program,
     same views, same ``kind: "single"`` checkpoint states (interchangeable in
-    both directions) — but executes every fully-compilable trigger through a
-    single fused kernel per event (``fuse=False`` keeps per-statement
-    dispatch, the benchmark baseline).  Construction compiles; restore
-    recompiles; the pickled trigger program is all a worker process needs to
-    rebuild one.
+    both directions) — but executes every fused trigger through a single
+    kernel call per event.  Construction compiles; restore recompiles; the
+    pickled trigger program is all a worker process needs to rebuild one.
     """
 
-    def __init__(self, program: TriggerProgram, fuse: bool = True, telemetry=None) -> None:
+    def __init__(self, program: TriggerProgram, telemetry=None) -> None:
         super().__init__(program, telemetry=telemetry)
         self._executor = CompiledExecutor(
             program,
@@ -289,11 +285,37 @@ class CompiledEngine(IncrementalEngine):
             self.maps,
             maintained_relations=self._maintained,
             interpreter=self._executor,
-            fuse=fuse,
         )
-        # Re-derive instrument handles now that the executor has fused
-        # kernels and codegen statistics to expose.
-        self._init_telemetry()
+        # A fused kernel IS its trigger's body: expose the trigger's measured
+        # histogram under the kernel-level name too instead of observing
+        # twice on the hot path (no histograms while telemetry is disabled).
+        for (sign, relation), hist in self._trigger_hists.items():
+            if self._executor.trigger_kernel_for(sign, relation) is not None:
+                op = "insert" if sign > 0 else "delete"
+                self.telemetry.registry.register(
+                    "repro_codegen_kernel_latency_seconds",
+                    {"trigger": f"on_{op}_{relation}"},
+                    hist,
+                    kind="histogram",
+                    help="Fused trigger-kernel execution latency",
+                )
+
+    def _collect_telemetry(self, registry) -> None:
+        super()._collect_telemetry(registry)
+        summary = self._executor.codegen_statistics()
+        registry.gauge(
+            "repro_codegen_compile_seconds", help="Wall time spent compiling statements"
+        ).set(summary["compile_seconds"])
+        registry.gauge(
+            "repro_codegen_fuse_seconds", help="Wall time spent fusing triggers"
+        ).set(summary["fuse_seconds"])
+        registry.counter(
+            "repro_codegen_fallback_hits_total",
+            help="Statement executions that fell back to the interpreter",
+        ).value = summary["fallback_hits"]
+        registry.gauge(
+            "repro_codegen_fused_kernels", help="Triggers running as one fused kernel"
+        ).set(summary["fused_kernels"])
 
     @property
     def codegen(self) -> CompiledExecutor:
@@ -347,6 +369,7 @@ class CompiledEngine(IncrementalEngine):
 
     def statistics(self) -> dict[str, object]:
         stats = super().statistics()
+        stats["mode"] = "compiled"
         stats["codegen"] = self._executor.codegen_statistics()
         return stats
 

@@ -8,8 +8,8 @@ A second execution mode alongside the per-event
 * :class:`~repro.exec.partitioning.PartitionedEngine` hash-partitions map
   state and base relations across per-partition engines and merges views on
   read (with a broadcast path for non-partitionable relations);
-* :mod:`repro.exec.executor` provides the sequential and multiprocessing
-  backends the partitioned engine runs on.
+* :mod:`repro.exec.executor` builds the partition engines, in this process
+  or each behind a worker-process stub.
 
 Both engines expose the same ``apply`` / ``view`` / ``result_dict`` surface
 as the per-event engine and produce identical view contents; see DESIGN.md
@@ -24,12 +24,6 @@ from repro.exec.batching import (
     StagedBatch,
     TriggerAnalysis,
 )
-from repro.exec.executor import (
-    BACKENDS,
-    MultiprocessBackend,
-    SequentialBackend,
-    make_backend,
-)
 from repro.exec.partitioning import (
     DEFAULT_PARTITIONS,
     PartitionedEngine,
@@ -39,19 +33,15 @@ from repro.exec.partitioning import (
 )
 
 __all__ = [
-    "BACKENDS",
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_PARTITIONS",
     "BatchPlan",
     "BatchedEngine",
     "DeltaGroup",
-    "MultiprocessBackend",
     "PartitionSpec",
     "PartitionedEngine",
-    "SequentialBackend",
     "StagedBatch",
     "TriggerAnalysis",
     "infer_partition_spec",
-    "make_backend",
     "stable_hash",
 ]

@@ -543,6 +543,7 @@ class BatchedEngine:
         """Inner-engine statistics plus batching counters."""
         self.flush()
         stats = self.engine.statistics()
+        stats["mode"] = "batched"
         analyses = self.plan._analyses.values()
         stats["batching"] = {
             "batch_size": self.batch_size,

@@ -43,7 +43,7 @@ from repro.core.rows import Row
 from repro.core.values import is_zero, normalize_number
 from repro.delta.events import StreamEvent
 from repro.errors import ExecutionError
-from repro.runtime.protocol import STATE_FORMAT, STATE_PARTITIONED
+from repro.runtime.protocol import STATE_FORMAT, STATE_PARTITIONED, STATS_SCHEMA
 
 #: Default number of partitions.
 DEFAULT_PARTITIONS = 4
@@ -191,33 +191,19 @@ def _choose_join_variable(
 
 
 def infer_partition_spec(
-    program: TriggerProgram,
-    partitions: int = DEFAULT_PARTITIONS,
-    keys: Mapping[str, Sequence[str]] | None = None,
+    program: TriggerProgram, partitions: int = DEFAULT_PARTITIONS
 ) -> PartitionSpec:
     """Choose partition keys making every root map exactly mergeable.
 
-    Starts from ``keys`` (explicit, validated) plus to-be-inferred stream
-    relations, then iteratively (a) demotes relations used nonlinearly,
-    (b) unifies join keys inside each root map, demoting atoms left outside
-    the chosen co-partitioning, until a fixpoint.  Remaining free relations
-    default to their leading column.
+    Starts with every stream relation a candidate, then iteratively
+    (a) demotes relations used nonlinearly, (b) unifies join keys inside each
+    root map, demoting atoms left outside the chosen co-partitioning, until a
+    fixpoint.  Remaining free relations default to their leading column.
     """
     if partitions < 1:
         raise ExecutionError(f"partitions must be >= 1, got {partitions}")
     stream = list(program.stream_relations)
     assignment: dict[str, tuple[str, ...]] = {}
-    for relation, columns in (keys or {}).items():
-        if relation not in program.schemas:
-            raise ExecutionError(f"unknown relation {relation!r} in partition keys")
-        schema = set(program.schemas[relation])
-        missing = [c for c in columns if c not in schema]
-        if missing:
-            raise ExecutionError(
-                f"partition key columns {missing} not in schema of {relation!r}"
-            )
-        assignment[relation] = tuple(columns)
-
     demoted: set[str] = set()
     root_declarations = [program.maps[name] for name in program.roots.values()]
 
@@ -337,12 +323,50 @@ def _classify_map(
     return MERGE_SUM if len(key_vars) == 1 else MERGE_UNMERGEABLE
 
 
+#: Routed events buffered per dispatch: one ``apply_many`` per partition
+#: every ``ROUTE_BUFFER`` events amortises the hand-off (a pipe send under the
+#: process placement).
+ROUTE_BUFFER = 256
+
+#: Per-table counters summed across partitions in merged statistics.
+TABLE_COUNTERS = ("entries", "memory_bytes", "probes", "scans", "range_probes")
+
+#: Integer ``codegen``/``batching`` fields that describe the configuration or
+#: the compiled program — identical in every partition, so not summed.
+_PER_PROGRAM = frozenset({
+    "batch_size", "compiled_statements", "fallback_statements", "fused_kernels",
+    "fused_statements", "deduped_probes", "deduped_scalars", "vector_statements",
+})
+
+
+def _merge_tables(per_partition: Sequence[Mapping[str, Mapping[str, Any]]]) -> dict:
+    """Per-name sums of :data:`TABLE_COUNTERS` across partitions."""
+    merged: dict[str, dict[str, int]] = {}
+    for tables in per_partition:
+        for name, stats in tables.items():
+            totals = merged.setdefault(name, dict.fromkeys(TABLE_COUNTERS, 0))
+            for key in TABLE_COUNTERS:
+                totals[key] += stats[key]
+    return merged
+
+
+def _merge_counters(sections: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
+    """Integer counters summed across partitions; the rest from partition 0."""
+    merged = dict(sections[0])
+    for key, value in merged.items():
+        if type(value) is int and key not in _PER_PROGRAM:
+            merged[key] = sum(section[key] for section in sections)
+    return merged
+
+
 class PartitionedEngine:
     """Routes a stream across hash partitions and merges views on read.
 
-    ``backend`` selects the executor: ``"sequential"`` (in-process, the
-    default) or ``"process"`` (one worker process per partition, real
-    parallelism).  ``batch_size`` optionally runs a
+    ``self._partitions`` holds one engine per partition and every read goes
+    through them directly.  ``backend`` places them: ``"sequential"`` (in
+    this process, the default) or ``"process"`` (one worker process per
+    partition behind a :class:`~repro.exec.executor._WorkerEngine` stub, real
+    parallelism).  ``batch_size`` runs a
     :class:`~repro.exec.batching.BatchedEngine` inside every partition.
     """
 
@@ -350,24 +374,29 @@ class PartitionedEngine:
         self,
         program: TriggerProgram,
         partitions: int = DEFAULT_PARTITIONS,
-        partition_keys: Mapping[str, Sequence[str]] | None = None,
         backend: str = "sequential",
         batch_size: int | None = None,
-        route_buffer: int = 256,
         telemetry=None,
     ) -> None:
-        from repro.exec.executor import make_backend
+        from repro.exec.executor import build_partition_engine, start_workers
 
         self.program = program
-        self.spec = infer_partition_spec(program, partitions, partition_keys)
-        # Events are accounted once, at this routing layer; the backend's
-        # inner engines run with telemetry disabled (see executor.py), so a
+        self.spec = infer_partition_spec(program, partitions)
+        # Events are accounted once, at this routing layer; the partition
+        # engines run with telemetry disabled (see executor.py), so a
         # process-global enabled default cannot double count.
-        self._backend = make_backend(backend, program, partitions, batch_size=batch_size)
-        self.backend_name = backend
+        if backend == "sequential":
+            self._partitions = [
+                build_partition_engine(program, batch_size) for _ in range(partitions)
+            ]
+        elif backend == "process":
+            self._partitions = start_workers(program, partitions, batch_size)
+        else:
+            raise ExecutionError(
+                f"unknown backend {backend!r}; expected 'sequential' or 'process'"
+            )
         self._buffers: list[list[StreamEvent]] = [[] for _ in range(partitions)]
         self._buffered = 0
-        self._route_buffer = max(1, route_buffer)
         self._positions = {
             relation: tuple(
                 tuple(program.schemas[relation]).index(column) for column in columns
@@ -385,13 +414,13 @@ class PartitionedEngine:
             telemetry = current()
         self.telemetry = telemetry
         # (sign, relation) event counts at the routing layer (enabled only:
-        # the backend engines are where per-event latency would be measured,
-        # but they run disabled — routing is where partitioned events are
-        # accounted exactly once).
+        # the partition engines are where per-event latency would be
+        # measured, but they run disabled — routing is where partitioned
+        # events are accounted exactly once).
         self._route_counts: dict[tuple[int, str], int] | None = None
         self._roundtrip_hist = None
         # Provenance configuration, remembered so the engine can answer
-        # ``provenance_enabled`` without a backend round-trip.  The rings
+        # ``provenance_enabled`` without asking a partition.  The rings
         # themselves live inside the per-partition engines.
         self._provenance_config: tuple[int | None, list[str] | None] | None = None
         if telemetry.enabled:
@@ -433,7 +462,11 @@ class PartitionedEngine:
 
     # -- data loading -----------------------------------------------------------
     def load_static(self, relation: str, rows: Iterable) -> int:
-        return self._backend.load_static(relation, list(rows))
+        rows = list(rows)
+        loaded = 0
+        for partition in self._partitions:
+            loaded = partition.load_static(relation, rows)
+        return loaded
 
     # -- stream processing ------------------------------------------------------
     def route(self, event: StreamEvent) -> int | None:
@@ -444,11 +477,28 @@ class PartitionedEngine:
         key = tuple(event.values[p] for p in positions)
         return stable_hash(key) % self.spec.partitions
 
+    def _check_relations(self, events: Iterable[StreamEvent]) -> None:
+        unknown = {event.relation for event in events} - self._stream
+        if unknown:
+            raise ExecutionError(
+                f"relation {min(unknown)!r} is not a stream relation of this program"
+            )
+
     def apply(self, event: StreamEvent) -> None:
         if event.relation not in self._stream:
-            raise ExecutionError(
-                f"relation {event.relation!r} is not a stream relation of this program"
-            )
+            self._check_relations((event,))
+        self._route(event)
+
+    def apply_many(self, events: Iterable[StreamEvent]) -> int:
+        """Route a slice.  All-or-nothing: relations are validated before any
+        event is routed, so an :class:`ExecutionError` leaves the engine as it was."""
+        events = list(events)
+        self._check_relations(events)
+        for event in events:
+            self._route(event)
+        return len(events)
+
+    def _route(self, event: StreamEvent) -> None:
         index = self.route(event)
         if index is None:
             for buffer in self._buffers:
@@ -464,35 +514,39 @@ class PartitionedEngine:
         if counts is not None:
             key = (event.sign, event.relation)
             counts[key] = counts.get(key, 0) + 1
-        if self._buffered >= self._route_buffer:
+        if self._buffered >= ROUTE_BUFFER:
             self._dispatch()
 
-    def apply_many(self, events: Iterable[StreamEvent]) -> int:
-        count = 0
-        for event in events:
-            self.apply(event)
-            count += 1
-        return count
-
     def _dispatch(self) -> None:
-        for index, buffer in enumerate(self._buffers):
+        for partition, buffer in zip(self._partitions, self._buffers):
             if buffer:
-                self._backend.apply(index, buffer)
-                self._buffers[index] = []
+                partition.apply_many(buffer)
+        self._buffers = [[] for _ in self._partitions]
         self._buffered = 0
 
     def flush(self) -> None:
-        """Dispatch buffered events and wait for every partition to drain."""
+        """Dispatch buffered events and wait for every partition to drain.
+
+        Two phases, so worker processes drain concurrently: every partition
+        flushes (a worker stub only sends the request and hands back the
+        collector of its answer), then every collector is called.
+        """
         self.flushes += 1
-        hist = self._roundtrip_hist
-        if hist is None:
-            self._dispatch()
-            self._backend.sync()
-            return
         started = perf_counter()
         self._dispatch()
-        self._backend.sync()
-        hist.observe(perf_counter() - started)
+        # Every answer is collected before a failure is raised: one left in
+        # a pipe would be read as the answer to that worker's next call.
+        failure = None
+        for collect in [partition.flush() for partition in self._partitions]:
+            try:
+                if collect is not None:
+                    collect()
+            except Exception as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+        if self._roundtrip_hist is not None:
+            self._roundtrip_hist.observe(perf_counter() - started)
 
     # -- reading views ----------------------------------------------------------
     def _map_name(self, name: str | None) -> str:
@@ -509,11 +563,11 @@ class PartitionedEngine:
         columns = self.program.maps[map_name].keys
         merge = self.spec.merge.get(map_name, MERGE_UNMERGEABLE)
         if merge == MERGE_REPLICATED:
-            return columns, dict(self._backend.result_items(0, map_name))
+            return columns, self._partitions[0].result_dict(map_name)
         if merge == MERGE_SUM:
             merged: dict[tuple, Any] = {}
-            for index in range(self.spec.partitions):
-                for key, value in self._backend.result_items(index, map_name):
+            for partition in self._partitions:
+                for key, value in partition.result_dict(map_name).items():
                     total = merged.get(key, 0) + value
                     merged[key] = total
             return columns, {k: v for k, v in merged.items() if not is_zero(v)}
@@ -549,8 +603,8 @@ class PartitionedEngine:
         """
         self.flush()
         view_list = list(views) if views is not None else None
-        for index in range(self.spec.partitions):
-            self._backend.enable_provenance(index, depth, view_list)
+        for partition in self._partitions:
+            partition.enable_provenance(depth, view_list)
         self._provenance_config = (depth, view_list)
 
     def explain_row(
@@ -569,10 +623,7 @@ class PartitionedEngine:
             )
         self.flush()
         key_tuple = tuple(key) if key is not None else None
-        reports = [
-            self._backend.explain_row(index, view, key_tuple)
-            for index in range(self.spec.partitions)
-        ]
+        reports = [partition.explain_row(view, key_tuple) for partition in self._partitions]
         history: list[dict[str, Any]] = []
         for index, report in enumerate(reports):
             for entry in report["history"]:
@@ -595,25 +646,39 @@ class PartitionedEngine:
     # -- accounting --------------------------------------------------------------
     def memory_bytes(self) -> int:
         self.flush()
-        return sum(
-            self._backend.memory_bytes(index) for index in range(self.spec.partitions)
-        )
+        return sum(partition.memory_bytes() for partition in self._partitions)
 
     def map_sizes(self) -> dict[str, int]:
         """Summed per-partition entry counts (resident entries, not merged)."""
         self.flush()
         totals: dict[str, int] = {}
-        for index in range(self.spec.partitions):
-            for name, size in self._backend.map_sizes(index).items():
+        for partition in self._partitions:
+            for name, size in partition.map_sizes().items():
                 totals[name] = totals.get(name, 0) + size
         return totals
 
     def statistics(self) -> dict[str, object]:
-        """Partitioning spec, routing counters and per-partition statistics."""
+        """The ``repro.stats/1`` document, merged across partitions.
+
+        ``maps``/``relations`` sum :data:`TABLE_COUNTERS` per name;
+        ``codegen``/``batching`` sum their integer counters; configuration,
+        per-program facts and non-integer fields come from partition 0.  ``partitioning`` carries the spec, the
+        routing counters and every partition's own document.
+        """
         self.flush()
-        return {
+        partitions = [partition.statistics() for partition in self._partitions]
+        stats: dict[str, object] = {
+            "schema": STATS_SCHEMA,
+            "mode": "partitioned",
             "events_processed": self.events_processed,
-            "memory_bytes": self.memory_bytes(),
+            "memory_bytes": sum(p["memory_bytes"] for p in partitions),
+            "maps": _merge_tables([p["maps"] for p in partitions]),
+            "relations": _merge_tables([p["relations"] for p in partitions]),
+        }
+        for section in ("codegen", "batching"):
+            if section in partitions[0]:
+                stats[section] = _merge_counters([p[section] for p in partitions])
+        stats["partitioning"] = {
             "spec": {
                 "partitions": self.spec.partitions,
                 "keys": {r: list(c) for r, c in sorted(self.spec.keys.items())},
@@ -622,11 +687,9 @@ class PartitionedEngine:
             "events_routed": list(self.events_routed),
             "events_broadcast": self.events_broadcast,
             "flushes": self.flushes,
-            "partitions": [
-                self._backend.statistics(index)
-                for index in range(self.spec.partitions)
-            ],
+            "partitions": partitions,
         }
+        return stats
 
     def describe(self) -> str:
         return f"{self.spec.describe()}\n{self.program.pretty()}"
@@ -647,9 +710,7 @@ class PartitionedEngine:
             "events_processed": self.events_processed,
             "events_routed": list(self.events_routed),
             "events_broadcast": self.events_broadcast,
-            "states": [
-                self._backend.state(index) for index in range(self.spec.partitions)
-            ],
+            "states": [partition.checkpoint_state() for partition in self._partitions],
         }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
@@ -673,10 +734,10 @@ class PartitionedEngine:
             raise ExecutionError(
                 f"state partition keys {state['keys']} do not match engine keys {keys}"
             )
-        self._buffers = [[] for _ in range(self.spec.partitions)]
+        self._buffers = [[] for _ in self._partitions]
         self._buffered = 0
-        for index, partition_state in enumerate(state["states"]):
-            self._backend.restore(index, partition_state)
+        for partition, partition_state in zip(self._partitions, state["states"]):
+            partition.restore_state(partition_state)
         # Partition engines auto-enable provenance from their own saved
         # states; mirror that into this layer's flag so explain_row works.
         if self._provenance_config is None:
@@ -694,7 +755,7 @@ class PartitionedEngine:
 
     # -- incremental state (delta checkpoints) -----------------------------------
     def supports_delta_state(self) -> bool:
-        """Partitioned state lives across workers; only full cuts are offered."""
+        """Partitioned state lives across partitions; only full cuts are offered."""
         return False
 
     def begin_delta_tracking(self) -> None:
@@ -713,8 +774,9 @@ class PartitionedEngine:
         )
 
     def close(self) -> None:
-        """Release backend resources (worker processes)."""
-        self._backend.close()
+        """Close every partition (stops worker processes)."""
+        for partition in self._partitions:
+            partition.close()
 
     def __enter__(self) -> "PartitionedEngine":
         return self

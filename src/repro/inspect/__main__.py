@@ -73,7 +73,7 @@ def _remote_report(args: argparse.Namespace) -> dict[str, Any]:
     from repro.service.client import ServiceClient
 
     with ServiceClient(args.host, args.port) as client:
-        return client.explain(getattr(args, "query", None))
+        return client.explain(args.query)
 
 
 def _run_explain(args: argparse.Namespace) -> int:

@@ -226,9 +226,9 @@ class ViewAuditor:
     def check(self, engine, version: int | None = None) -> AuditReport:
         """Audit now: sampled (or full, for small views) re-derivation.
 
-        ``engine`` is anything with ``result_dict``; call with the engine
-        flushed and quiescent (the service holds its lock).  Raises
-        :class:`AuditError` on divergence when ``fail_fast`` is set.
+        Call with the engine flushed and quiescent (the service holds its
+        lock).  Raises :class:`AuditError` on divergence when ``fail_fast``
+        is set.
         """
         if not self.active:
             raise AuditError(
@@ -236,7 +236,7 @@ class ViewAuditor:
                 f"longer matches the engine"
             )
         if version is None:
-            version = getattr(engine, "events_processed", 0)
+            version = engine.events_processed
         self._events_since_check = 0
         self.checks += 1
         report = AuditReport(version)

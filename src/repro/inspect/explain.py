@@ -12,11 +12,11 @@ live engine actually executed — the document the ROADMAP's adaptive
 index/strategy selection consumes, and what ``python -m repro.inspect
 explain`` prints.
 
-Statistics from every engine mode normalize into the same observed shape:
-single engines report their map table stats directly, batched engines add
-run counters, partitioned engines sum their per-partition map counters.  The
-``batching`` section is static: the run policy a batched engine applies to
-each trigger and the commute table that bounds its merges.
+Every engine mode's ``statistics()`` is one ``repro.stats/1`` document
+(partitioned engines already sum their per-partition counters), so the
+observed side is a projection of it.  The ``batching`` section is static: the
+run policy a batched engine applies to each trigger and the commute table
+that bounds its merges.
 """
 
 from __future__ import annotations
@@ -26,54 +26,29 @@ from typing import Any, Mapping
 from repro.codegen.describe import KERNELS_SCHEMA, describe_program
 from repro.compiler.program import TriggerProgram
 from repro.exec.batching import BatchPlan, render_policies
+from repro.exec.partitioning import TABLE_COUNTERS
 
 #: Schema tag of the explain document.
 EXPLAIN_SCHEMA = "repro.explain/1"
 
-#: Per-map observed counters carried into the joined section.
-_MAP_COUNTERS = ("entries", "memory_bytes", "probes", "scans", "range_probes")
-
-
-def _merge_map_stats(per_engine: list[Mapping[str, Any]]) -> dict[str, dict[str, Any]]:
-    """Sum per-map counters across engines (the partitioned merge)."""
-    merged: dict[str, dict[str, Any]] = {}
-    for maps in per_engine:
-        for name, stats in maps.items():
-            agg = merged.setdefault(name, {key: 0 for key in _MAP_COUNTERS})
-            for key in _MAP_COUNTERS:
-                agg[key] += stats.get(key, 0)
-    return merged
-
 
 def _observed(statistics: Mapping[str, Any] | None) -> dict[str, Any] | None:
-    """Normalize any engine mode's ``statistics()`` into one observed shape."""
+    """The observed side: a projection of one ``repro.stats/1`` document."""
     if statistics is None:
         return None
     observed: dict[str, Any] = {
-        "events_processed": statistics.get("events_processed", 0),
-        "memory_bytes": statistics.get("memory_bytes", 0),
-    }
-    if "maps" in statistics:
-        observed["maps"] = {
-            name: {key: stats.get(key, 0) for key in _MAP_COUNTERS}
+        "events_processed": statistics["events_processed"],
+        "memory_bytes": statistics["memory_bytes"],
+        "maps": {
+            name: {key: stats[key] for key in TABLE_COUNTERS}
             for name, stats in statistics["maps"].items()
-        }
-    elif "partitions" in statistics:
-        partitions = statistics["partitions"]
-        observed["maps"] = _merge_map_stats([p.get("maps", {}) for p in partitions])
-        observed["partitioning"] = statistics.get("spec")
-        observed["events_routed"] = statistics.get("events_routed")
-        observed["events_broadcast"] = statistics.get("events_broadcast")
-        for partition in partitions:
-            if "codegen" in partition:
-                observed["codegen"] = dict(partition["codegen"])
-                break
-            if "batching" in partition:
-                observed["batching"] = dict(partition["batching"])
-    if "codegen" in statistics:
-        observed["codegen"] = dict(statistics["codegen"])
-    if "batching" in statistics:
-        observed["batching"] = dict(statistics["batching"])
+        },
+    }
+    for section in ("codegen", "batching"):
+        if section in statistics:
+            observed[section] = dict(statistics[section])
+    if "partitioning" in statistics:
+        observed["partitioning"] = statistics["partitioning"]["spec"]
     return observed
 
 

@@ -21,7 +21,7 @@ from repro.errors import RuntimeEngineError
 from repro.runtime.database import Database
 from repro.runtime.interpreter import TriggerExecutor
 from repro.runtime.maps import MapStore
-from repro.runtime.protocol import STATE_DELTA, STATE_FORMAT, STATE_SINGLE
+from repro.runtime.protocol import STATE_DELTA, STATE_FORMAT, STATE_SINGLE, STATS_SCHEMA
 
 
 class IncrementalEngine:
@@ -56,10 +56,8 @@ class IncrementalEngine:
         # (sign, relation) -> observe(dt) when enabled, else None: the apply
         # hot path pays one None check in disabled mode.
         self._trigger_observers: dict[tuple[int, str], Callable[[float], None]] | None = None
-        # Sampling countdown: only every stride-th event is timed; between
-        # samples the enabled hot path pays one attribute decrement.
-        self._telemetry_stride = 1
-        self._telemetry_tick = 1
+        # Per-trigger latency histograms (enabled only), read at scrape.
+        self._trigger_hists: dict[tuple[int, str], Any] = {}
         # Burst profiling (profile_interval > 0): the profiler thread re-arms
         # _trigger_observers, and after _profile_left timed events the
         # sampled path disarms it again — zero added cost between bursts.
@@ -69,8 +67,8 @@ class IncrementalEngine:
         # Events accounted in bulk (batched folds bypass per-event apply);
         # plain int bumps, merged into the events_total counters at scrape.
         self._bulk_events: dict[tuple[int, str], int] = {}
-        self._telemetry_collector_installed = False
-        self._init_telemetry()
+        if telemetry.enabled:
+            self._init_telemetry()
 
     @property
     def executor(self) -> TriggerExecutor:
@@ -79,23 +77,11 @@ class IncrementalEngine:
 
     # -- telemetry --------------------------------------------------------------
     def _init_telemetry(self) -> None:
-        """(Re)build per-trigger instrument handles.
-
-        Idempotent and re-runnable: :class:`~repro.codegen.engine.CompiledEngine`
-        calls it again after swapping in its executor so fused-kernel series
-        and the codegen collector attach to the same histograms (the registry
-        dedups instruments by name+labels).
-        """
+        """Build per-trigger instrument handles and install the collector."""
         telemetry = self.telemetry
-        if not telemetry.enabled:
-            self._trigger_observers = None
-            return
-        self._telemetry_stride = max(1, int(getattr(telemetry, "sample_stride", 1)))
-        self._telemetry_tick = self._telemetry_stride
         registry = telemetry.registry
         tracer = telemetry.tracer
         observers: dict[tuple[int, str], Callable[[float], None]] = {}
-        self._trigger_hists: dict[tuple[int, str], Any] = {}
         for trigger in self.program.triggers.values():
             key = (trigger.sign, trigger.relation)
             op = "insert" if trigger.sign > 0 else "delete"
@@ -105,18 +91,6 @@ class IncrementalEngine:
                 help="Per-event trigger execution latency",
             )
             self._trigger_hists[key] = hist
-            kernel_probe = getattr(self._executor, "trigger_kernel_for", None)
-            if kernel_probe is not None and kernel_probe(trigger.sign, trigger.relation):
-                # The fused kernel IS the trigger body: expose the measured
-                # histogram under the kernel-level name too instead of
-                # observing twice on the hot path.
-                registry.register(
-                    "repro_codegen_kernel_latency_seconds",
-                    {"trigger": f"on_{op}_{trigger.relation}"},
-                    hist,
-                    kind="histogram",
-                    help="Fused trigger-kernel execution latency",
-                )
             if tracer.enabled:
                 observers[key] = self._traced_observer(
                     hist.observe, f"engine.apply/{op}/{trigger.relation}", tracer
@@ -125,15 +99,11 @@ class IncrementalEngine:
                 observers[key] = hist.observe
         self._armed_observers = observers
         self._trigger_observers = observers
-        if getattr(telemetry, "profile_interval", 0) > 0:
+        if telemetry.profile_interval > 0:
             self._profile_burst = telemetry.profile_burst
             self._profile_left = self._profile_burst
             telemetry.attach_engine(self)
-        else:
-            self._profile_burst = 0
-        if not self._telemetry_collector_installed:
-            self._telemetry_collector_installed = True
-            registry.add_collector(self._collect_telemetry)
+        registry.add_collector(self._collect_telemetry)
 
     def _telemetry_arm(self) -> None:
         """Start one profiling burst (called from the profiler thread)."""
@@ -160,18 +130,16 @@ class IncrementalEngine:
 
     def _collect_telemetry(self, registry) -> None:
         """Scrape-time collector: pull always-on counters into the registry."""
-        hists = getattr(self, "_trigger_hists", None) or {}
+        hists = self._trigger_hists
         keys = set(hists) | set(self._bulk_events)
-        # Sampled observation sees a fraction of the events: scale histogram
-        # counts back up so totals stay rate-correct.  Exact at stride 1;
-        # stride-granular estimates otherwise; in burst-profiling mode the
-        # sampled fraction is only known empirically (events_processed over
-        # total samples), so per-key totals are statistical estimates.
+        # Continuous mode observes every event, so totals are exact.  In
+        # burst-profiling mode the sampled fraction is only known empirically
+        # (events_processed over total samples): histogram counts are scaled
+        # back up and per-key totals are statistical estimates.
+        scale = 1.0
         if self._profile_burst:
             total_sampled = sum(hist.count for hist in hists.values())
             scale = self.events_processed / total_sampled if total_sampled else 0.0
-        else:
-            scale = float(self._telemetry_stride)
         for sign, relation in keys:
             op = "insert" if sign > 0 else "delete"
             hist = hists.get((sign, relation))
@@ -214,22 +182,6 @@ class IncrementalEngine:
                 registry.counter(
                     "repro_ordered_rebuilds_total", labels, help="Ordered-index rebuilds"
                 ).value = ordered_stats["rebuilds"]
-        codegen_stats = getattr(self._executor, "codegen_statistics", None)
-        if codegen_stats is not None:
-            summary = codegen_stats()
-            registry.gauge(
-                "repro_codegen_compile_seconds", help="Wall time spent compiling statements"
-            ).set(summary.get("compile_seconds", 0.0))
-            registry.gauge(
-                "repro_codegen_fuse_seconds", help="Wall time spent fusing triggers"
-            ).set(summary.get("fuse_seconds", 0.0))
-            registry.counter(
-                "repro_codegen_fallback_hits_total",
-                help="Statement executions that fell back to the interpreter",
-            ).value = summary.get("fallback_hits", 0)
-            registry.gauge(
-                "repro_codegen_fused_kernels", help="Triggers running as one fused kernel"
-            ).set(summary.get("fused_kernels", 0))
 
     # -- data loading -----------------------------------------------------------
     def load_static(self, relation: str, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> int:
@@ -260,23 +212,18 @@ class IncrementalEngine:
         if observers is None:
             self._executor.apply(event)
         else:
-            self._telemetry_tick -= 1
-            if self._telemetry_tick > 0:
+            observe = observers.get((event.sign, event.relation))
+            if observe is None:
                 self._executor.apply(event)
             else:
-                self._telemetry_tick = self._telemetry_stride
-                observe = observers.get((event.sign, event.relation))
-                if observe is None:
-                    self._executor.apply(event)
-                else:
-                    started = perf_counter()
-                    self._executor.apply(event)
-                    observe(perf_counter() - started)
-                if self._profile_burst:
-                    self._profile_left -= 1
-                    if self._profile_left <= 0:
-                        # Burst over: disarm until the profiler thread re-arms.
-                        self._trigger_observers = None
+                started = perf_counter()
+                self._executor.apply(event)
+                observe(perf_counter() - started)
+            if self._profile_burst:
+                self._profile_left -= 1
+                if self._profile_left <= 0:
+                    # Burst over: disarm until the profiler thread re-arms.
+                    self._trigger_observers = None
         self.events_processed += 1
 
     def apply_many(self, events: Iterable[StreamEvent]) -> int:
@@ -407,8 +354,11 @@ class IncrementalEngine:
         return self.maps.sizes()
 
     def statistics(self) -> dict[str, object]:
-        """Per-map and per-relation entry/memory/index statistics."""
+        """The ``repro.stats/1`` document: per-map and per-relation
+        entry/memory/index statistics."""
         return {
+            "schema": STATS_SCHEMA,
+            "mode": "incremental",
             "events_processed": self.events_processed,
             "memory_bytes": self.memory_bytes(),
             "maps": self.maps.stats(),

@@ -42,6 +42,17 @@ STATE_PARTITIONED = "partitioned"
 #: the previous cut (per-map dirty keys; absent value = key removed).
 STATE_DELTA = "single-delta"
 
+#: Schema tag of every engine's ``statistics()`` document::
+#:
+#:     {"schema": "repro.stats/1",
+#:      "mode": "incremental" | "compiled" | "batched" | "partitioned",
+#:      "events_processed": int, "memory_bytes": int,
+#:      "maps": {name: table stats}, "relations": {name: table stats},
+#:      ["codegen": {...}], ["batching": {...}],
+#:      ["partitioning": {"spec", "events_routed", "events_broadcast",
+#:                        "flushes", "partitions": [one document each]}]}
+STATS_SCHEMA = "repro.stats/1"
+
 
 @runtime_checkable
 class EngineProtocol(Protocol):

@@ -280,8 +280,9 @@ class ServiceClient:
 
         Returns the full response: ``enabled`` (whether telemetry is on),
         ``prometheus`` (text exposition), ``metrics`` (structured snapshot
-        with pre-computed histogram quantiles) and ``statistics`` (the
-        unified stats schema).
+        with pre-computed histogram quantiles) and ``statistics`` (the same
+        document as :meth:`statistics`; its ``engine`` entry is tagged
+        ``repro.stats/1``).
         """
         return self._request({"op": "metrics"}, timeout=timeout)
 

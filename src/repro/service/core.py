@@ -91,7 +91,7 @@ def engine_for_mode(
 
         return CompiledEngine(program, telemetry=telemetry)
     if mode == "batched":
-        # ``backend`` names the partitioned engine's executor; the batched
+        # ``backend`` places the partitioned engine's partitions; the batched
         # engine picks vector dispatch on its own, so any value is accepted.
         return BatchedEngine(
             program,
@@ -237,11 +237,7 @@ class ViewService:
         if telemetry is None:
             # Share the engine's telemetry so trigger latency and service
             # staleness land in one registry (one scrape shows both).
-            telemetry = getattr(engine, "telemetry", None)
-        if telemetry is None:
-            from repro.telemetry import current
-
-            telemetry = current()
+            telemetry = engine.telemetry
         self.telemetry = telemetry
         self.wal = (
             WriteAheadLog(

@@ -15,7 +15,7 @@ Operations (one request line -> one response line):
   (``close`` or ``coalesce``);
 * ``{"op": "stats"}`` — service + engine statistics;
 * ``{"op": "metrics"}`` — the telemetry registry: Prometheus text plus a
-  structured JSON snapshot and the unified statistics schema;
+  structured JSON snapshot, and the ``stats`` document;
 * ``{"op": "explain", "query": name?}`` — the physical-design explain report
   (planned kernels joined with this service's observed statistics);
 * ``{"op": "explain-row", "view": name?, "key": [...]?}`` — recent provenance
@@ -257,7 +257,7 @@ class ViewServer:
             return {"ok": True, "statistics": service.statistics()}, subscription
 
         if op == "metrics":
-            from repro.telemetry import STATS_SCHEMA, unify_statistics
+            from repro.telemetry import STATS_SCHEMA
 
             telemetry = service.telemetry
             return (
@@ -267,7 +267,7 @@ class ViewServer:
                     "enabled": telemetry.enabled,
                     "prometheus": telemetry.registry.render_prometheus(),
                     "metrics": telemetry.registry.snapshot(),
-                    "statistics": unify_statistics(service.statistics()),
+                    "statistics": service.statistics(),
                 },
                 subscription,
             )

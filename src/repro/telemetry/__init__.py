@@ -5,9 +5,9 @@ signals — per-trigger latency histograms, map probe counters, codegen
 fallback hits, batching/partitioning timings, service staleness — and exposes
 them as Prometheus text, a JSON snapshot, or through the
 ``python -m repro.telemetry`` CLI.  :mod:`repro.telemetry.trace` adds
-span-style tracing of the event pipeline into a rotating JSONL sink, and
-:mod:`repro.telemetry.schema` normalizes the historical per-layer ``stats()``
-dictionaries into one documented shape.
+span-style tracing of the event pipeline into a rotating JSONL sink.
+:data:`STATS_SCHEMA` tags every engine's ``statistics()`` document (the shape
+is documented beside it in :mod:`repro.runtime.protocol`).
 
 Disabled (the default) costs nothing: instruments are shared no-op
 singletons and instrumented hot paths reduce to a single ``None`` check.
@@ -30,7 +30,7 @@ from repro.telemetry.core import (
     current,
     reset,
 )
-from repro.telemetry.schema import STATS_SCHEMA, unify_statistics
+from repro.runtime.protocol import STATS_SCHEMA
 from repro.telemetry.trace import (
     JsonlTraceSink,
     NULL_SPAN,
@@ -61,5 +61,4 @@ __all__ = [
     "configure",
     "current",
     "reset",
-    "unify_statistics",
 ]

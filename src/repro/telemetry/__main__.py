@@ -94,9 +94,8 @@ def _print_summary(response: dict[str, Any]) -> None:
         return
 
     stats = response.get("statistics", {})
-    service = stats.get("service", {}) if isinstance(stats, dict) else {}
-    version = service.get("version")
-    mode = stats.get("mode", "?") if isinstance(stats, dict) else "?"
+    version = stats.get("version")
+    mode = stats.get("engine", {}).get("mode", "?")
     header = f"engine mode: {mode}"
     if version is not None:
         header += f"   service version: {version}"

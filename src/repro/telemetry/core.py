@@ -420,23 +420,18 @@ class Telemetry:
     regardless and are only scraped when enabled.  A disabled instance shares
     the process-wide null registry/tracer, so constructing one is free.
 
-    Two knobs trade per-event latency coverage for hot-path overhead:
+    Two regimes trade per-event latency coverage for hot-path overhead:
 
-    * ``sample_stride`` — with stride ``n`` only every n-th event is timed
-      and observed; the rest pay one attribute decrement.  Deterministic and
-      exact (stride 1, the default, observes everything), but the decrement
-      itself is measurable at fused >1M events/s rates.
-    * ``profile_interval`` — timer-driven burst profiling: a daemon thread
-      re-arms the engine's observers every ``profile_interval`` seconds for a
-      burst of ``profile_burst`` consecutive timed events, after which the
-      engine disarms itself.  Between bursts the hot path pays exactly the
+    * **continuous** (the default): every event is timed and observed, so
+      per-key totals are exact.
+    * **burst** (``profile_interval > 0``): a daemon thread re-arms the
+      engine's observers every ``profile_interval`` seconds for a burst of
+      ``profile_burst`` consecutive timed events, after which the engine
+      disarms itself.  Between bursts the hot path pays exactly the
       disabled-mode ``None`` check, so steady-state overhead is bounded by
-      ``burst * observe_cost / interval`` regardless of the event rate — the
-      mode the benchmark overhead gate runs under.
-
-    Scrape-time event totals are scaled back up (by the stride, or by the
-    sampled fraction in profiling mode), so rates stay correct; per-key
-    totals are exact at stride 1 and statistical estimates otherwise.
+      ``burst * observe_cost / interval`` regardless of the event rate.
+      Scrape-time event totals are scaled back up by the sampled fraction,
+      so rates stay correct; per-key totals are statistical estimates.
     """
 
     __slots__ = (
@@ -444,7 +439,6 @@ class Telemetry:
         "profile_burst",
         "profile_interval",
         "registry",
-        "sample_stride",
         "tracer",
         "_engines",
         "_profiler",
@@ -455,7 +449,6 @@ class Telemetry:
         enabled: bool = False,
         registry=None,
         tracer=None,
-        sample_stride: int = 1,
         profile_interval: float = 0.0,
         profile_burst: int = 64,
     ) -> None:
@@ -466,7 +459,6 @@ class Telemetry:
             registry = MetricRegistry() if self.enabled else NULL_REGISTRY
         self.registry = registry
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.sample_stride = max(1, int(sample_stride))
         self.profile_interval = float(profile_interval)
         self.profile_burst = max(1, int(profile_burst))
         self._engines: weakref.WeakSet = weakref.WeakSet()
@@ -497,9 +489,7 @@ class Telemetry:
             if not engines:
                 return
             for engine in engines:
-                arm = getattr(engine, "_telemetry_arm", None)
-                if arm is not None:
-                    arm()
+                engine._telemetry_arm()
 
 
 _current_lock = threading.Lock()
@@ -525,7 +515,6 @@ def configure(
     trace_file: str | None = None,
     trace_sample: float = 1.0,
     max_trace_bytes: int = 16 * 1024 * 1024,
-    sample_stride: int = 1,
 ) -> Telemetry:
     """Install the process-global telemetry (server/CLI entry points)."""
     global _current
@@ -537,7 +526,7 @@ def configure(
             JsonlTraceSink(trace_file, max_bytes=max_trace_bytes),
             sample_rate=trace_sample,
         )
-    telemetry = Telemetry(enabled=enabled, tracer=tracer, sample_stride=sample_stride)
+    telemetry = Telemetry(enabled=enabled, tracer=tracer)
     with _current_lock:
         _current = telemetry
     return telemetry

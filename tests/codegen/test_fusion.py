@@ -17,6 +17,7 @@ import pytest
 
 from repro.agca.ast import Cmp, MapRef, Product, Relation, Sum, Value, VArith, VConst, VVar
 from repro.codegen import CompiledEngine, try_fuse_trigger
+from repro.codegen import trigger as trigger_module
 from repro.compiler.hoivm import compile_query
 from repro.compiler.program import (
     INCREMENT,
@@ -37,6 +38,13 @@ def _stream(spec):
     if "max_live_orders" in parameters:
         return list(spec.stream_factory(events=220, max_live_orders=20))
     return list(spec.stream_factory(events=130))
+
+
+def per_statement(program):
+    """A compiled engine whose triggers all decline fusion: per-statement dispatch."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trigger_module, "try_fuse_trigger", lambda trigger, program: None)
+        return CompiledEngine(program)
 
 
 def _build_case(name):
@@ -95,11 +103,11 @@ def cases():
 @pytest.mark.parametrize("query_name", ALL_QUERIES)
 def test_fused_and_per_statement_match_interpreter(cases, query_name):
     spec, translated, program, events, expected = cases(query_name)
-    fused = CompiledEngine(program, fuse=True)
+    fused = CompiledEngine(program)
     got_fused = _views(fused, translated, spec, program, events)
     _assert_bit_identical(expected, got_fused, f"{query_name}/fused")
 
-    unfused = CompiledEngine(program, fuse=False)
+    unfused = per_statement(program)
     got_unfused = _views(unfused, translated, spec, program, events)
     _assert_bit_identical(expected, got_unfused, f"{query_name}/per-statement")
 
@@ -264,8 +272,8 @@ def test_fused_kernel_dedups_shared_subtrees(two_sums):
 
 
 def test_fused_dedup_is_bit_identical(two_sums):
-    fused = CompiledEngine(two_sums, fuse=True)
-    unfused = CompiledEngine(two_sums, fuse=False)
+    fused = CompiledEngine(two_sums)
+    unfused = per_statement(two_sums)
     for engine in (fused, unfused):
         engine.apply(StreamEvent("R", (1, 5), 1))
         engine.apply(StreamEvent("R", (1, -2), 1))  # fails the condition
@@ -297,8 +305,8 @@ def test_probe_does_not_dedup_across_a_write():
     assert kernel is not None
     assert kernel.deduped_probes == 0  # sharing would read stale state
 
-    fused = CompiledEngine(program, fuse=True)
-    unfused = CompiledEngine(program, fuse=False)
+    fused = CompiledEngine(program)
+    unfused = per_statement(program)
     for engine in (fused, unfused):
         engine.apply(StreamEvent("R", (7, 10), 1))
         engine.apply(StreamEvent("R", (7, 5), 1))
@@ -338,8 +346,8 @@ def test_stale_shared_probe_still_hoists():
     program = make_program(statements, maps, {"R": ("a", "b")})
     engines = {
         "interpreted": IncrementalEngine(program),
-        "fused": CompiledEngine(program, fuse=True),
-        "per-statement": CompiledEngine(program, fuse=False),
+        "fused": CompiledEngine(program),
+        "per-statement": per_statement(program),
     }
     stream = [
         StreamEvent("R", (7, 4), 1),
@@ -384,8 +392,8 @@ def test_hoisted_probe_drags_its_key_row_into_the_prefix():
     probe = source.index(".primary.get(")
     assert row_def < probe  # the dragged row defines before the hoisted probe
 
-    fused = CompiledEngine(program, fuse=True)
-    unfused = CompiledEngine(program, fuse=False)
+    fused = CompiledEngine(program)
+    unfused = per_statement(program)
     for engine in (fused, unfused):
         engine.apply(StreamEvent("R", (1, 9), 1))
     for name in ("T1", "T2"):
@@ -449,8 +457,8 @@ def test_maintained_base_relation_applies_inside_fused_kernel():
 
     engines = {
         "interpreted": IncrementalEngine(program),
-        "fused": CompiledEngine(program, fuse=True),
-        "per-statement": CompiledEngine(program, fuse=False),
+        "fused": CompiledEngine(program),
+        "per-statement": per_statement(program),
     }
     stream = [
         StreamEvent("R", (1, 5), 1),
@@ -503,8 +511,8 @@ def test_fusion_handles_renamed_trigger_variables():
 
     engines = {
         "interpreted": IncrementalEngine(program),
-        "fused": CompiledEngine(program, fuse=True),
-        "per-statement": CompiledEngine(program, fuse=False),
+        "fused": CompiledEngine(program),
+        "per-statement": per_statement(program),
     }
     for engine in engines.values():
         engine.apply(StreamEvent("R", (1, 5), 1))
@@ -538,8 +546,8 @@ def test_dead_term_reservations_are_not_reusable():
     program = make_program(statements, maps, {"R": ("a", "b")})
     engines = {
         "interpreted": IncrementalEngine(program),
-        "fused": CompiledEngine(program, fuse=True),
-        "per-statement": CompiledEngine(program, fuse=False),
+        "fused": CompiledEngine(program),
+        "per-statement": per_statement(program),
     }
     for engine in engines.values():
         engine.apply(StreamEvent("R", (1, 3), 1))  # NameError before the fix

@@ -27,6 +27,7 @@ from repro.agca.ast import (
     VVar,
 )
 from repro.codegen import CompiledEngine
+from repro.codegen import trigger as trigger_module
 from repro.codegen.statement import try_compile_statement
 from repro.compiler.hoivm import compile_query
 from repro.compiler.program import (
@@ -156,10 +157,13 @@ def test_every_lifted_sum_statement_compiles():
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))
 @pytest.mark.parametrize("fuse", (True, False))
-def test_lifted_sum_kernels_are_bit_identical_to_the_evaluator(regime, fuse):
+def test_lifted_sum_kernels_are_bit_identical_to_the_evaluator(regime, fuse, monkeypatch):
     program = _program()
     interpreted = IncrementalEngine(program)
-    compiled = CompiledEngine(program, fuse=fuse)
+    if not fuse:  # decline fusion: per-statement dispatch
+        monkeypatch.setattr(trigger_module, "try_fuse_trigger", lambda trigger, program: None)
+    compiled = CompiledEngine(program)
+    assert (compiled.codegen.trigger_kernel_for(INSERT, "R") is not None) == fuse
     seen_types = set()
     for event in _stream(REGIMES[regime]):
         interpreted.apply(event)

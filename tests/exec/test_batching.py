@@ -140,8 +140,8 @@ def test_constructor_surfaces_have_no_execution_path_knobs():
     nothing on these signatures selects an execution path."""
     import inspect
 
-    from repro.exec import PartitionedEngine, make_backend
-    from repro.exec.executor import MultiprocessBackend, SequentialBackend
+    from repro.exec import PartitionedEngine
+    from repro.exec.executor import _WorkerEngine
 
     def parameters(fn):
         return [name for name in inspect.signature(fn).parameters if name != "self"]
@@ -149,11 +149,10 @@ def test_constructor_surfaces_have_no_execution_path_knobs():
     assert parameters(BatchedEngine.__init__) == [
         "program", "batch_size", "plan", "telemetry",
     ]
-    for factory in (
-        PartitionedEngine.__init__, make_backend,
-        SequentialBackend.__init__, MultiprocessBackend.__init__,
-    ):
-        assert "compiled" not in parameters(factory)
+    assert parameters(PartitionedEngine.__init__) == [
+        "program", "partitions", "backend", "batch_size", "telemetry",
+    ]
+    assert parameters(_WorkerEngine.__init__) == ["context", "program_bytes", "batch_size"]
     _, program = _program("Q1")
     assert isinstance(BatchedEngine(program, 10).engine, CompiledEngine)
     assert not hasattr(BatchedEngine, "BACKENDS")

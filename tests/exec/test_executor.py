@@ -1,10 +1,10 @@
-"""Tests for the executor backends (sequential and multiprocessing)."""
+"""Tests for partition placement (in-process engines and worker processes)."""
 
 import pytest
 
 from repro.compiler.hoivm import compile_query
 from repro.errors import ExecutionError
-from repro.exec import PartitionedEngine, make_backend
+from repro.exec import PartitionedEngine
 from repro.runtime.engine import IncrementalEngine
 from repro.workloads import workload
 
@@ -30,23 +30,25 @@ def _replay(engine, spec, events):
 def test_unknown_backend_raises():
     _, program = _program("Q6")
     with pytest.raises(ExecutionError):
-        make_backend("threads", program, 2)
+        PartitionedEngine(program, partitions=2, backend="threads")
 
 
 def test_sequential_backend_serves_all_commands():
     spec = workload("Q6")
     _, program = _program("Q6")
-    backend = make_backend("sequential", program, 2, batch_size=10)
+    engine = PartitionedEngine(program, partitions=2, batch_size=10)
+    first, second = engine._partitions
     events = list(spec.stream_factory(events=60))
-    backend.apply(0, events[:30])
-    backend.apply(1, events[30:])
-    backend.sync()
-    sizes = backend.map_sizes(0)
+    first.apply_many(events[:30])
+    second.apply_many(events[30:])
+    for partition in engine._partitions:
+        assert partition.flush() is None  # in-process: nothing to collect
+    sizes = first.map_sizes()
     assert isinstance(sizes, dict)
-    assert backend.memory_bytes(1) > 0
-    stats = backend.statistics(0)
+    assert second.memory_bytes() > 0
+    stats = first.statistics()
     assert stats["events_processed"] == 30
-    backend.close()
+    engine.close()
 
 
 def test_multiprocess_backend_matches_sequential_results():
@@ -62,7 +64,7 @@ def test_multiprocess_backend_matches_sequential_results():
         for root in translated.roots():
             assert engine.result_dict(root) == pytest.approx(baseline.result_dict(root))
         stats = engine.statistics()
-        assert len(stats["partitions"]) == 2
+        assert len(stats["partitioning"]["partitions"]) == 2
     finally:
         engine.close()
 
@@ -72,3 +74,18 @@ def test_multiprocess_backend_close_is_idempotent():
     engine = PartitionedEngine(program, partitions=2, backend="process")
     engine.close()
     engine.close()
+
+
+def test_worker_failure_surfaces_at_the_next_barrier():
+    """A fire-and-forget ``apply_many`` that fails in a worker raises at flush."""
+    from repro.delta.events import insert
+
+    _, program = _program("Q3")
+    engine = PartitionedEngine(program, partitions=2, backend="process")
+    try:
+        engine.apply(insert("Customer", 1))  # replicated relation, wrong arity
+        with pytest.raises(ValueError, match="arity"):
+            engine.flush()
+        engine.flush()  # reported once; the workers keep serving
+    finally:
+        engine.close()

@@ -73,10 +73,6 @@ def test_mddb_self_join_partitions_on_shared_trajectory_key():
 def test_explicit_keys_are_validated():
     _, program = _program("Q1")
     with pytest.raises(ExecutionError):
-        infer_partition_spec(program, 2, keys={"Lineitem": ("no_such_column",)})
-    with pytest.raises(ExecutionError):
-        infer_partition_spec(program, 2, keys={"NoSuchRelation": ("x",)})
-    with pytest.raises(ExecutionError):
         infer_partition_spec(program, 0)
 
 
@@ -140,11 +136,11 @@ def test_partition_statistics_expose_per_partition_detail():
     engine = _replay(
         PartitionedEngine(program, partitions=2), spec, list(spec.stream_factory(events=120))
     )
-    stats = engine.statistics()
-    assert stats["spec"]["partitions"] == 2
-    assert len(stats["partitions"]) == 2
-    assert all("maps" in partition for partition in stats["partitions"])
-    assert sum(stats["events_routed"]) + stats["events_broadcast"] >= 120
+    partitioning = engine.statistics()["partitioning"]
+    assert partitioning["spec"]["partitions"] == 2
+    assert len(partitioning["partitions"]) == 2
+    assert all("maps" in partition for partition in partitioning["partitions"])
+    assert sum(partitioning["events_routed"]) + partitioning["events_broadcast"] >= 120
 
 
 def test_single_partition_is_identical_to_plain_engine():
@@ -155,3 +151,23 @@ def test_single_partition_is_identical_to_plain_engine():
     single = _replay(PartitionedEngine(program, partitions=1), spec, events)
     for root in translated.roots():
         assert single.result_dict(root) == baseline.result_dict(root)
+
+
+@pytest.mark.parametrize("position", [0, 5, 10], ids=["first", "middle", "last"])
+def test_apply_many_is_all_or_nothing(position):
+    spec = workload("Q3")
+    translated, program = _program("Q3")
+    root = next(iter(translated.roots()))
+    events = list(spec.stream_factory(events=40, max_live_orders=10))
+    engine = _replay(PartitionedEngine(program, partitions=2), spec, events[:20])
+    engine.flush()
+    views = [partition.result_dict(root) for partition in engine._partitions]
+    processed, routed = engine.events_processed, list(engine.events_routed)
+    batch = events[20:30]
+    batch.insert(position, insert("NoSuchRelation", 1, 2))
+    with pytest.raises(ExecutionError):
+        engine.apply_many(batch)
+    engine.flush()
+    assert engine.events_processed == processed
+    assert engine.events_routed == routed
+    assert [partition.result_dict(root) for partition in engine._partitions] == views

@@ -115,6 +115,22 @@ class TestExplainReport:
             if hasattr(engine, "close"):
                 engine.close()
 
+    def test_partitioned_batched_statistics_keep_batching(self, q1):
+        """Every partition's events are accounted in the merged ``batching``."""
+        engine = engine_for_mode(q1.program, "partitioned", partitions=2, batch_size=100)
+        try:
+            load_statics(engine, q1.program, q1.statics)
+            engine.apply_many(q1.events)
+            statistics = engine.statistics()
+            report = build_explain_report(q1.program, query="Q1", statistics=statistics)
+            batching = report["observed"]["batching"]
+            assert batching["bulk_events"] + batching["fallback_events"] == sum(
+                p["events_processed"] for p in statistics["partitioning"]["partitions"]
+            )
+            assert "bulk_events=" in render_explain_text(report)
+        finally:
+            engine.close()
+
 
 class TestCLIs:
     def test_codegen_dump_json(self):

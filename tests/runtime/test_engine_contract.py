@@ -3,7 +3,8 @@
 One parametrized suite pins the surface the serving layer and the benchmark
 harness rely on: ``apply_many``/``flush``/``result_dict``/``statistics``/
 ``describe``/``checkpoint_state`` work the same on the per-event, batched and
-partitioned engines (including batching inside partitions).
+partitioned engines (including batching inside partitions and partitions in
+worker processes), and ``statistics()`` is one ``repro.stats/1`` document.
 """
 
 import pytest
@@ -13,8 +14,9 @@ from repro.compiler.hoivm import compile_query
 from repro.delta.events import insert
 from repro.errors import ReproError
 from repro.exec import BatchedEngine, PartitionedEngine
+from repro.exec.partitioning import TABLE_COUNTERS
 from repro.runtime.engine import IncrementalEngine
-from repro.runtime.protocol import EngineProtocol
+from repro.runtime.protocol import STATS_SCHEMA, EngineProtocol
 from repro.workloads import workload
 
 ENGINES = {
@@ -25,7 +27,14 @@ ENGINES = {
     "partitioned-batched": lambda program: PartitionedEngine(
         program, partitions=2, batch_size=5
     ),
+    "partitioned-process": lambda program: PartitionedEngine(
+        program, partitions=2, backend="process", batch_size=5
+    ),
 }
+
+#: Every engine's statistics document: these keys, plus the optional sections.
+COMMON_KEYS = {"schema", "mode", "events_processed", "memory_bytes", "maps", "relations"}
+SECTIONS = {"codegen", "batching", "partitioning"}
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +103,40 @@ def test_statistics_carry_the_common_keys(q3, name):
         assert statistics["events_processed"] == 60
         assert statistics["memory_bytes"] > 0
         assert statistics["memory_bytes"] == engine.memory_bytes()
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("name", list(ENGINES))
+def test_statistics_are_one_native_document(q3, name):
+    engine = build(name, q3)
+    try:
+        engine.apply_many(q3["events"][:60])
+        statistics = engine.statistics()
+        assert statistics["schema"] == STATS_SCHEMA
+        assert statistics["mode"] == name.split("-")[0]
+        assert COMMON_KEYS <= set(statistics) <= COMMON_KEYS | SECTIONS
+        assert statistics["events_processed"] == 60
+        if "partitioning" not in statistics:
+            return
+        partitions = statistics["partitioning"]["partitions"]
+        assert len(partitions) == 2
+        for section in ("maps", "relations"):
+            for table, merged in statistics[section].items():
+                for counter in TABLE_COUNTERS:
+                    assert merged[counter] == sum(
+                        p[section][table][counter] for p in partitions
+                    ), (section, table, counter)
+        codegen, first = statistics["codegen"], partitions[0]["codegen"]
+        assert codegen["fallback_hits"] == sum(p["codegen"]["fallback_hits"] for p in partitions)
+        assert codegen["compiled_statements"] == first["compiled_statements"]
+        assert codegen["fused_kernels"] == first["fused_kernels"]
+        batching = statistics.get("batching")
+        if batching is not None:
+            assert batching["bulk_events"] + batching["fallback_events"] == sum(
+                p["events_processed"] for p in partitions
+            )
+            assert batching["batch_size"] == 5
     finally:
         engine.close()
 

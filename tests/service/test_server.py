@@ -229,7 +229,7 @@ def test_stats_round_trip_over_the_wire(q1):
             statistics = client.statistics()
         assert statistics["version"] == 40
         assert statistics["engine"]["events_processed"] == 40
-        assert statistics["engine"]["spec"]["partitions"] == 2
+        assert statistics["engine"]["partitioning"]["spec"]["partitions"] == 2
     finally:
         handle.stop()
         service.close()

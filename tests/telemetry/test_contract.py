@@ -92,20 +92,6 @@ def test_batched_mode_counts_bulk_and_fallback_exactly_once(q1):
     assert per_event_observed + stats["bulk_events"] == len(q1.events)
 
 
-def test_sample_stride_scales_event_totals(q1):
-    telemetry = Telemetry(enabled=True, sample_stride=4)
-    _, accounted = _replay(q1, "compiled", {}, telemetry)
-    # Stride-4 sampling observes one event in four; totals are scaled back
-    # up at scrape, so the family sums to the stream length up to stride
-    # granularity per series.
-    series = telemetry.registry.snapshot()["repro_engine_events_total"]["series"]
-    assert accounted == pytest.approx(len(q1.events), abs=4 * len(series))
-    sampled = telemetry.registry.histogram_family(
-        "repro_engine_trigger_latency_seconds"
-    )
-    assert 0 < sampled["count"] <= len(q1.events) // 4 + len(series)
-
-
 def test_burst_profiling_disarms_after_burst(q1):
     telemetry = Telemetry(enabled=True, profile_interval=3600.0, profile_burst=16)
     engine = engine_for_mode(q1.program, "compiled", telemetry=telemetry)

@@ -178,10 +178,6 @@ class TestTelemetry:
         finally:
             reset()
 
-    def test_sample_stride_is_clamped(self):
-        assert Telemetry(enabled=True, sample_stride=0).sample_stride == 1
-        assert Telemetry(enabled=True, sample_stride=16).sample_stride == 16
-
 
 def test_counter_inc_defaults_to_one():
     counter = Counter("c")

@@ -1,93 +1,53 @@
-"""The unified statistics schema against every live ``statistics()`` shape.
+"""The ``repro.stats/1`` document at the service and command-line boundaries.
 
-These tests build real engines rather than hand-written dicts, so they break
-if any layer's raw shape drifts away from what :mod:`repro.telemetry.schema`
-normalizes — that drift is exactly the bug the unifier exists to prevent.
+Every engine returns the document natively (the per-mode contract is
+``tests/runtime/test_engine_contract.py``); these tests pin that the service,
+the server's ``metrics`` op and ``bench stats --json`` hand it out unchanged.
 """
 
-import pytest
+import json
 
-from repro.service.core import ViewService, engine_for_mode
-from repro.telemetry import STATS_SCHEMA, unify_statistics
-from repro.telemetry.schema import flatten_statistics
-
-
-def _stats_for(q1, mode, **config):
-    engine = engine_for_mode(q1.program, mode, **config)
-    try:
-        q1.load_statics(engine)
-        for event in q1.events[:50]:
-            engine.apply(event)
-        engine.flush()
-        return engine.statistics()
-    finally:
-        if hasattr(engine, "close"):
-            engine.close()
+from repro.bench.__main__ import main as bench_main
+from repro.service import ServiceClient, ViewService, engine_for_mode, start_in_thread
+from repro.telemetry import STATS_SCHEMA
 
 
-@pytest.mark.parametrize(
-    "mode,config,expected",
-    [
-        ("incremental", {}, "incremental"),
-        ("compiled", {}, "compiled"),
-        ("batched", {"batch_size": 10}, "batched"),
-        ("partitioned", {"partitions": 2}, "partitioned"),
-    ],
-)
-def test_mode_detection_from_live_engines(q1, mode, config, expected):
-    unified = unify_statistics(_stats_for(q1, mode, **config))
-    assert unified["schema"] == STATS_SCHEMA
-    assert unified["mode"] == expected
-    assert unified["engine"]["events_processed"] == 50
-    assert unified["engine"]["memory_bytes"] > 0
-
-
-def test_unify_preserves_raw_and_does_not_mutate(q1):
-    raw = _stats_for(q1, "compiled")
-    snapshot = dict(raw)
-    unified = unify_statistics(raw)
-    assert raw == snapshot
-    assert unified["raw"] == raw
-    assert unified["codegen"] is raw["codegen"]
-
-
-def test_partitioned_nests_unified_partitions(q1):
-    unified = unify_statistics(_stats_for(q1, "partitioned", partitions=2))
-    partitioning = unified["partitioning"]
-    assert partitioning["spec"]
-    assert len(partitioning["partitions"]) == 2
-    for partition in partitioning["partitions"]:
-        assert partition["schema"] == STATS_SCHEMA
-        assert partition["mode"] in ("incremental", "compiled")
-    routed = sum(partitioning["events_routed"])
-    assert routed + partitioning["events_broadcast"] * 2 >= 50
-
-
-def test_service_wrapper_layers_on_top_of_engine(q1):
-    engine = engine_for_mode(q1.program, "compiled")
-    service = ViewService(engine)
+def test_service_statistics_carry_the_engine_document(q1):
+    service = ViewService(engine_for_mode(q1.program, "compiled"))
     q1.load_statics(service)
     service.ingest(q1.events[:50])
-    unified = unify_statistics(service.statistics())
-    assert unified["mode"] == "compiled"
-    assert unified["engine"]["events_processed"] == 50
-    assert unified["service"]["version"] >= 1  # state version advances per event
-    assert unified["service"]["views"]
-    assert "engine" in unified["raw"]
+    statistics = service.statistics()
+    assert statistics["version"] == 50
+    assert statistics["engine"]["schema"] == STATS_SCHEMA
+    assert statistics["engine"]["mode"] == "compiled"
+    assert statistics["engine"]["events_processed"] == 50
     service.close()
 
 
-def test_flatten_produces_stable_scalar_keys(q1):
-    flat = flatten_statistics(_stats_for(q1, "batched", batch_size=10))
-    assert flat["schema"] == STATS_SCHEMA
-    assert flat["mode"] == "batched"
-    assert flat["engine.events_processed"] == 50
-    assert any(key.startswith("batching.") for key in flat)
-    assert all(not isinstance(value, (dict, list)) for value in flat.values())
+def test_metrics_op_returns_the_stats_document(q1):
+    service = ViewService(engine_for_mode(q1.program, "batched", batch_size=10))
+    q1.load_statics(service)
+    handle = start_in_thread(service)
+    try:
+        with ServiceClient(*handle.address) as client:
+            client.ingest(q1.events[:50])
+            scraped = client.metrics()
+            statistics = client.statistics()
+        assert scraped["schema"] == STATS_SCHEMA
+        assert set(scraped["statistics"]) == set(statistics)
+        assert scraped["statistics"]["engine"] == statistics["engine"]
+        assert statistics["engine"]["mode"] == "batched"
+    finally:
+        handle.stop()
+        service.close()
 
 
-def test_flatten_accepts_already_unified_input(q1):
-    raw = _stats_for(q1, "compiled")
-    assert flatten_statistics(unify_statistics(raw)) == flatten_statistics(raw)
-    flat = flatten_statistics(raw)
-    assert "codegen.fused_kernels" in flat
+def test_bench_stats_json_prints_the_engine_document(capsys):
+    argv = ["stats", "Q3", "--strategy", "dbtoaster-par", "--partitions", "2",
+            "--events", "60", "--json"]
+    assert bench_main(argv) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert document["schema"] == STATS_SCHEMA
+    assert document["mode"] == "partitioned"
+    assert document["events_processed"] == 60
+    assert len(document["partitioning"]["partitions"]) == 2
