@@ -6,7 +6,8 @@ every event refreshes the views) over a stream replayed with a wall-clock
 timeout, plus per-query traces of cumulative time, instantaneous refresh rate
 and memory versus the fraction of the stream processed.  The helpers here
 compute exactly those quantities for any engine exposing ``apply`` /
-``load_static`` / ``memory_bytes``.
+``flush`` / ``load_static`` / ``memory_bytes`` (the per-event engines' and
+the reference engine's ``flush`` is a no-op).
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def measure_refresh_rate(
     # an unbounded flush for the end.  Under a budget, force a flush every so
     # often so the deadline check observes real work (the cadence is above the
     # default sweep's largest batch size, so folding is not distorted).
-    flush_every = 2048 if deadline is not None and hasattr(engine, "flush") else None
+    flush_every = 2048 if deadline is not None else None
     for event in events:
         engine.apply(event)
         processed += 1
@@ -106,10 +107,9 @@ def measure_refresh_rate(
             break
     # Pending work must finish inside the timed region, otherwise a buffered
     # engine's rate would be overstated.
-    if hasattr(engine, "flush"):
-        engine.flush()
+    engine.flush()
     elapsed = time.perf_counter() - start
-    memory = engine.memory_bytes() if hasattr(engine, "memory_bytes") else 0
+    memory = engine.memory_bytes()
     return RunResult(
         strategy=strategy,
         query=query,
@@ -146,12 +146,11 @@ def run_trace(
         chunk_start = time.perf_counter()
         for event in chunk:
             engine.apply(event)
-        if hasattr(engine, "flush"):
-            engine.flush()
+        engine.flush()
         chunk_elapsed = time.perf_counter() - chunk_start
         cumulative += chunk_elapsed
         processed += len(chunk)
-        memory = engine.memory_bytes() if hasattr(engine, "memory_bytes") else 0
+        memory = engine.memory_bytes()
         trace.points.append(
             TracePoint(
                 fraction=processed / total,

@@ -68,8 +68,7 @@ def run_refresh_rate_table(
                     query=name,
                 )
             finally:
-                if hasattr(engine, "close"):
-                    engine.close()
+                engine.close()
         results[name] = per_query
     return results
 
@@ -162,14 +161,12 @@ def run_engine_statistics(
             engine.load_static(relation, rows)
         for event in agenda:
             engine.apply(event)
-        if hasattr(engine, "flush"):
-            engine.flush()
+        engine.flush()
         if hasattr(engine, "statistics"):
             return engine.statistics()
-        return {"memory_bytes": getattr(engine, "memory_bytes", lambda: 0)()}
+        return {"memory_bytes": engine.memory_bytes()}
     finally:
-        if hasattr(engine, "close"):
-            engine.close()
+        engine.close()
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ dbtoaster        full Higher-Order IVM (this paper's system)
 dbtoaster-comp   HO-IVM with triggers compiled to specialized Python code
                  (:class:`repro.codegen.CompiledEngine`: one fused kernel
                  per trigger, per-statement interpreter fallback)
-dbtoaster-batch  HO-IVM with delta-batched trigger execution over a
-                 compiled inner engine (:class:`repro.exec.BatchedEngine`;
-                 long runs take numpy kernels when numpy is present, short
-                 ones go whole to the fused kernel)
+dbtoaster-batch  HO-IVM compiled, dispatched per run of same-trigger events
+                 (:class:`repro.exec.BatchedEngine`, a CompiledEngine; long
+                 runs take numpy kernels when numpy is present, short ones
+                 go whole to the fused kernel)
 dbtoaster-par    HO-IVM hash-partitioned across compiled engines with
                  merge-on-read (:class:`repro.exec.PartitionedEngine`)
 naive            the naive viewlet transform (no decomposition /
@@ -71,11 +71,17 @@ class OverheadEngine:
         while time.perf_counter() < deadline:
             pass
 
+    def flush(self) -> None:
+        self.inner.flush()
+
     def view(self, name=None):
         return self.inner.view(name)
 
     def memory_bytes(self) -> int:
         return self.inner.memory_bytes()
+
+    def close(self) -> None:
+        self.inner.close()
 
 
 def _preset(strategy: str, query: TranslatedQuery):

@@ -38,7 +38,7 @@ every code object.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from repro.codegen import statement as statement_compiler
 from repro.codegen import trigger as trigger_compiler
@@ -321,36 +321,6 @@ class CompiledEngine(IncrementalEngine):
     def codegen(self) -> CompiledExecutor:
         """The compiled executor (kernel inspection, codegen statistics)."""
         return self._executor
-
-    def apply_run(self, sign: int, relation: str, events: Sequence[StreamEvent]) -> None:
-        """Apply an ordered run of events of one trigger, in order.
-
-        Equivalent to ``apply`` on each event (the caller has validated the
-        relation); the fused kernel and its arity are resolved once for the
-        run.  While provenance or a telemetry observer is armed, or the
-        trigger has no fused kernel, the events go through ``apply`` one by
-        one, so attribution and sampling are those of per-event execution.
-        """
-        fused = self._executor._fused.get((sign, relation))
-        if fused is None or self._provenance is not None or self._trigger_observers is not None:
-            for event in events:
-                self.apply(event)
-            return
-        runner, arity = fused
-        done = 0
-        try:
-            for done, event in enumerate(events):
-                values = event.values
-                if len(values) != arity:
-                    raise ValueError(
-                        f"event arity {len(values)} does not match relation arity "
-                        f"{arity}"
-                    )
-                runner(values)
-        except BaseException:
-            self.events_processed += done
-            raise
-        self.events_processed += len(events)
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Load a single-engine state, then rebind every compiled kernel.

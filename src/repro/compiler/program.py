@@ -135,6 +135,13 @@ class TriggerProgram:
             query = next(iter(self.roots))
         return self.maps[self.roots[query]]
 
+    def view_map(self, name: str | None = None) -> MapDeclaration | None:
+        """The map behind a view name — a root query (the single root when
+        ``name`` is None) or a map name — or None when it names neither."""
+        if name in self.roots:
+            return self.maps[self.roots[name]]
+        return self.root_map() if name is None else self.maps.get(name)
+
     def trigger_for(self, sign: int, relation: str) -> Trigger | None:
         """The trigger handling ``sign`` (+1/-1) updates of ``relation``, if any."""
         kind = "insert" if sign > 0 else "delete"

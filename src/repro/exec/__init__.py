@@ -1,10 +1,10 @@
 """Batched & partitioned delta execution (the scale-out subsystem).
 
-A second execution mode alongside the per-event
-:class:`~repro.runtime.engine.IncrementalEngine`:
+Two policies over the per-event engine, one for dispatch, one for placement:
 
-* :class:`~repro.exec.batching.BatchedEngine` partitions agenda slices into
-  runs of same-trigger events and dispatches each run once;
+* :class:`~repro.exec.batching.BatchedEngine` is a
+  :class:`~repro.codegen.engine.CompiledEngine` that partitions agenda
+  slices into runs of same-trigger events and dispatches each run once;
 * :class:`~repro.exec.partitioning.PartitionedEngine` hash-partitions map
   state and base relations across per-partition engines and merges views on
   read (with a broadcast path for non-partitionable relations);

@@ -43,6 +43,7 @@ from repro.compiler.program import ASSIGN, INCREMENT, Statement, TriggerProgram
 from repro.core.gmr import GMR
 from repro.delta.events import StreamEvent
 from repro.errors import ExecutionError
+from repro.runtime.engine import check_stream_events
 
 #: Default number of events coalesced into one delta batch.
 DEFAULT_BATCH_SIZE = 100
@@ -165,7 +166,6 @@ class BatchPlan:
     """Per-program analysis driving batched execution (shared across engines)."""
 
     def __init__(self, program: TriggerProgram) -> None:
-        self.program = program
         self._analyses: dict[TriggerKey, TriggerAnalysis] = {}
         for relation in program.stream_relations:
             for sign in (1, -1):
@@ -245,64 +245,57 @@ class StagedBatch(NamedTuple):
     events: int
 
 
-class BatchedEngine:
-    """Delta-batched execution of a compiled trigger program.
+class BatchedEngine(CompiledEngine):
+    """A compiled engine whose dispatch policy is runs, not events.
 
-    Buffers incoming events and applies them in batches of ``batch_size``
-    through :class:`BatchPlan`.  Views are always read through :meth:`flush`,
-    so observable results are identical to per-event execution (runs outside
-    the bulk policy replay their events in order inside the batch).
+    It *is* a :class:`CompiledEngine` — same maps, database, executor,
+    provenance, checkpoint and delta state, program digest and telemetry —
+    except that ``apply`` buffers: every ``batch_size`` events the buffer is
+    partitioned into runs (:meth:`BatchPlan.fold`) and each run is dispatched
+    once, to the bulk path or whole to the fused kernel.  Reads flush first,
+    so observable results are identical to per-event execution.
+    ``events_processed`` counts accepted events, buffered ones included.
     """
 
     def __init__(
         self,
         program: TriggerProgram,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        plan: BatchPlan | None = None,
         telemetry=None,
     ) -> None:
         if batch_size < 1:
             raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
+        # Before the base constructor: it assigns events_processed, whose
+        # setter reads the buffer.
+        self._buffer: list[StreamEvent] = []
+        super().__init__(program, telemetry=telemetry)
         # Why vector dispatch is off (numpy missing or REPRO_NO_NUMPY), else None.
         self.vector_reason: str | None = vector_unavailable_reason()
-        self.program = program
         self.batch_size = batch_size
-        if telemetry is None:
-            from repro.telemetry import current
-
-            telemetry = current()
-        # The inner engine shares this telemetry: replayed runs go through
-        # its apply_run (per-event apply while an observer is armed), bulk
-        # runs bypass it and are accounted through count_bulk_events — summed
-        # at scrape, events in == events accounted, nothing counted twice.
-        self.telemetry = telemetry
-        self.engine = CompiledEngine(program, telemetry=telemetry)
-        self.plan = plan if plan is not None and plan.program is program else BatchPlan(program)
-        self._buffer: list[StreamEvent] = []
-        self._stream_relations = frozenset(program.stream_relations)
+        self.plan = BatchPlan(program)
         self.batches_flushed = self.runs_bulk = self.runs_replayed = 0
-        self.bulk_events = self.fallback_events = self.vector_events = 0
+        self.fallback_events = self.vector_events = 0
         self.vector_fallbacks: dict[str, int] = {}
-        # Bound vector kernels per trigger, dropped on state restores.
+        # Bound vector kernels per trigger (restores refill the same tables).
         self._vector_bound: dict[str, dict[int, Any]] = {}
         self._fold_hist = self._apply_hist = None
-        if telemetry.enabled:
-            registry = telemetry.registry
+        if self.telemetry.enabled:
+            registry = self.telemetry.registry
             self._fold_hist = registry.histogram(
                 "repro_exec_batch_fold_seconds",
                 help="Time partitioning one buffer into runs",
             )
             self._apply_hist = registry.histogram(
                 "repro_exec_batch_apply_seconds",
-                help="Time applying one partitioned batch through the inner engine",
+                help="Time applying one partitioned batch",
             )
-            registry.add_collector(self._collect_telemetry)
 
     def _collect_telemetry(self, registry) -> None:
+        super()._collect_telemetry(registry)  # counts every event once, bulk ones too
         for name, help_text, value in (
             ("batches_flushed", "Delta batches flushed", self.batches_flushed),
             ("groups_applied", "Delta groups applied", self.runs_bulk + self.runs_replayed),
-            ("bulk_events", "Events applied through bulk runs", self.bulk_events),
+            ("bulk_events", "Events applied through bulk runs", sum(self._bulk_events.values())),
             ("fallback_events", "Events replayed per-event inside batches", self.fallback_events),
             ("vector_events", "Events applied through columnar vector kernels", self.vector_events),
             ("vector_fallbacks", "Vector-kernel statement applications that fell back to scalar",
@@ -316,22 +309,18 @@ class BatchedEngine:
     # -- stream processing ------------------------------------------------------
     @property
     def events_processed(self) -> int:
-        return self.engine.events_processed + len(self._buffer)
+        return self._applied + len(self._buffer)
 
-    def load_static(self, relation: str, rows) -> int:
-        return self.engine.load_static(relation, rows)
-
-    def _check_relations(self, events: Iterable[StreamEvent]) -> None:
-        unknown = {event.relation for event in events} - self._stream_relations
-        if unknown:
-            raise ExecutionError(
-                f"relation {min(unknown)!r} is not a stream relation of this program"
-            )
+    @events_processed.setter
+    def events_processed(self, value: int) -> None:
+        # Inherited code assigns or bumps (+= n) the count with the buffer as
+        # it stands: buffered events stay out of the applied count.
+        self._applied = value - len(self._buffer)
 
     def apply(self, event: StreamEvent) -> None:
         """Buffer one event, flushing a full batch when the buffer fills."""
-        if event.relation not in self._stream_relations:
-            self._check_relations((event,))
+        if event.relation not in self.program.stream_relations:
+            check_stream_events(self.program, (event,))
         self._buffer.append(event)
         if len(self._buffer) >= self.batch_size:
             self.flush()
@@ -340,10 +329,10 @@ class BatchedEngine:
         """Buffer a slice, applying every batch it fills, where :meth:`apply` would.
 
         All-or-nothing: relations are validated before anything is buffered,
-        so an :class:`ExecutionError` leaves the engine exactly as it was.
+        so a rejected slice leaves the engine exactly as it was.
         """
         events = list(events)
-        self._check_relations(events)
+        check_stream_events(self.program, events)
         pending = self._buffer
         pending.extend(events)
         size = self.batch_size
@@ -375,7 +364,7 @@ class BatchedEngine:
         bound = self._vector_bound.get(analysis.name)
         if bound is None:
             bound = self._vector_bound[analysis.name] = {
-                sid: kernel.bind(self.engine.maps, self.engine.database)
+                sid: kernel.bind(self.maps, self.database)
                 for sid, kernel in analysis.vector_kernels().items()
             }
         return bound
@@ -390,7 +379,7 @@ class BatchedEngine:
         violation, overflow risk, an error a masked-out scalar path would
         never hit — leaves the tables untouched for the statement runner.
         """
-        table = self.engine.maps.table(statement.target)
+        table = self.maps.table(statement.target)
         if table._watcher is not None:
             # set_total skips no-op notifications the per-tuple path would
             # emit; keep dirty-delta tracking exact on the statement runner.
@@ -409,35 +398,65 @@ class BatchedEngine:
 
     def _apply_groups(self, groups: list[DeltaGroup], batches: Sequence = ()) -> None:
         """Dispatch each run once, in order (``batches``: staged columns by index)."""
-        apply_run, floor = self.engine.apply_run, DEFAULT_MIN_VECTOR_ROWS
+        replay, floor = self._replay_run, DEFAULT_MIN_VECTOR_ROWS
         for index, (analysis, events) in enumerate(groups):
             # (The length test short-cuts bulk() for the many short runs.)
             if analysis.always_bulk or len(events) >= floor and analysis.bulk(len(events)):
                 self._apply_bulk(analysis, events, batches[index] if batches else None)
             else:
-                # The whole run to the fused trigger kernel, in arrival
-                # order: per-event execution minus the per-event lookup.
                 self.runs_replayed += 1
                 self.fallback_events += len(events)
-                apply_run(analysis.sign, analysis.relation, events)
+                replay(analysis, events)
+
+    def _replay_run(self, analysis: TriggerAnalysis, events: list[StreamEvent]) -> None:
+        """The whole run to the fused trigger kernel, in arrival order.
+
+        Per-event execution minus the per-event lookup: the kernel and its
+        arity are resolved once for the run.  While provenance or a telemetry
+        observer is armed, or the trigger has no fused kernel, each event goes
+        through the inherited per-event ``apply`` (this engine's own buffers),
+        so attribution and sampling are those of per-event execution.
+        """
+        fused = self._executor._fused.get((analysis.sign, analysis.relation))
+        if fused is None or self._provenance is not None or self._trigger_observers is not None:
+            apply = super().apply
+            for event in events:
+                apply(event)
+            return
+        runner, arity = fused
+        done = 0
+        try:
+            for done, event in enumerate(events):
+                values = event.values
+                if len(values) != arity:
+                    raise ValueError(
+                        f"event arity {len(values)} does not match relation arity "
+                        f"{arity}"
+                    )
+                runner(values)
+        except BaseException:
+            self._applied += done
+            raise
+        self._applied += len(events)
 
     def _apply_bulk(
         self, analysis: TriggerAnalysis, events: list[StreamEvent], batch: ColumnBatch | None
     ) -> None:
         """One pass per statement over a bulk-safe run (see ``TriggerAnalysis.bulk``)."""
-        engine = self.engine
         count = len(events)
         relation, sign = analysis.relation, analysis.sign
         self.runs_bulk += 1
-        self.bulk_events += count
-        engine.count_bulk_events(sign, relation, count)
-        runner_for = engine.codegen.runner_for
+        # Bulk runs bypass per-event apply: the telemetry collector adds these
+        # counts to the sampled ones (events in == events accounted).
+        key = (sign, relation)
+        self._bulk_events[key] = self._bulk_events.get(key, 0) + count
+        runner_for = self._executor.runner_for
 
-        # Bulk runs bypass per-event apply: provenance attributes their
-        # transitions to the fold descriptor, stamped with the post-run version.
-        prov = engine.provenance
+        # Provenance attributes bulk transitions to the fold descriptor,
+        # stamped with the post-run version.
+        prov = self._provenance
         if prov is not None:
-            prov.version = engine.events_processed + count
+            prov.version = self._applied + count
             prov.cause = ("fold", relation, "insert" if sign > 0 else "delete", count, count)
 
         # Per statement, in trigger order: the bound vector kernel when the
@@ -463,7 +482,7 @@ class BatchedEngine:
             self.vector_events += count
 
         if analysis.updates_base:
-            table = engine.database.table(relation)
+            table = self.database.table(relation)
             for event in events:
                 table.add(event.values, sign)
 
@@ -472,7 +491,7 @@ class BatchedEngine:
         for statement in analysis.assigns:
             runner_for(statement)(events[0].values, 1)
 
-        engine.events_processed += count
+        self._applied += count
 
     # -- staged ingest -----------------------------------------------------------
     def stage(self, events: Iterable[StreamEvent]) -> "StagedBatch":
@@ -483,7 +502,7 @@ class BatchedEngine:
         Results are identical to ``apply_many(events)`` + ``flush()``.
         """
         events = list(events)
-        self._check_relations(events)
+        check_stream_events(self.program, events)
         groups = self.plan.fold(events)
         batches: list[ColumnBatch | None] = []
         for analysis, run in groups:
@@ -504,45 +523,28 @@ class BatchedEngine:
         self._apply_groups(staged.groups, staged.batches)
         return staged.events
 
-    # -- row provenance ----------------------------------------------------------
-    @property
-    def provenance(self):
-        return self.engine.provenance
-
-    def enable_provenance(self, depth: int | None = None, views=None):
-        """Enable row provenance on the inner engine (bulk runs attribute to folds)."""
-        return self.engine.enable_provenance(depth=depth, views=views)
-
-    def explain_row(self, view: str | None = None, key=None) -> dict[str, Any]:
-        self.flush()
-        return self.engine.explain_row(view, key)
-
-    # -- reading views ----------------------------------------------------------
+    # -- reads flush first (here, so the per-event engines' reads stay as they are)
     def view(self, name: str | None = None) -> GMR:
         self.flush()
-        return self.engine.view(name)
-
-    def scalar_result(self, name: str | None = None) -> Any:
-        self.flush()
-        return self.engine.scalar_result(name)
+        return super().view(name)
 
     def result_dict(self, name: str | None = None) -> dict[tuple, Any]:
         self.flush()
-        return self.engine.result_dict(name)
+        # Named base call: the timed snapshot read skips building a super().
+        return CompiledEngine.result_dict(self, name)
 
-    # -- accounting --------------------------------------------------------------
     def memory_bytes(self) -> int:
         self.flush()
-        return self.engine.memory_bytes()
+        return super().memory_bytes()
 
     def map_sizes(self) -> dict[str, int]:
         self.flush()
-        return self.engine.map_sizes()
+        return super().map_sizes()
 
     def statistics(self) -> dict[str, object]:
-        """Inner-engine statistics plus batching counters."""
+        """The compiled engine's document as ``mode: "batched"``, plus run counters."""
         self.flush()
-        stats = self.engine.statistics()
+        stats = super().statistics()
         stats["mode"] = "batched"
         analyses = self.plan._analyses.values()
         stats["batching"] = {
@@ -551,7 +553,7 @@ class BatchedEngine:
             "groups_applied": self.runs_bulk + self.runs_replayed,
             "runs_bulk": self.runs_bulk,
             "runs_replayed": self.runs_replayed,
-            "bulk_events": self.bulk_events,
+            "bulk_events": sum(self._bulk_events.values()),
             "fallback_events": self.fallback_events,
             "vector_reason": self.vector_reason,
             "vector_statements": sum(len(a.vector_kernels()) for a in analyses),
@@ -561,42 +563,35 @@ class BatchedEngine:
         return stats
 
     def describe(self) -> str:
-        """The inner engine's listing plus each trigger's run policy."""
+        """The compiled engine's listing plus each trigger's run policy."""
         policies = render_policies(self.plan.describe())
-        return "\n".join([self.engine.describe(), "-- batching --", *policies])
+        return "\n".join([super().describe(), "-- batching --", *policies])
 
     # -- durable state / lifecycle ------------------------------------------------
     def checkpoint_state(self) -> dict[str, Any]:
-        """Flush, then capture the inner engine's state (``kind: "single"``,
-        interchangeable with per-event engines': every accepted event is in)."""
+        """Flush, then capture (``kind: "single"``, interchangeable with
+        per-event engines': every accepted event is in)."""
         self.flush()
-        return self.engine.checkpoint_state()
+        return super().checkpoint_state()
 
     def restore_state(self, state) -> None:
         """Load a single-engine state, discarding any buffered events."""
         self._buffer = []
-        self._vector_bound = {}
-        self.engine.restore_state(state)
-
-    # -- incremental state (delta checkpoints) ----------------------------------
-    def supports_delta_state(self) -> bool:
-        return self.engine.supports_delta_state()
+        super().restore_state(state)
 
     def begin_delta_tracking(self) -> None:
-        """Flush, then track dirty keys on the inner engine's tables."""
         self.flush()
-        self.engine.begin_delta_tracking()
+        super().begin_delta_tracking()
 
     def delta_state(self) -> dict[str, Any]:
-        """Flush, then cut the inner engine's delta (covers every accepted event)."""
+        """Flush, then cut the delta (covers every accepted event)."""
         self.flush()
-        return self.engine.delta_state()
+        return super().delta_state()
 
     def apply_delta_state(self, state) -> None:
         """Apply a delta cut, discarding any buffered events."""
         self._buffer = []
-        self._vector_bound = {}
-        self.engine.apply_delta_state(state)
+        super().apply_delta_state(state)
 
     def close(self) -> None:
         """Flush pending work; the batched engine owns no external resources."""

@@ -43,6 +43,7 @@ from repro.core.rows import Row
 from repro.core.values import is_zero, normalize_number
 from repro.delta.events import StreamEvent
 from repro.errors import ExecutionError
+from repro.runtime.engine import check_stream_events
 from repro.runtime.protocol import STATE_FORMAT, STATE_PARTITIONED, STATS_SCHEMA
 
 #: Default number of partitions.
@@ -403,7 +404,6 @@ class PartitionedEngine:
             )
             for relation, columns in self.spec.keys.items()
         }
-        self._stream = frozenset(program.stream_relations)
         self.events_processed = 0
         self.events_routed = [0] * partitions
         self.events_broadcast = 0
@@ -477,23 +477,16 @@ class PartitionedEngine:
         key = tuple(event.values[p] for p in positions)
         return stable_hash(key) % self.spec.partitions
 
-    def _check_relations(self, events: Iterable[StreamEvent]) -> None:
-        unknown = {event.relation for event in events} - self._stream
-        if unknown:
-            raise ExecutionError(
-                f"relation {min(unknown)!r} is not a stream relation of this program"
-            )
-
     def apply(self, event: StreamEvent) -> None:
-        if event.relation not in self._stream:
-            self._check_relations((event,))
+        if event.relation not in self.program.stream_relations:
+            check_stream_events(self.program, (event,))
         self._route(event)
 
     def apply_many(self, events: Iterable[StreamEvent]) -> int:
         """Route a slice.  All-or-nothing: relations are validated before any
-        event is routed, so an :class:`ExecutionError` leaves the engine as it was."""
+        event is routed, so a rejected slice leaves the engine as it was."""
         events = list(events)
-        self._check_relations(events)
+        check_stream_events(self.program, events)
         for event in events:
             self._route(event)
         return len(events)
@@ -550,11 +543,10 @@ class PartitionedEngine:
 
     # -- reading views ----------------------------------------------------------
     def _map_name(self, name: str | None) -> str:
-        if name is None or name in self.program.roots:
-            return self.program.root_map(name).name
-        if name in self.program.maps:
-            return name
-        raise ExecutionError(f"unknown view {name!r}")
+        decl = self.program.view_map(name)
+        if decl is None:
+            raise ExecutionError(f"unknown view {name!r}")
+        return decl.name
 
     def merged_items(self, name: str | None = None) -> tuple[tuple[str, ...], dict[tuple, Any]]:
         """Merged ``key tuple -> value`` contents of one map, plus its columns."""

@@ -121,14 +121,12 @@ class ViewAuditor:
         names = list(views) if views is not None else sorted(program.roots)
         self._decls: dict[str, MapDeclaration] = {}
         for name in names:
-            if name in program.roots:
-                self._decls[name] = program.root_map(name)
-            elif name in program.maps:
-                self._decls[name] = program.maps[name]
-            else:
+            decl = program.view_map(name)
+            if decl is None:
                 raise AuditError(
                     f"unknown view {name!r}; available: {sorted(program.roots)}"
                 )
+            self._decls[name] = decl
         # Base-relation mirror: relation -> {values tuple -> multiplicity}.
         self._tables: dict[str, dict[tuple, Any]] = {
             relation: {} for relation in program.schemas

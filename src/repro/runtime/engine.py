@@ -24,6 +24,19 @@ from repro.runtime.maps import MapStore
 from repro.runtime.protocol import STATE_DELTA, STATE_FORMAT, STATE_SINGLE, STATS_SCHEMA
 
 
+def check_stream_events(program: TriggerProgram, events: Iterable[StreamEvent]) -> None:
+    """Reject a slice naming any relation that is not a stream of ``program``.
+
+    Every engine's ``apply_many`` runs this before it applies, buffers or
+    routes anything, so a rejected slice leaves the engine as it was.
+    """
+    unknown = {event.relation for event in events}.difference(program.stream_relations)
+    if unknown:
+        raise RuntimeEngineError(
+            f"relation {min(unknown)!r} is not a stream relation of this program"
+        )
+
+
 class IncrementalEngine:
     """Keeps the materialized views of one trigger program continuously fresh."""
 
@@ -64,16 +77,11 @@ class IncrementalEngine:
         self._armed_observers: dict[tuple[int, str], Callable[[float], None]] | None = None
         self._profile_burst = 0
         self._profile_left = 0
-        # Events accounted in bulk (batched folds bypass per-event apply);
-        # plain int bumps, merged into the events_total counters at scrape.
+        # Events accounted in bulk (a batched engine's bulk runs bypass
+        # per-event apply); plain int bumps, merged into events_total at scrape.
         self._bulk_events: dict[tuple[int, str], int] = {}
         if telemetry.enabled:
             self._init_telemetry()
-
-    @property
-    def executor(self) -> TriggerExecutor:
-        """The trigger executor (used by the batched execution subsystem)."""
-        return self._executor
 
     # -- telemetry --------------------------------------------------------------
     def _init_telemetry(self) -> None:
@@ -118,28 +126,20 @@ class IncrementalEngine:
 
         return observe_and_trace
 
-    def count_bulk_events(self, sign: int, relation: str, count: int) -> None:
-        """Account events applied in bulk, outside per-event ``apply``.
-
-        The batched execution layer folds events into grouped deltas; the
-        per-group bulk path bypasses ``apply``, so it reports its event count
-        here to keep ``events in == events accounted`` exact.
-        """
-        key = (sign, relation)
-        self._bulk_events[key] = self._bulk_events.get(key, 0) + count
-
     def _collect_telemetry(self, registry) -> None:
         """Scrape-time collector: pull always-on counters into the registry."""
-        hists = self._trigger_hists
-        keys = set(hists) | set(self._bulk_events)
+        hists, bulk = self._trigger_hists, self._bulk_events
+        keys = set(hists) | set(bulk)
         # Continuous mode observes every event, so totals are exact.  In
         # burst-profiling mode the sampled fraction is only known empirically
-        # (events_processed over total samples): histogram counts are scaled
-        # back up and per-key totals are statistical estimates.
+        # (events that went through per-event apply over total samples — bulk
+        # events are counted exactly and were never sampled): histogram
+        # counts are scaled back up and per-key totals are estimates.
         scale = 1.0
         if self._profile_burst:
             total_sampled = sum(hist.count for hist in hists.values())
-            scale = self.events_processed / total_sampled if total_sampled else 0.0
+            per_event = self.events_processed - sum(bulk.values())
+            scale = per_event / total_sampled if total_sampled else 0.0
         for sign, relation in keys:
             op = "insert" if sign > 0 else "delete"
             hist = hists.get((sign, relation))
@@ -149,12 +149,11 @@ class IncrementalEngine:
                 help="Stream events applied, by relation and operation",
             )
             sampled = hist.count if hist is not None else 0
-            counter.value = round(sampled * scale) + self._bulk_events.get(
-                (sign, relation), 0
-            )
+            counter.value = round(sampled * scale) + bulk.get((sign, relation), 0)
+        # Read the stores directly: a scrape must not flush a batched engine.
         registry.gauge(
             "repro_engine_memory_bytes", help="Resident bytes of maps plus base relations"
-        ).set(self.memory_bytes())
+        ).set(self.maps.memory_bytes() + self.database.memory_bytes())
         registry.counter(
             "repro_engine_events_processed_total", help="Total events processed"
         ).value = self.events_processed
@@ -227,25 +226,28 @@ class IncrementalEngine:
         self.events_processed += 1
 
     def apply_many(self, events: Iterable[StreamEvent]) -> int:
-        """Apply a sequence of events; returns how many were processed."""
-        count = 0
+        """Apply a sequence of events, none if any names a non-stream
+        relation (:func:`check_stream_events`); returns how many."""
+        events = list(events)
+        check_stream_events(self.program, events)
         for event in events:
             self.apply(event)
-            count += 1
-        return count
+        return len(events)
 
     def flush(self) -> None:
         """No-op: per-event execution never buffers (uniform engine contract)."""
 
     # -- reading views ----------------------------------------------------------------
-    def view(self, name: str | None = None) -> GMR:
-        """Contents of a view as a GMR (key row -> aggregate value)."""
-        decl = self.program.root_map(name) if (
-            name is None or name in self.program.roots
-        ) else self.program.maps.get(name)
+    def _view_declaration(self, name: str | None):
+        """The map declaration behind a view name (root query or map name)."""
+        decl = self.program.view_map(name)
         if decl is None:
             raise RuntimeEngineError(f"unknown view {name!r}")
-        return self.maps.table(decl.name).to_gmr()
+        return decl
+
+    def view(self, name: str | None = None) -> GMR:
+        """Contents of a view as a GMR (key row -> aggregate value)."""
+        return self.maps.table(self._view_declaration(name).name).to_gmr()
 
     def scalar_result(self, name: str | None = None) -> Any:
         """The value of a scalar (non-grouping) view."""
@@ -253,9 +255,9 @@ class IncrementalEngine:
 
     def result_dict(self, name: str | None = None) -> dict[tuple, Any]:
         """View contents keyed by the tuple of key values, in key order."""
-        decl = self.program.root_map(name) if (
-            name is None or name in self.program.roots
-        ) else self.program.maps.get(name)
+        # The lookup inline, not through _view_declaration: this is the read
+        # the service's snapshot queries time.
+        decl = self.program.view_map(name)
         if decl is None:
             raise RuntimeEngineError(f"unknown view {name!r}")
         table = self.maps.table(decl.name)
@@ -264,15 +266,6 @@ class IncrementalEngine:
         }
 
     # -- row provenance ----------------------------------------------------------
-    def _view_declaration(self, name: str | None):
-        """The map declaration behind a view name (root query or map name)."""
-        decl = self.program.root_map(name) if (
-            name is None or name in self.program.roots
-        ) else self.program.maps.get(name)
-        if decl is None:
-            raise RuntimeEngineError(f"unknown view {name!r}")
-        return decl
-
     @property
     def provenance(self):
         """The active :class:`ProvenanceRecorder`, or None when disabled."""

@@ -1,11 +1,13 @@
 """The engine contract every execution mode implements.
 
-Three engines execute trigger programs — the per-event
-:class:`~repro.runtime.engine.IncrementalEngine`, the delta-batched
-:class:`~repro.exec.batching.BatchedEngine` and the hash-partitioned
-:class:`~repro.exec.partitioning.PartitionedEngine` — and everything built on
-top of them (the benchmark harness, the serving layer in
-:mod:`repro.service`) treats them interchangeably.  :class:`EngineProtocol`
+Two engine cores execute trigger programs — the single engine
+(:class:`~repro.runtime.engine.IncrementalEngine` and its compiled subclass
+:class:`~repro.codegen.engine.CompiledEngine`, whose subclass
+:class:`~repro.exec.batching.BatchedEngine` only changes dispatch: runs of
+same-trigger events instead of single events) and the hash-partitioned
+:class:`~repro.exec.partitioning.PartitionedEngine`, which places single
+engines — and everything built on top of them (the benchmark harness, the
+serving layer in :mod:`repro.service`) treats them interchangeably.  :class:`EngineProtocol`
 pins that surface down so conformance is checkable (``isinstance`` against
 the runtime-checkable protocol, plus the behavioural contract test in
 ``tests/runtime/test_engine_contract.py``).
@@ -15,8 +17,8 @@ state*: :meth:`EngineProtocol.checkpoint_state` captures everything needed to
 rebuild the engine's observable views (map contents, stored base relations,
 the event count), and :meth:`EngineProtocol.restore_state` loads such a state
 into a freshly built engine for the same program.  Single-engine states
-(``kind: "single"``) are interchangeable between the incremental and batched
-engines; partitioned states (``kind: "partitioned"``) additionally carry one
+(``kind: "single"``) are interchangeable between the incremental, compiled
+and batched engines; partitioned states (``kind: "partitioned"``) additionally carry one
 single-engine state per partition and require an identical partition layout
 on restore.
 """

@@ -7,11 +7,9 @@ bookkeeping overhead.  Neither system is available here, so this module
 provides the substitution described in DESIGN.md: a deliberately simple
 row-at-a-time engine that
 
-* stores base relations as plain lists of dictionaries,
+* stores base relations as plain lists of dictionaries, and
 * evaluates AGCA queries with unindexed nested loops and **no** sharing,
-  memoization or sideways-binding shortcuts, and
-* optionally charges a fixed per-event overhead to model the bookkeeping /
-  statement-parsing cost the paper observed in DBX's IVM mode.
+  memoization or sideways-binding shortcuts.
 
 Because the evaluation code is written independently of
 :mod:`repro.agca.evaluator`, it doubles as an oracle in the test suite: both
@@ -21,7 +19,6 @@ generate.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.agca.ast import (
@@ -168,26 +165,18 @@ def _eval(expr: Expr, tables: Mapping[str, Sequence[tuple[RefRow, Any]]], ctx: R
 
 
 class ReferenceEngine:
-    """Recompute-per-update engine over list-of-dict base tables.
-
-    ``per_event_overhead`` (seconds) models the fixed bookkeeping cost a
-    generic engine pays per refresh; it is only charged when measuring
-    throughput with the benchmark harness (as busy-waiting), never when the
-    engine is used as a correctness oracle.
-    """
+    """Recompute-per-update engine over list-of-dict base tables."""
 
     def __init__(
         self,
         queries: Expr | Mapping[str, Expr],
         schemas: Mapping[str, Sequence[str]],
-        per_event_overhead: float = 0.0,
         name: str = "Q",
     ) -> None:
         if not isinstance(queries, Mapping):
             queries = {name: queries}
         self.queries = dict(queries)
         self.schemas = {rel: tuple(cols) for rel, cols in schemas.items()}
-        self.per_event_overhead = per_event_overhead
         self._tables: dict[str, list[tuple[RefRow, Any]]] = {rel: [] for rel in self.schemas}
         self._results: dict[str, RefResult] = {qname: [] for qname in self.queries}
         self.events_processed = 0
@@ -221,10 +210,7 @@ class ReferenceEngine:
                 else:
                     table[i] = (existing, new_mult)
                 return
-        if sign > 0:
-            table.append((stored, sign))
-        else:
-            table.append((stored, sign))
+        table.append((stored, sign))
 
     # -- stream processing ----------------------------------------------------------
     def apply(self, event: StreamEvent) -> None:
@@ -232,10 +218,6 @@ class ReferenceEngine:
         if event.relation not in self.schemas:
             raise RuntimeEngineError(f"unknown relation {event.relation!r}")
         self._store(event.relation, event.values, event.sign)
-        if self.per_event_overhead > 0:
-            deadline = time.perf_counter() + self.per_event_overhead
-            while time.perf_counter() < deadline:
-                pass
         for qname, expr in self.queries.items():
             self._results[qname] = evaluate_reference(expr, self._tables)
         self.events_processed += 1
@@ -247,6 +229,12 @@ class ReferenceEngine:
             self.apply(event)
             count += 1
         return count
+
+    def flush(self) -> None:
+        """No-op: every event is applied (and recomputed) on arrival."""
+
+    def close(self) -> None:
+        """No-op: the reference engine owns no external resources."""
 
     # -- reading results --------------------------------------------------------------
     def view(self, name: str | None = None) -> GMR:

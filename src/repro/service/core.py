@@ -323,13 +323,10 @@ class ViewService:
         return tuple(sorted(self.program.roots))
 
     def _declaration(self, name: str | None) -> MapDeclaration:
-        program = self.program
-        if name is None or name in program.roots:
-            return program.root_map(name)
-        decl = program.maps.get(name)
+        decl = self.program.view_map(name)
         if decl is None:
             raise ServiceError(
-                f"unknown view {name!r}; available: {sorted(program.roots)}"
+                f"unknown view {name!r}; available: {sorted(self.program.roots)}"
             )
         return decl
 

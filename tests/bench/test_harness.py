@@ -43,6 +43,9 @@ def test_measure_refresh_rate_timeout_marks_incomplete():
 
             time.sleep(0.02)
 
+        def flush(self):
+            pass
+
         def memory_bytes(self):
             return 0
 

@@ -7,7 +7,7 @@ from repro.codegen.engine import CompiledEngine
 from repro.codegen.vector import numpy_available
 from repro.compiler.hoivm import compile_query
 from repro.delta.events import delete, insert
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, RuntimeEngineError
 from repro.exec import BatchPlan, BatchedEngine
 from repro.runtime.engine import IncrementalEngine
 from repro.workloads import workload
@@ -136,7 +136,7 @@ def test_duplicate_inserts_and_deletes_match_the_per_event_engine():
 
 
 def test_constructor_surfaces_have_no_execution_path_knobs():
-    """Inner engines are always compiled and vector dispatch is automatic:
+    """A batched engine is a compiled engine and vector dispatch is automatic:
     nothing on these signatures selects an execution path."""
     import inspect
 
@@ -146,22 +146,29 @@ def test_constructor_surfaces_have_no_execution_path_knobs():
     def parameters(fn):
         return [name for name in inspect.signature(fn).parameters if name != "self"]
 
-    assert parameters(BatchedEngine.__init__) == [
-        "program", "batch_size", "plan", "telemetry",
-    ]
+    assert parameters(BatchedEngine.__init__) == ["program", "batch_size", "telemetry"]
     assert parameters(PartitionedEngine.__init__) == [
         "program", "partitions", "backend", "batch_size", "telemetry",
     ]
     assert parameters(_WorkerEngine.__init__) == ["context", "program_bytes", "batch_size"]
     _, program = _program("Q1")
-    assert isinstance(BatchedEngine(program, 10).engine, CompiledEngine)
+    engine = BatchedEngine(program, 10)
+    assert isinstance(engine, CompiledEngine)
+    assert not hasattr(engine, "engine")
     assert not hasattr(BatchedEngine, "BACKENDS")
+    # Batching is a dispatch policy: everything else is inherited, not forwarded.
+    inherited = {"load_static", "provenance", "enable_provenance", "explain_row",
+                 "scalar_result", "supports_delta_state", "apply_run"}
+    assert not inherited & set(vars(BatchedEngine))
+    assert not hasattr(CompiledEngine, "apply_run")
+    assert not hasattr(IncrementalEngine, "count_bulk_events")
+    assert not hasattr(IncrementalEngine, "executor")
 
 
 def test_batched_engine_rejects_non_stream_relations():
     _, program = _program("Q1")
     engine = BatchedEngine(program, 10)
-    with pytest.raises(ExecutionError):
+    with pytest.raises(RuntimeEngineError):
         engine.apply(insert("Nation", 1, "FRANCE", 1))
 
 
@@ -178,10 +185,10 @@ def test_views_flush_pending_events_automatically():
     events = list(spec.stream_factory(events=50))
     for event in events:
         engine.apply(event)
-    assert engine.events_processed == 50
+    assert engine.events_processed == 50 and len(engine._buffer) == 50
     view = engine.view("Q1_sum_qty")  # triggers the flush
     assert view.support_size > 0
-    assert engine.engine.events_processed == 50
+    assert engine.events_processed == 50 and not engine._buffer
 
 
 def test_batched_matches_per_event_with_deletes():
@@ -223,10 +230,10 @@ def test_apply_many_rejects_the_whole_slice_or_nothing(bad_at, batch_size):
     before = (list(engine._buffer), engine.events_processed, _counters(engine))
     slice_ = events[10:70]
     slice_[bad_at] = insert("Nation", 1, "FRANCE", 1)  # static, not a stream
-    with pytest.raises(ExecutionError):
+    with pytest.raises(RuntimeEngineError):
         engine.apply_many(slice_)
     assert (list(engine._buffer), engine.events_processed, _counters(engine)) == before
-    with pytest.raises(ExecutionError):
+    with pytest.raises(RuntimeEngineError):
         engine.stage(slice_)
     # The engine is still usable and exact afterwards.
     slice_[bad_at] = events[10 + bad_at]
@@ -239,8 +246,8 @@ def test_apply_many_rejects_the_whole_slice_or_nothing(bad_at, batch_size):
 def _counters(engine):
     return (
         engine.batches_flushed, engine.runs_bulk, engine.runs_replayed,
-        engine.bulk_events, engine.fallback_events, engine.vector_events,
-        dict(engine.vector_fallbacks), engine.engine.events_processed,
+        dict(engine._bulk_events), engine.fallback_events, engine.vector_events,
+        dict(engine.vector_fallbacks), engine._applied,
     )
 
 
@@ -290,7 +297,7 @@ def test_partition_is_an_order_respecting_permutation(data, name):
 def test_partition_merges_past_any_number_of_commuting_runs():
     """No look-back window: a run stays open while everything since commutes."""
     plan = _partition_plan("Q1")
-    others = [r for r in plan.program.stream_relations if r != "Lineitem"]
+    others = [r for r in _program("Q1")[1].stream_relations if r != "Lineitem"]
     events = []
     for index in range(40):
         events.append(insert("Lineitem", index))
@@ -334,8 +341,8 @@ def test_runs_dispatch_once_and_never_per_event_on_top(name):
     for relation, rows in (static or {}).items():
         if relation in program.static_relations:
             engine.load_static(relation, rows)
-    inner, calls = engine.engine, _Calls()
-    executor = inner.codegen
+    calls = _Calls()
+    executor = engine.codegen
     executor._fused = {
         key: (calls.wrap("fused", runner), arity)
         for key, (runner, arity) in executor._fused.items()
@@ -343,7 +350,8 @@ def test_runs_dispatch_once_and_never_per_event_on_top(name):
     executor._runners = {
         sid: calls.wrap("runner", runner) for sid, runner in executor._runners.items()
     }
-    inner.apply = calls.wrap("apply", inner.apply)
+    # The per-event path is the executor's apply (the engine's own buffers).
+    executor.apply = calls.wrap("apply", executor.apply)
     for analysis in engine.plan._analyses.values():
         for bound in engine._vector_bindings(analysis).values():
             bound._fn = calls.wrap("vector", bound._fn)

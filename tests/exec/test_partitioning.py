@@ -4,7 +4,7 @@ import pytest
 
 from repro.compiler.hoivm import compile_query
 from repro.delta.events import insert
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, RuntimeEngineError
 from repro.exec import PartitionedEngine, infer_partition_spec, stable_hash
 from repro.exec.partitioning import MERGE_REPLICATED, MERGE_SUM
 from repro.runtime.engine import IncrementalEngine
@@ -165,7 +165,7 @@ def test_apply_many_is_all_or_nothing(position):
     processed, routed = engine.events_processed, list(engine.events_routed)
     batch = events[20:30]
     batch.insert(position, insert("NoSuchRelation", 1, 2))
-    with pytest.raises(ExecutionError):
+    with pytest.raises(RuntimeEngineError):
         engine.apply_many(batch)
     engine.flush()
     assert engine.events_processed == processed

@@ -82,7 +82,7 @@ class TestModeEquivalence:
         batched = run_with_provenance(q3, "batched", batch_size=32)
         view = q3.root
         assert transitions(batched, view) == transitions(compiled, view)
-        history = batched.engine.provenance.history(view)
+        history = batched.provenance.history(view)
         assert history and all(entry[4][0] == "event" for entry in history)
         # Same causes as per-event execution (versions may differ: commuting
         # triggers' events are reordered inside a batch).
@@ -97,7 +97,7 @@ class TestModeEquivalence:
         assert batched.result_dict(view) == compiled.result_dict(view)
         stats = batched.statistics()["batching"]
         assert stats["runs_bulk"] and not stats["runs_replayed"]
-        causes = [e[4] for e in batched.engine.provenance.history(view)]
+        causes = [e[4] for e in batched.provenance.history(view)]
         assert causes and all(cause[0] == "fold" for cause in causes)
         # Runs keep duplicate tuples apart: the descriptor's tuples == events.
         assert all(cause[3] == cause[4] >= 1 for cause in causes)

@@ -195,6 +195,99 @@ def test_non_stream_relations_are_rejected(q3, name):
 
 
 @pytest.mark.parametrize("name", list(ENGINES))
+def test_events_processed_counts_accepted_events_before_flush(q3, name):
+    engine = build(name, q3)
+    try:
+        engine.apply_many(q3["events"][:30])  # not a multiple of any batch size
+        assert engine.events_processed == 30
+        for event in q3["events"][30:33]:
+            engine.apply(event)
+        assert engine.events_processed == 33
+        engine.flush()
+        assert engine.events_processed == 33
+    finally:
+        engine.close()
+
+
+def _untimed(document):
+    """A statistics document without its wall-clock fields."""
+    if isinstance(document, dict):
+        return {k: _untimed(v) for k, v in document.items() if not k.endswith("_seconds")}
+    if isinstance(document, list):
+        return [_untimed(item) for item in document]
+    return document
+
+
+@pytest.mark.parametrize("bad_at", [0, 10, 20])
+@pytest.mark.parametrize("name", list(ENGINES))
+def test_apply_many_is_all_or_nothing(q3, name, bad_at):
+    """A slice naming a non-stream relation is rejected before any of it is
+    applied, buffered or routed: the engine matches a twin that never saw it."""
+    engine, twin = build(name, q3), build(name, q3)
+    try:
+        prefix = q3["events"][:40]
+        engine.apply_many(prefix)
+        twin.apply_many(prefix)
+        slice_ = list(q3["events"][40:61])
+        slice_[bad_at] = insert("Nation", 1, "FRANCE", 1)  # static, not a stream
+        with pytest.raises(ReproError):
+            engine.apply_many(slice_)
+        assert engine.events_processed == twin.events_processed == 40
+        assert engine.result_dict(q3["root"]) == twin.result_dict(q3["root"])
+        assert _untimed(engine.statistics()) == _untimed(twin.statistics())
+    finally:
+        engine.close()
+        twin.close()
+
+
+def _contents(state):
+    """A state's table entries, order-free, each value with its type."""
+    return {
+        "events_processed": state["events_processed"],
+        **{
+            section: {
+                table: {key: (value, type(value)) for key, value in entries}
+                for table, entries in state[section].items()
+            }
+            for section in ("maps", "relations")
+        },
+    }
+
+
+@pytest.mark.parametrize("name", list(ENGINES))
+def test_delta_chain_reproduces_checkpoint_state(q3, name):
+    engine = build(name, q3)
+    try:
+        events = q3["events"]
+        engine.apply_many(events[:50])
+        if not engine.supports_delta_state():
+            with pytest.raises(ReproError):
+                engine.delta_state()
+            return
+        engine.begin_delta_tracking()
+        base = engine.checkpoint_state()
+        deltas = []
+        # 33 and 37 are multiples of no batch size: a batched engine holds
+        # events in its buffer at every cut, and each cut must cover them.
+        for start, stop in ((50, 83), (83, 120)):
+            engine.apply_many(events[start:stop])
+            assert engine.events_processed == stop
+            deltas.append(engine.delta_state())
+            assert deltas[-1]["events_processed"] == stop
+        fresh = ENGINES[name](q3["program"])
+        try:
+            fresh.restore_state(base)
+            for delta in deltas:
+                fresh.apply_delta_state(delta)
+            assert _contents(fresh.checkpoint_state()) == _contents(engine.checkpoint_state())
+            assert fresh.result_dict(q3["root"]) == engine.result_dict(q3["root"])
+        finally:
+            fresh.close()
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("name", list(ENGINES))
 def test_map_sizes_report_every_declared_map(q3, name):
     engine = build(name, q3)
     try:
