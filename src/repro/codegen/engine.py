@@ -332,11 +332,6 @@ class CompiledEngine(IncrementalEngine):
         super().restore_state(state)
         self._executor.rebind()
 
-    def apply_delta_state(self, state: Mapping[str, Any]) -> None:
-        """Apply a delta cut, then rebind kernels (same contract as restore)."""
-        super().apply_delta_state(state)
-        self._executor.rebind()
-
     def statistics(self) -> dict[str, object]:
         stats = super().statistics()
         stats["mode"] = "compiled"

@@ -6,10 +6,10 @@ instant with bit-identical views:
 * :class:`~repro.durability.wal.WriteAheadLog` — every ingest batch is
   logged (the request line behind a CRC'd header, group fsync) *before* it
   touches engine state;
-* incremental checkpoints — ``service/checkpoint.py`` dumps per-map
-  dirty-key deltas at each cut, chained to periodic full bases;
-* recovery — newest intact base + delta chain + idempotent WAL tail replay
-  (orchestrated by ``repro.service.core.ViewService.recover``).
+* checkpoints — ``service/checkpoint.py`` writes one full base of the
+  engine state at every cut and keeps the newest two;
+* recovery — newest intact base + idempotent WAL tail replay (orchestrated
+  by ``repro.service.core.ViewService.recover``).
 
 :mod:`repro.durability.faults` provides the deterministic crash-site
 injection the test suite uses to prove all of the above.

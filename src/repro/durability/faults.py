@@ -32,10 +32,8 @@ site                       the process dies ...
 ``wal.pruned``             after deleting old segments, before the dir fsync
 ``checkpoint.written``     checkpoint temp file written+fsynced, before rename
 ``checkpoint.renamed``     after the rename, before the directory fsync
-``delta.written``          delta temp file written+fsynced, before rename
-``delta.renamed``          after the delta rename, before the directory fsync
 ``checkpoint.pruned``      after checkpoint GC unlinked files
-``recovery.restored``      after the checkpoint chain loaded, before WAL replay
+``recovery.restored``      after the newest intact base loaded, before WAL replay
 ``recovery.replayed``      after the WAL tail replayed, before serving resumes
 ========================== =====================================================
 """
@@ -58,8 +56,6 @@ CRASH_SITES: tuple[str, ...] = (
     "wal.pruned",
     "checkpoint.written",
     "checkpoint.renamed",
-    "delta.written",
-    "delta.renamed",
     "checkpoint.pruned",
     "recovery.restored",
     "recovery.replayed",

@@ -219,6 +219,8 @@ class WriteAheadLog:
         self.fsync_interval_ms = fsync_interval_ms
         self.segment_max_bytes = segment_max_bytes
         self._handle = None
+        #: why a failed write closed the log (None while it is healthy).
+        self._failure: str | None = None
         self._segment_path: Path | None = None
         self._segment_bytes = 0
         #: version after the last appended record (the log's tip).
@@ -409,7 +411,7 @@ class WriteAheadLog:
         Without it the shared wire encoder builds the same line.
         """
         if self._handle is None:
-            raise DurabilityError("write-ahead log is closed")
+            raise self._closed_error()
         if offset != self.end_offset:
             raise DurabilityError(
                 f"WAL append at offset {offset} but the log ends at {self.end_offset}"
@@ -425,8 +427,12 @@ class WriteAheadLog:
         crc = zlib.crc32(payload, zlib.crc32(body))
         line = b"".join((b"W2 %08x " % crc, body, payload))
         maybe_crash("wal.append.serialized")
-        self._handle.write(line)
-        self._handle.flush()
+        try:
+            self._handle.write(line)
+            self._handle.flush()
+        except BaseException as exc:
+            self._fail(exc)
+            raise
         maybe_crash("wal.append.written")
         end = offset + count
         self.end_offset = end
@@ -450,6 +456,29 @@ class WriteAheadLog:
             self.rotations += 1
         return synced
 
+    def _fail(self, exc: BaseException) -> None:
+        """Close the log after a write or fsync that may have left bytes behind.
+
+        What reached the file is unknown (a torn record, or a record whose
+        fsync failed), so appending after it could bury a torn record under
+        acknowledged ones.  Every later append and sync is refused instead;
+        reopening the log truncates a torn tail and replays what is intact.
+        """
+        handle, self._handle = self._handle, None
+        self._failure = f"{type(exc).__name__}: {exc}"
+        try:
+            handle.close()
+        except OSError:
+            pass
+
+    def _closed_error(self) -> DurabilityError:
+        if self._failure is None:
+            return DurabilityError("write-ahead log is closed")
+        return DurabilityError(
+            f"write-ahead log closed after a failed write ({self._failure}); "
+            "restart the service to recover from the log"
+        )
+
     def _should_sync(self) -> bool:
         if self.fsync_every is not None and self._unsynced_records >= self.fsync_every:
             return True
@@ -460,14 +489,18 @@ class WriteAheadLog:
     def sync(self) -> None:
         """Force the pending record group to durable storage."""
         if self._handle is None:
-            raise DurabilityError("write-ahead log is closed")
+            raise self._closed_error()
         if self._unsynced_records == 0 and self.synced_offset == self.end_offset:
             self._last_sync = perf_counter()
             return
         maybe_crash("wal.fsync")
         started = perf_counter()
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        try:
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+        except BaseException as exc:
+            self._fail(exc)
+            raise
         elapsed = perf_counter() - started
         maybe_crash("wal.synced")
         self.fsyncs += 1
@@ -525,9 +558,9 @@ class WriteAheadLog:
 
         Used when checkpoints are newer than the retained log (e.g. a fresh
         WAL directory next to surviving checkpoints): every record at or
-        below ``offset`` is already reflected in the checkpoint chain, so the
-        old segments — and their batch-id dedup window — are dropped and a
-        new segment starts at the restored version.
+        below ``offset`` is already reflected in the restored checkpoint, so
+        the old segments — and their batch-id dedup window — are dropped and
+        a new segment starts at the restored version.
         """
         if offset < self.end_offset:
             raise DurabilityError(

@@ -382,7 +382,7 @@ class BatchedEngine(CompiledEngine):
         table = self.maps.table(statement.target)
         if table._watcher is not None:
             # set_total skips no-op notifications the per-tuple path would
-            # emit; keep dirty-delta tracking exact on the statement runner.
+            # emit; keep watcher notifications exact on the statement runner.
             self._note_fallback("watcher")
             return False
         try:
@@ -578,20 +578,6 @@ class BatchedEngine(CompiledEngine):
         """Load a single-engine state, discarding any buffered events."""
         self._buffer = []
         super().restore_state(state)
-
-    def begin_delta_tracking(self) -> None:
-        self.flush()
-        super().begin_delta_tracking()
-
-    def delta_state(self) -> dict[str, Any]:
-        """Flush, then cut the delta (covers every accepted event)."""
-        self.flush()
-        return super().delta_state()
-
-    def apply_delta_state(self, state) -> None:
-        """Apply a delta cut, discarding any buffered events."""
-        self._buffer = []
-        super().apply_delta_state(state)
 
     def close(self) -> None:
         """Flush pending work; the batched engine owns no external resources."""

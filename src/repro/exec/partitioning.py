@@ -745,26 +745,6 @@ class PartitionedEngine:
         self.events_routed = list(state["events_routed"])
         self.events_broadcast = int(state["events_broadcast"])
 
-    # -- incremental state (delta checkpoints) -----------------------------------
-    def supports_delta_state(self) -> bool:
-        """Partitioned state lives across partitions; only full cuts are offered."""
-        return False
-
-    def begin_delta_tracking(self) -> None:
-        """No-op: callers checked :meth:`supports_delta_state` first."""
-
-    def delta_state(self) -> dict[str, Any]:
-        raise ExecutionError(
-            "the partitioned engine does not produce delta states; "
-            "use checkpoint_state (supports_delta_state() is False)"
-        )
-
-    def apply_delta_state(self, state: Mapping[str, Any]) -> None:
-        raise ExecutionError(
-            "the partitioned engine does not apply delta states; "
-            "use restore_state (supports_delta_state() is False)"
-        )
-
     def close(self) -> None:
         """Close every partition (stops worker processes)."""
         for partition in self._partitions:

@@ -21,7 +21,7 @@ from repro.errors import RuntimeEngineError
 from repro.runtime.database import Database
 from repro.runtime.interpreter import TriggerExecutor
 from repro.runtime.maps import MapStore
-from repro.runtime.protocol import STATE_DELTA, STATE_FORMAT, STATE_SINGLE, STATS_SCHEMA
+from repro.runtime.protocol import STATE_FORMAT, STATE_SINGLE, STATS_SCHEMA
 
 
 def check_stream_events(program: TriggerProgram, events: Iterable[StreamEvent]) -> None:
@@ -465,142 +465,6 @@ class IncrementalEngine:
             else:
                 for ring in recorder.rings.values():
                     ring.clear()
-
-    # -- incremental state (delta checkpoints) ----------------------------------
-    def supports_delta_state(self) -> bool:
-        """Single engines track per-map dirty keys, so deltas are available."""
-        return True
-
-    def begin_delta_tracking(self) -> None:
-        """Start recording dirty keys on every map and stored base relation.
-
-        Idempotent per cut: the incremental-checkpoint layer calls this once
-        at startup (or right after a full checkpoint); every
-        :meth:`delta_state` drains the dirty sets and keeps tracking.
-        """
-        for name in self.maps.names():
-            self.maps.table(name).begin_dirty_tracking()
-        for name in self.database.relations():
-            self.database.table(name).begin_dirty_tracking()
-
-    def _table_delta(self, table) -> dict[str, Any] | None:
-        """One table's change record since the last cut (None when clean).
-
-        ``{"full": entries}`` replaces the table wholesale;
-        ``{"changed": [(key, value | None)]}`` upserts each key — ``None``
-        is a tombstone (zero-drop means stored values are never None).
-        """
-        mode, rows = table.collect_dirty()
-        if mode == "clean":
-            return None
-        columns = table.columns
-        if mode == "full":
-            return {
-                "full": [
-                    (tuple(row[c] for c in columns), value)
-                    for row, value in table.items()
-                ]
-            }
-        primary = table.primary
-        return {
-            "changed": [
-                (tuple(row[c] for c in columns), primary.get(row)) for row in rows
-            ]
-        }
-
-    def delta_state(self) -> dict[str, Any]:
-        """The changes since the previous cut (``kind: "single-delta"``).
-
-        Requires :meth:`begin_delta_tracking`; a map that was never tracked
-        is dumped wholesale (conservative, still correct).  Draining resets
-        the dirty sets, so consecutive calls chain: full base + every delta
-        in order reproduces :meth:`checkpoint_state` exactly.
-        """
-        maps: dict[str, Any] = {}
-        for name in self.maps.names():
-            delta = self._table_delta(self.maps.table(name))
-            if delta is not None:
-                maps[name] = delta
-        relations: dict[str, Any] = {}
-        for name in self.database.relations():
-            delta = self._table_delta(self.database.table(name))
-            if delta is not None:
-                relations[name] = delta
-        state: dict[str, Any] = {
-            "format": STATE_FORMAT,
-            "kind": STATE_DELTA,
-            "events_processed": self.events_processed,
-            "maps": maps,
-            "relations": relations,
-        }
-        if self._provenance is not None:
-            # Rings are bounded (depth entries per view), so carrying the
-            # full recorder state keeps deltas small while making restores
-            # from any chain provenance-exact.
-            state["provenance"] = self._provenance.state()
-        return state
-
-    def _apply_table_delta(self, table, delta: Mapping[str, Any]) -> None:
-        if "full" in delta:
-            table.clear()
-            for values, value in delta["full"]:
-                table.set(values, value)
-            return
-        for values, value in delta["changed"]:
-            table.set(values, 0 if value is None else value)
-
-    def apply_delta_state(self, state: Mapping[str, Any]) -> None:
-        """Apply a :meth:`delta_state` dictionary on top of the current state.
-
-        Deltas must be applied in chain order on top of the base they were
-        cut from; each call fast-forwards ``events_processed`` to the delta's
-        cut.  Like :meth:`restore_state`, repopulation is invisible to
-        provenance watchers.
-        """
-        if state.get("kind") != STATE_DELTA:
-            raise RuntimeEngineError(
-                f"cannot apply a {state.get('kind')!r} state as a delta"
-            )
-        if state.get("format") != STATE_FORMAT:
-            raise RuntimeEngineError(
-                f"engine state has format {state.get('format')!r}; "
-                f"this build reads format {STATE_FORMAT}"
-            )
-        unknown = set(state["maps"]) - set(self.maps.names())
-        if unknown:
-            raise RuntimeEngineError(
-                f"delta holds maps {sorted(unknown)} not declared by this program"
-            )
-        unknown = set(state["relations"]) - set(self.database.relations())
-        if unknown:
-            raise RuntimeEngineError(
-                f"delta holds relations {sorted(unknown)} not declared by this program"
-            )
-        new_version = int(state["events_processed"])
-        if new_version < self.events_processed:
-            raise RuntimeEngineError(
-                f"delta cut at version {new_version} is older than the engine "
-                f"({self.events_processed}); deltas must be applied in chain order"
-            )
-        recorder = self._provenance
-        if recorder is not None:
-            self._detach_provenance()
-        for name, delta in state["maps"].items():
-            self._apply_table_delta(self.maps.table(name), delta)
-        for name, delta in state["relations"].items():
-            self._apply_table_delta(self.database.table(name), delta)
-        self.events_processed = new_version
-        saved = state.get("provenance")
-        if recorder is None and saved:
-            recorder = self.enable_provenance(
-                depth=saved.get("depth"), views=list(saved.get("views", ()))
-            )
-            recorder.restore(saved)
-        elif recorder is not None:
-            self._attach_provenance()
-            recorder.version = self.events_processed
-            if saved:
-                recorder.restore(saved)
 
     def close(self) -> None:
         """No-op: the per-event engine owns no external resources."""

@@ -9,6 +9,9 @@ maintained secondary indexes keyed by column subsets, and — for the
 comparison-guarded nested aggregates of the financial workload — ordered
 range indexes (:mod:`repro.runtime.ordered`) answering
 ``sum(value) where column op cutoff`` probes through :meth:`IndexedTable.range_sum`.
+A write maintains those indexes, bumps the table's ``write_epoch`` (the key of
+the vector backend's column cache) and calls the optional watcher
+(provenance); it records nothing else — checkpoints copy whole tables.
 
 :class:`MapStore` is the collection of all materialized views of one engine,
 and :class:`ViewCache` implements the paper's view-cache data structure for
@@ -33,8 +36,7 @@ class IndexedTable:
 
     __slots__ = (
         "columns", "_data", "_indexes", "_ordered", "probes", "scans",
-        "range_probes", "_watcher", "write_epoch", "_dirty", "_dirty_full",
-        "_vector_cache",
+        "range_probes", "_watcher", "write_epoch", "_vector_cache",
     )
 
     def __init__(self, columns: Sequence[str]) -> None:
@@ -56,17 +58,10 @@ class IndexedTable:
         # every mutation at the cost of a single None check.
         self._watcher: Callable[[Row, Any, Any], None] | None = None
         # Monotone write epoch: bumped once per actual value transition
-        # (wholesale swaps count as one).  Incremental checkpoints compare
-        # epochs across cuts to skip maps that have not changed at all.
+        # (wholesale swaps count as one).  The vector backend's columnar-view
+        # cache below — ``(write_epoch, payload)`` pairs owned by
+        # repro.codegen.vector — is invalidated by epoch comparison.
         self.write_epoch = 0
-        # Dirty-key tracking for incremental checkpoints: None when off;
-        # while on, every transitioned key row is recorded.  Wholesale swaps
-        # (clear/replace) set _dirty_full instead of enumerating rows.
-        self._dirty: set[Row] | None = None
-        self._dirty_full = False
-        # Columnar-view cache for the vector backend: ``(write_epoch, payload)``
-        # pairs owned by repro.codegen.vector, invalidated by epoch comparison
-        # (the epoch bumps on every actual value transition).
         self._vector_cache: tuple | None = None
 
     # -- basic access -------------------------------------------------------
@@ -128,44 +123,6 @@ class IndexedTable:
         """Install (or remove, with None) the mutation watcher."""
         self._watcher = watcher
 
-    # -- dirty-key tracking (incremental checkpoints) -------------------------
-    @property
-    def dirty_tracking(self) -> bool:
-        """True while dirty keys are being recorded."""
-        return self._dirty is not None
-
-    def begin_dirty_tracking(self) -> None:
-        """Start (or restart) recording keys whose values transition."""
-        self._dirty = set()
-        self._dirty_full = False
-
-    def collect_dirty(self) -> tuple[str, list[Row]]:
-        """Drain the dirty set and keep tracking from a fresh cut.
-
-        Returns ``(mode, rows)``:
-
-        * ``("clean", [])`` — no transition since the last cut;
-        * ``("changed", rows)`` — exactly these keys transitioned (their
-          current values — or absence — fully describe the change);
-        * ``("full", [])`` — a wholesale swap (:meth:`replace` /
-          :meth:`clear`) happened, or tracking was never begun: the caller
-          must treat the whole table as changed.
-        """
-        if self._dirty is None:
-            return ("full", [])
-        if self._dirty_full:
-            self._dirty = set()
-            self._dirty_full = False
-            return ("full", [])
-        rows = list(self._dirty)
-        self._dirty = set()
-        return ("changed", rows) if rows else ("clean", [])
-
-    def end_dirty_tracking(self) -> None:
-        """Stop recording dirty keys."""
-        self._dirty = None
-        self._dirty_full = False
-
     def add(self, key: Row | Mapping[str, Any] | Sequence[Any], delta: Any) -> None:
         """Add ``delta`` to the value stored under ``key`` (removing zeros)."""
         if is_zero(delta):
@@ -180,8 +137,6 @@ class IndexedTable:
                 if self._ordered:
                     self._ordered_change(row, old, None)
                 self.write_epoch += 1
-                if self._dirty is not None:
-                    self._dirty.add(row)
                 if self._watcher is not None:
                     self._watcher(row, old, 0)
         else:
@@ -193,8 +148,6 @@ class IndexedTable:
             if self._ordered:
                 self._ordered_change(row, old, new)
             self.write_epoch += 1
-            if self._dirty is not None:
-                self._dirty.add(row)
             if self._watcher is not None:
                 self._watcher(row, 0 if old is None else old, new)
 
@@ -209,8 +162,6 @@ class IndexedTable:
                 if self._ordered:
                     self._ordered_change(row, old, None)
                 self.write_epoch += 1
-                if self._dirty is not None:
-                    self._dirty.add(row)
                 if self._watcher is not None:
                     self._watcher(row, old, 0)
             return
@@ -221,8 +172,6 @@ class IndexedTable:
             self._ordered_change(row, old, new)
         if old is None or old != new or type(old) is not type(new):
             self.write_epoch += 1
-            if self._dirty is not None:
-                self._dirty.add(row)
             if self._watcher is not None:
                 self._watcher(row, 0 if old is None else old, new)
 
@@ -245,8 +194,6 @@ class IndexedTable:
                 if self._ordered:
                     self._ordered_change(row, old, None)
                 self.write_epoch += 1
-                if self._dirty is not None:
-                    self._dirty.add(row)
                 if self._watcher is not None:
                     self._watcher(row, old, 0)
             return
@@ -260,8 +207,6 @@ class IndexedTable:
             self._ordered_change(row, old, new)
         if old is None or old != new or type(old) is not type(new):
             self.write_epoch += 1
-            if self._dirty is not None:
-                self._dirty.add(row)
             if self._watcher is not None:
                 self._watcher(row, 0 if old is None else old, new)
 
@@ -283,8 +228,6 @@ class IndexedTable:
         # Secondary and ordered indexes are rebuilt lazily on the next probe.
         if had_entries or self._data:
             self.write_epoch += 1
-            if self._dirty is not None:
-                self._dirty_full = True
         if watcher is not None:
             self._diff_into_watcher(old_data, watcher)
 
@@ -294,8 +237,6 @@ class IndexedTable:
         old_data = self._data if watcher is not None else None
         if self._data:
             self.write_epoch += 1
-            if self._dirty is not None:
-                self._dirty_full = True
         self._data = {}
         self._indexes = {}
         self._ordered = {}

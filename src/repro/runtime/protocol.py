@@ -16,9 +16,11 @@ Beyond stream processing and view reads, the contract includes *durable
 state*: :meth:`EngineProtocol.checkpoint_state` captures everything needed to
 rebuild the engine's observable views (map contents, stored base relations,
 the event count), and :meth:`EngineProtocol.restore_state` loads such a state
-into a freshly built engine for the same program.  Single-engine states
-(``kind: "single"``) are interchangeable between the incremental, compiled
-and batched engines; partitioned states (``kind: "partitioned"``) additionally carry one
+into a freshly built engine for the same program.  A state is always whole
+(the service writes one at every checkpoint cut), so engines record nothing
+per write for checkpointing.  Single-engine states (``kind: "single"``) are
+interchangeable between the incremental, compiled and batched engines;
+partitioned states (``kind: "partitioned"``) additionally carry one
 single-engine state per partition and require an identical partition layout
 on restore.
 """
@@ -39,10 +41,6 @@ STATE_SINGLE = "single"
 
 #: ``kind`` of a state produced by a partitioned engine.
 STATE_PARTITIONED = "partitioned"
-
-#: ``kind`` of an *incremental* state: only the entries that changed since
-#: the previous cut (per-map dirty keys; absent value = key removed).
-STATE_DELTA = "single-delta"
 
 #: Schema tag of every engine's ``statistics()`` document::
 #:
@@ -94,18 +92,5 @@ class EngineProtocol(Protocol):
     def checkpoint_state(self) -> dict[str, Any]: ...
 
     def restore_state(self, state: Mapping[str, Any]) -> None: ...
-
-    # -- incremental state (delta checkpoints) --------------------------------
-    # ``supports_delta_state`` advertises whether the three methods below do
-    # real work: engines exploiting IndexedTable dirty tracking return True;
-    # others (currently the partitioned engine) return False and raise from
-    # delta_state/apply_delta_state, and callers fall back to full states.
-    def supports_delta_state(self) -> bool: ...
-
-    def begin_delta_tracking(self) -> None: ...
-
-    def delta_state(self) -> dict[str, Any]: ...
-
-    def apply_delta_state(self, state: Mapping[str, Any]) -> None: ...
 
     def close(self) -> None: ...

@@ -1,7 +1,7 @@
 """Command-line entry point for the view service.
 
 Serve a workload query over TCP, durably (recovering from the newest intact
-checkpoint chain and the write-ahead log when they hold anything)::
+checkpoint and the write-ahead log when they hold anything)::
 
     python -m repro.service serve --query Q1 --engine batched --batch-size 100 \\
         --checkpoint-dir /tmp/q1-ckpt --wal-dir /tmp/q1-wal --port 7641
@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import sys
 
 from repro.compiler.hoivm import compile_query
+from repro.errors import ExecutionError, RuntimeEngineError, ServiceError
 from repro.service.core import (
     DEFAULT_INGEST_BATCH,
     ENGINE_MODES,
@@ -65,13 +67,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fsync-interval-ms", type=float, default=None,
                         help="also fsync when this many milliseconds passed "
                              "since the last sync")
-    parser.add_argument("--checkpoint-full-every", type=int, default=None,
-                        help="cuts between full checkpoint bases; intermediate "
-                             "cuts write incremental deltas (1 = always full)")
-    parser.add_argument("--checkpoint-keep", type=int, default=None,
-                        help="full checkpoint bases retained by checkpoint GC")
     parser.add_argument("--fresh", action="store_true",
-                        help="ignore existing checkpoints (and reset the WAL) "
+                        help="delete existing checkpoints and reset the WAL "
                              "instead of recovering")
     parser.add_argument("--telemetry", action="store_true",
                         help="enable the metrics registry (also: REPRO_TELEMETRY=1)")
@@ -125,6 +122,8 @@ def build_service(
     """Compile the query, build the engine and (maybe) recover durable state.
 
     Returns the service plus the recovery report (``None`` under ``--fresh``).
+    A checkpoint this build cannot load (another program's, another partition
+    layout, another format) raises :class:`ServiceError` naming ``--fresh``.
     Static tables are loaded only when nothing was restored: a restored
     engine state already contains them, and loading twice would double their
     multiplicity — :meth:`ViewService.recover` invokes the loader callback
@@ -154,11 +153,6 @@ def build_service(
         backend=args.backend,
         telemetry=telemetry,
     )
-    service_kwargs = {}
-    if args.checkpoint_full_every is not None:
-        service_kwargs["checkpoint_full_every"] = args.checkpoint_full_every
-    if args.checkpoint_keep is not None:
-        service_kwargs["checkpoint_keep"] = args.checkpoint_keep
     service = ViewService(
         engine,
         checkpoint_dir=args.checkpoint_dir,
@@ -166,7 +160,6 @@ def build_service(
         wal_dir=args.wal_dir,
         fsync_every=args.fsync_every,
         fsync_interval_ms=args.fsync_interval_ms,
-        **service_kwargs,
     )
     # Auditing must attach before any data reaches the engine (the mirror
     # has to see every static row and event); recovery afterwards reloads the
@@ -187,9 +180,18 @@ def build_service(
     if args.fresh:
         if service.wal is not None:
             service.wal.reset()
+        if service.checkpoints is not None:
+            service.checkpoints.reset()
         _load_statics()
     else:
-        recovery = service.recover(load_statics=_load_statics)
+        try:
+            recovery = service.recover(load_statics=_load_statics)
+        except (RuntimeEngineError, ExecutionError, ServiceError) as exc:
+            service.close()
+            raise ServiceError(
+                f"cannot recover: {exc}; start with --fresh to discard the "
+                "checkpoints and the log"
+            ) from exc
     if args.provenance_depth is not None:
         service.enable_provenance(depth=args.provenance_depth)
     return service, recovery
@@ -237,8 +239,14 @@ def main(argv: list[str] | None = None) -> int:
             f"(got --engine {args.engine})"
         )
 
+    if args.command in ("serve", "replay"):
+        try:
+            service, recovery = build_service(args)
+        except ServiceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
     if args.command == "serve":
-        service, recovery = build_service(args)
         recovered = describe_recovery(recovery)
         if recovered is not None:
             print(recovered, flush=True)
@@ -251,7 +259,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "replay":
-        service, recovery = build_service(args)
         try:
             recovered = describe_recovery(recovery)
             if recovered is not None:

@@ -1,6 +1,6 @@
 """Checkpoint/restore: durable service state on disk.
 
-A **full checkpoint** captures, at one event offset, everything a restarted
+A **checkpoint** captures, at one event offset, everything a restarted
 service needs to serve bit-identical views without replaying the whole
 stream:
 
@@ -12,30 +12,21 @@ stream:
   leading events to skip;
 * the running stream statistics, so reporting continues seamlessly.
 
-An **incremental checkpoint** (a *delta*) captures only the per-map dirty
-keys since the previous cut, as produced by
-:meth:`~repro.runtime.protocol.EngineProtocol.delta_state`.  Deltas form a
-linear chain through full-base waypoints: every cut writes a delta (when the
-engine supports them) carrying the ``parent`` cut version, and periodically a
-cut also writes a full base.  Restore walks the newest *intact* base forward
-through the chain (:meth:`CheckpointStore.load_chain`) and the write-ahead
-log replays whatever the chain does not reach:
+Every cut writes one such full base.  Restore loads the newest *intact*
+base (:meth:`CheckpointStore.load` falls back past a corrupt newest file)
+and the write-ahead log replays everything after it.
+:meth:`CheckpointStore.prune` keeps the newest :data:`KEEP_BASES` bases —
+the newest plus one fallback — and returns the oldest kept version, which
+is also the offset the WAL can be pruned to.  ``delta-*.ckpt`` files left
+by builds that wrote incremental checkpoints are never read; pruning
+deletes them.
 
-* a corrupt newest base falls back to the next older base — the delta chain
-  is shared, so the walk simply passes through the corrupt base's version;
-* a corrupt or missing mid-chain delta stops the walk at the last intact
-  link; the WAL tail covers the rest;
-* :meth:`CheckpointStore.prune` keeps the newest ``keep_bases`` bases and
-  deletes older bases and the deltas at or below the oldest kept base, which
-  is also the offset the WAL can be pruned to.
-
-Files are pickled payloads — ``checkpoint-<offset>.ckpt`` for bases,
-``delta-<offset>.ckpt`` for deltas — written atomically (temp file + fsync +
-rename, then a directory fsync) so a crash mid-write never corrupts the
-latest durable state.  Pickle is the right trade-off here: checkpoints are
-private files written and read by the same library, and restore must
-reproduce values *bit-identically* (ints vs floats vs Fractions survive,
-which JSON cannot guarantee).
+Files are pickled payloads named ``checkpoint-<offset>.ckpt``, written
+atomically (temp file + fsync + rename, then a directory fsync) so a crash
+mid-write never corrupts the latest durable state.  Pickle is the right
+trade-off here: checkpoints are private files written and read by the same
+library, and restore must reproduce values *bit-identically* (ints vs floats
+vs Fractions survive, which JSON cannot guarantee).
 """
 
 from __future__ import annotations
@@ -49,28 +40,24 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.durability.faults import maybe_crash
+from repro.durability.wal import fsync_directory
 from repro.errors import ServiceError
 
 #: Version tag of the checkpoint payload layout.
 CHECKPOINT_FORMAT = 1
 
-#: How many cuts between full bases by default (every cut writes a delta).
-DEFAULT_FULL_EVERY = 4
-
-#: How many full bases checkpoint GC retains by default.
-DEFAULT_KEEP_BASES = 2
+#: How many full bases checkpoint GC retains: the newest plus one fallback.
+KEEP_BASES = 2
 
 _FILE_PATTERN = re.compile(r"^checkpoint-(\d+)\.ckpt$")
-_DELTA_PATTERN = re.compile(r"^delta-(\d+)\.ckpt$")
 
 
 @dataclass(frozen=True)
 class CheckpointInfo:
-    """Metadata of one on-disk checkpoint (full base or delta)."""
+    """Metadata of one on-disk checkpoint."""
 
     path: Path
     version: int
-    kind: str = "full"
 
 
 class CheckpointStore:
@@ -104,40 +91,6 @@ class CheckpointStore:
         if audit_state is not None:
             payload["audit_state"] = dict(audit_state)
         path = self.directory / f"checkpoint-{version:012d}.ckpt"
-        self._write_atomic(path, payload, "checkpoint.written", "checkpoint.renamed")
-        return CheckpointInfo(path=path, version=version, kind="full")
-
-    def save_delta(
-        self,
-        version: int,
-        parent: int,
-        delta_state: Mapping[str, Any],
-        stream_stats: Mapping[str, Any] | None = None,
-        audit_state: Mapping[str, Any] | None = None,
-    ) -> CheckpointInfo:
-        """Persist one incremental checkpoint; ``parent`` is the previous cut.
-
-        Restore applies a delta only on top of exactly its parent cut, so a
-        missing or corrupt link breaks the chain there instead of producing a
-        silently wrong state.
-        """
-        payload = {
-            "format": CHECKPOINT_FORMAT,
-            "kind": "delta",
-            "version": version,
-            "parent": parent,
-            "engine_state": dict(delta_state),
-            "stream_stats": dict(stream_stats or {}),
-        }
-        if audit_state is not None:
-            payload["audit_state"] = dict(audit_state)
-        path = self.directory / f"delta-{version:012d}.ckpt"
-        self._write_atomic(path, payload, "delta.written", "delta.renamed")
-        return CheckpointInfo(path=path, version=version, kind="delta")
-
-    def _write_atomic(
-        self, path: Path, payload: dict[str, Any], site_written: str, site_renamed: str
-    ) -> None:
         handle, temp_name = tempfile.mkstemp(
             dir=self.directory, prefix=".checkpoint-", suffix=".tmp"
         )
@@ -146,7 +99,7 @@ class CheckpointStore:
                 pickle.dump(payload, temp, protocol=pickle.HIGHEST_PROTOCOL)
                 temp.flush()
                 os.fsync(temp.fileno())
-            maybe_crash(site_written)
+            maybe_crash("checkpoint.written")
             os.replace(temp_name, path)
         except BaseException:
             try:
@@ -154,21 +107,9 @@ class CheckpointStore:
             except OSError:
                 pass
             raise
-        maybe_crash(site_renamed)
-        self._sync_directory()
-
-    def _sync_directory(self) -> None:
-        """fsync the directory so the rename itself is durable (best effort)."""
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
+        maybe_crash("checkpoint.renamed")
+        fsync_directory(self.directory)
+        return CheckpointInfo(path=path, version=version)
 
     # -- reading ----------------------------------------------------------------
     def list(self) -> list[CheckpointInfo]:
@@ -177,20 +118,7 @@ class CheckpointStore:
         for entry in self.directory.iterdir():
             match = _FILE_PATTERN.match(entry.name)
             if match:
-                found.append(
-                    CheckpointInfo(path=entry, version=int(match.group(1)), kind="full")
-                )
-        return sorted(found, key=lambda info: info.version)
-
-    def list_deltas(self) -> list[CheckpointInfo]:
-        """All incremental checkpoints in the directory, oldest first."""
-        found: list[CheckpointInfo] = []
-        for entry in self.directory.iterdir():
-            match = _DELTA_PATTERN.match(entry.name)
-            if match:
-                found.append(
-                    CheckpointInfo(path=entry, version=int(match.group(1)), kind="delta")
-                )
+                found.append(CheckpointInfo(path=entry, version=int(match.group(1))))
         return sorted(found, key=lambda info: info.version)
 
     def latest(self) -> CheckpointInfo | None:
@@ -222,48 +150,6 @@ class CheckpointStore:
             f"no intact checkpoint in {self.directory} ({'; '.join(errors)})"
         )
 
-    def load_chain(self) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-        """The newest intact base plus the intact delta chain on top of it.
-
-        Returns ``(base payload, [delta payloads in application order])``.
-        The walk starts at the base's version and follows ``parent`` links
-        upward; a corrupt, missing or mis-parented delta ends the chain there
-        (the WAL tail replays the rest).  A corrupt newest base falls back to
-        an older one — the shared delta chain walks through the corrupt
-        base's version unchanged.
-        """
-        bases = self.list()
-        if not bases:
-            raise ServiceError(f"no checkpoints in {self.directory}")
-        deltas = {info.version: info for info in self.list_deltas()}
-        ordered_versions = sorted(deltas)
-        errors: list[str] = []
-        for candidate in reversed(bases):
-            try:
-                base = self._read(candidate)
-            except ServiceError:
-                raise
-            except Exception as exc:
-                errors.append(f"{candidate.path.name}: {exc}")
-                continue
-            chain: list[dict[str, Any]] = []
-            current = candidate.version
-            for version in ordered_versions:
-                if version <= candidate.version:
-                    continue
-                try:
-                    payload = self._read(deltas[version])
-                except Exception:
-                    break  # corrupt link: stop here, WAL covers the rest
-                if payload.get("kind") != "delta" or payload.get("parent") != current:
-                    break  # gap or foreign chain: do not guess
-                chain.append(payload)
-                current = version
-            return base, chain
-        raise ServiceError(
-            f"no intact checkpoint in {self.directory} ({'; '.join(errors)})"
-        )
-
     def _read(self, info: CheckpointInfo) -> dict[str, Any]:
         with open(info.path, "rb") as handle:
             payload = pickle.load(handle)
@@ -275,30 +161,27 @@ class CheckpointStore:
         return payload
 
     # -- garbage collection -------------------------------------------------------
-    def prune(self, keep_bases: int = DEFAULT_KEEP_BASES) -> int | None:
-        """Drop bases beyond the newest ``keep_bases`` and now-unreachable deltas.
+    def prune(self) -> int | None:
+        """Drop every base but the newest :data:`KEEP_BASES` (and any delta file).
 
-        Deltas at or below the oldest kept base can never be applied again
-        (their parents are gone), so they go too.  Returns the oldest kept
-        base version — the offset the WAL can safely be pruned to — or None
-        when nothing is on disk yet.
+        Returns the oldest kept base version — the offset the WAL can safely
+        be pruned to — or None when nothing is on disk yet.
         """
-        if keep_bases < 1:
-            raise ServiceError(f"keep_bases must be >= 1, got {keep_bases}")
         bases = self.list()
         if not bases:
             return None
-        kept = bases[-keep_bases:]
-        floor = kept[0].version
-        removed = False
-        for info in bases[:-keep_bases]:
-            info.path.unlink(missing_ok=True)
-            removed = True
-        for info in self.list_deltas():
-            if info.version <= floor:
-                info.path.unlink(missing_ok=True)
-                removed = True
-        if removed:
+        stale = [info.path for info in bases[:-KEEP_BASES]]
+        stale += self.directory.glob("delta-*.ckpt")
+        for path in stale:
+            path.unlink(missing_ok=True)
+        if stale:
             maybe_crash("checkpoint.pruned")
-            self._sync_directory()
-        return floor
+            fsync_directory(self.directory)
+        return bases[-KEEP_BASES:][0].version
+
+    def reset(self) -> None:
+        """Delete every checkpoint file (``--fresh``): the next restart starts cold."""
+        for pattern in ("checkpoint-*", "delta-*"):
+            for path in self.directory.glob(pattern):
+                path.unlink(missing_ok=True)
+        fsync_directory(self.directory)

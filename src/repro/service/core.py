@@ -46,12 +46,7 @@ from repro.exec import (
 )
 from repro.runtime.engine import IncrementalEngine
 from repro.runtime.protocol import EngineProtocol
-from repro.service.checkpoint import (
-    DEFAULT_FULL_EVERY,
-    DEFAULT_KEEP_BASES,
-    CheckpointInfo,
-    CheckpointStore,
-)
+from repro.service.checkpoint import CheckpointInfo, CheckpointStore
 from repro.service.subscriptions import (
     DEFAULT_QUEUE_SIZE,
     Subscription,
@@ -193,16 +188,10 @@ class ViewService:
         wal_dir: str | Path | None = None,
         fsync_every: int | None = 1,
         fsync_interval_ms: float | None = None,
-        checkpoint_full_every: int = DEFAULT_FULL_EVERY,
-        checkpoint_keep: int = DEFAULT_KEEP_BASES,
     ) -> None:
         if not isinstance(engine, EngineProtocol):
             raise ServiceError(
                 f"{type(engine).__name__} does not implement the engine protocol"
-            )
-        if checkpoint_full_every < 1:
-            raise ServiceError(
-                f"checkpoint_full_every must be >= 1, got {checkpoint_full_every}"
             )
         self.engine = engine
         self.program: TriggerProgram = engine.program
@@ -220,16 +209,10 @@ class ViewService:
         self._recovering = False
         self._auditor = None
         self._statics_loaded = 0
-        # Incremental-checkpoint chain state: cut counter (full base every
-        # checkpoint_full_every-th cut) and the version of the previous cut
-        # on disk (the parent of the next delta; None before any cut).
-        self.checkpoint_full_every = checkpoint_full_every
-        self.checkpoint_keep = checkpoint_keep
+        # Checkpoint cuts taken by this service and the version of the last
+        # base written or restored (None before either).
         self._cuts = 0
         self._last_cut_version: int | None = None
-        self._incremental = (
-            checkpoint_full_every > 1 and engine.supports_delta_state()
-        )
         # Idempotent-ingest answers for recently seen client batch ids.
         self._dedup: OrderedDict[str, IngestResult] = OrderedDict()
         self._recovery_seconds: float | None = None
@@ -249,10 +232,6 @@ class ViewService:
             if wal_dir is not None
             else None
         )
-        if self._incremental:
-            # Track from the very first event so the first delta cut is
-            # complete; restore()/recover() re-begin tracking at their cut.
-            engine.begin_delta_tracking()
         self._tracer = telemetry.tracer
         if telemetry.enabled:
             registry = telemetry.registry
@@ -282,7 +261,7 @@ class ViewService:
         if self._recovery_seconds is not None:
             registry.gauge(
                 "repro_service_recovery_seconds",
-                help="Wall time of the last restore (chain + WAL tail)",
+                help="Wall time of the last restore (base + WAL tail)",
             ).set(self._recovery_seconds)
         registry.counter(
             "repro_service_subscription_overflows_total",
@@ -494,10 +473,12 @@ class ViewService:
         Readers either see the state before the whole batch or after it —
         never in between — and the version advances by the batch size.  The
         batch is validated up front so a malformed event rejects it as a whole
-        without touching engine state; should the engine itself still fail
-        mid-batch, the service marks itself failed and refuses further
-        operations (:meth:`restore` from a checkpoint recovers it) rather
-        than serving state that no longer matches any version.
+        without touching engine state; should the log append or the engine
+        itself still fail mid-batch, the service marks itself failed and
+        refuses further operations rather than serving state that no longer
+        matches any version.  :meth:`restore` from a checkpoint recovers an
+        engine failure; a failed append closes the log, and a restart
+        recovers from what the log holds.
 
         With a write-ahead log attached, the batch is logged *before* it
         touches engine state (the write-ahead invariant: the log is always at
@@ -522,7 +503,12 @@ class ViewService:
                 with tracer.span("service.validate"):
                     self._validate_batch(events)
                 if self.wal is not None:
-                    self.wal.append(self._version, events, batch_id, encoded=encoded)
+                    try:
+                        self.wal.append(self._version, events, batch_id, encoded=encoded)
+                    except BaseException:
+                        # The log may now hold bytes the engine never saw.
+                        self._failed = True
+                        raise
                 subscribed = self.subscriptions.subscribed_views()
                 before = {view: self.engine.result_dict(view) for view in subscribed}
                 try:
@@ -697,17 +683,12 @@ class ViewService:
 
     # -- checkpoint / restore ----------------------------------------------------
     def checkpoint(self) -> CheckpointInfo:
-        """Cut one checkpoint; returns the newest file written at this cut.
+        """Cut one full checkpoint at the current version; returns its metadata.
 
-        With incremental checkpoints active (the engine supports delta
-        states and ``checkpoint_full_every > 1``), every cut writes a delta
-        of the dirty keys since the previous cut, and every
-        ``checkpoint_full_every``-th cut *also* writes a full base — the
-        chain stays linear through base waypoints, so restore can fall past
-        a corrupt base without losing the deltas above it.  Full cuts also
-        garbage-collect: old bases and unreachable deltas are pruned, and
-        the WAL (when attached) is synced, rotated at the cut and pruned to
-        the oldest kept base.
+        Every cut also garbage-collects: bases beyond the newest
+        :data:`~repro.service.checkpoint.KEEP_BASES` are pruned, and the WAL
+        (when attached) is synced, rotated at the cut and pruned to the
+        oldest kept base.
         """
         with self._lock:
             self._require_open()
@@ -724,32 +705,15 @@ class ViewService:
             audit_state = (
                 auditor.state() if auditor is not None and auditor.active else None
             )
-            stream_stats = self.stream_stats.as_dict()
-            parent = self._last_cut_version
-            full_due = not self._incremental or self._cuts % self.checkpoint_full_every == 0
-            info: CheckpointInfo | None = None
-            if self._incremental and parent is not None and parent < version:
-                info = self.checkpoints.save_delta(
-                    version,
-                    parent,
-                    self.engine.delta_state(),
-                    stream_stats,
-                    audit_state=audit_state,
-                )
-            elif self._incremental:
-                # No parent cut on disk (or nothing new): drain the dirty
-                # sets anyway so the next delta starts at this cut.
-                self.engine.delta_state()
-            if full_due or info is None:
-                info = self.checkpoints.save(
-                    version,
-                    self.engine.checkpoint_state(),
-                    stream_stats,
-                    audit_state=audit_state,
-                )
-                floor = self.checkpoints.prune(self.checkpoint_keep)
-                if self.wal is not None and floor is not None:
-                    self.wal.prune(floor)
+            info = self.checkpoints.save(
+                version,
+                self.engine.checkpoint_state(),
+                self.stream_stats.as_dict(),
+                audit_state=audit_state,
+            )
+            floor = self.checkpoints.prune()
+            if self.wal is not None and floor is not None:
+                self.wal.prune(floor)
             self._cuts += 1
             self._last_cut_version = version
             return info
@@ -757,11 +721,10 @@ class ViewService:
     def restore(self) -> int | None:
         """Rebuild state from disk, if any; returns the caught-up version.
 
-        Three stages, each covering what the previous one misses: the newest
-        intact full base, the intact delta chain on top of it, and — when a
-        write-ahead log is attached — an idempotent replay of the WAL tail
-        past the last restored cut.  Also the recovery path after a mid-batch
-        engine failure: restoring replaces the (possibly inconsistent) engine
+        Two stages, the second covering what the first misses: the newest
+        intact base and — when a write-ahead log is attached — an idempotent
+        replay of the WAL tail past it.  Also the recovery path after a
+        mid-batch engine failure: restoring replaces the (possibly inconsistent) engine
         state wholesale and clears the failed mark.  Live subscriptions are
         closed — the version may have jumped backwards, so delivering further
         deltas would break the exactly-once contract; consumers resubscribe
@@ -775,13 +738,10 @@ class ViewService:
             started = perf_counter()
             version: int | None = None
             if self.checkpoints.latest() is not None:
-                base, chain = self.checkpoints.load_chain()
+                base = self.checkpoints.load()
                 self.engine.restore_state(base["engine_state"])
-                for delta in chain:
-                    self.engine.apply_delta_state(delta["engine_state"])
-                tip = chain[-1] if chain else base
-                self._version = int(tip["version"])
-                stats = tip.get("stream_stats") or {}
+                self._version = int(base["version"])
+                stats = base.get("stream_stats") or {}
                 self.stream_stats = StreamStats(
                     total=stats.get("total", 0),
                     inserts=stats.get("inserts", 0),
@@ -789,15 +749,10 @@ class ViewService:
                     per_relation=dict(stats.get("per_relation", {})),
                 )
                 if self._auditor is not None:
-                    self._auditor.restore(tip.get("audit_state"))
+                    self._auditor.restore(base.get("audit_state"))
                 self._last_cut_version = self._version
                 version = self._version
             maybe_crash("recovery.restored")
-            if self._incremental:
-                # Changes at or below the restored cut are on disk; the next
-                # delta must cover exactly what follows (including any WAL
-                # tail replayed next).
-                self.engine.begin_delta_tracking()
             if self.wal is not None and version is not None:
                 self._replay_wal_tail()
                 version = self._version
@@ -832,9 +787,9 @@ class ViewService:
             replayed += 1
         self.engine.flush()
         if wal.end_offset < self._version:
-            # The checkpoint chain is newer than the retained log (e.g. a
-            # fresh WAL directory next to old checkpoints): everything below
-            # the version is on disk already, so the log restarts here.
+            # The checkpoint is newer than the retained log (e.g. a fresh WAL
+            # directory next to old checkpoints): everything below the
+            # version is on disk already, so the log restarts here.
             wal.align_to(self._version)
         self._wal_replayed_last = replayed
         return replayed
@@ -842,10 +797,10 @@ class ViewService:
     def recover(self, load_statics: Callable[[], None] | None = None) -> dict[str, Any]:
         """Run the full recovery sequence, refusing reads until caught up.
 
-        Orchestrates restart: restore the newest intact base + delta chain +
-        WAL tail when checkpoints exist; otherwise call ``load_statics`` (the
-        cold-start path — static tables are not in the log) and replay the
-        whole WAL from offset zero.  While recovery runs, queries and ingest
+        Orchestrates restart: restore the newest intact base + WAL tail when
+        checkpoints exist; otherwise call ``load_statics`` (the cold-start
+        path — static tables are not in the log) and replay the whole WAL
+        from offset zero.  While recovery runs, queries and ingest
         raise and ``statistics()`` reports ``recovering: true``; once the
         service is bit-identical with the pre-crash tip it atomically resumes
         serving.  Returns a report of what each stage contributed.
@@ -866,8 +821,6 @@ class ViewService:
                     load_statics()
                 with self._lock:
                     maybe_crash("recovery.restored")
-                    if self._incremental:
-                        self.engine.begin_delta_tracking()
                     if self.wal is not None:
                         self._replay_wal_tail()
                         maybe_crash("recovery.replayed")
@@ -914,7 +867,6 @@ class ViewService:
             }
             if self.wal is not None or self._cuts:
                 durability: dict[str, object] = {
-                    "incremental_checkpoints": self._incremental,
                     "cuts": self._cuts,
                     "last_cut_version": self._last_cut_version,
                     "wal_batches_replayed": self._wal_replayed_last,
@@ -939,7 +891,7 @@ class ViewService:
         if self._failed:
             raise ServiceError(
                 "service failed mid-ingest and its state may be inconsistent; "
-                "restore() from a checkpoint to recover"
+                "restore() from a checkpoint, or restart, to recover"
             )
 
     def close(self) -> None:

@@ -1,5 +1,7 @@
 """Helpers shared by the durability tests (imported by name)."""
 
+import errno
+import os
 from types import SimpleNamespace
 
 from repro.compiler.hoivm import compile_query
@@ -59,3 +61,32 @@ def build_durable_service(fixture, mode="incremental", *, base, statics=True, **
     if statics:
         load_statics(service, fixture.program, fixture.statics)
     return service
+
+
+class HalfWriteThenENOSPC:
+    """A WAL segment handle whose writes store half the record, then fail."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, data):
+        self._handle.write(data[: len(data) // 2])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+def inject_enospc(wal):
+    """The disk fills up halfway through the log's next record."""
+    wal._handle = HalfWriteThenENOSPC(wal._handle)
+
+
+def inject_fsync_eio(monkeypatch):
+    """Every fsync fails with EIO (undone when ``monkeypatch`` unwinds)."""
+
+    def fsync(fd):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "fsync", fsync)

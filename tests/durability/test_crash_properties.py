@@ -26,7 +26,7 @@ ENGINE_MODES = {
     "compiled": ("compiled", {}),
     "batched": ("batched", {"batch_size": 13}),
 }
-SERVICE_KWARGS = {"checkpoint_full_every": 3, "fsync_every": 1}
+SERVICE_KWARGS = {"fsync_every": 1}
 RANDOM_POINTS_PER_MODE = 20
 
 
@@ -120,7 +120,7 @@ def test_crashing_during_recovery_recovers_on_the_next_attempt(
     q1, expected, tmp_path, site
 ):
     """Recovery is idempotent: a crash mid-recovery leaves a state the next
-    recovery handles — no double-applied WAL batches, no lost chain links."""
+    recovery handles — no double-applied WAL batches, no lost checkpoints."""
     def die_mid_stream():
         run_workload(q1, tmp_path, "incremental", {}, events=140)
         os._exit(CRASH_EXIT_STATUS)

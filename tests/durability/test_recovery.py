@@ -1,4 +1,4 @@
-"""Recovery orchestration: incremental checkpoint chains + WAL tail replay.
+"""Recovery orchestration: the newest intact checkpoint + WAL tail replay.
 
 Every test asserts *bit-identical* recovery — values and their runtime types
 (int vs float vs Fraction) — because the paper's aggregates are only correct
@@ -13,6 +13,8 @@ import pytest
 from repro.errors import ServiceError
 from dur_helpers import (
     build_durable_service,
+    inject_enospc,
+    inject_fsync_eio,
     load_statics,
     make_workload_fixture,
     reference_entries,
@@ -58,9 +60,9 @@ def reference_views(fixture):
 
 @pytest.mark.parametrize("mode,kwargs", ENGINE_MODES)
 def test_chain_plus_wal_tail_recovers_bit_identically(q3, tmp_path, mode, kwargs):
-    """Base + delta chain + WAL tail: a service killed mid-stream recovers to
+    """Newest base + WAL tail: a service killed mid-stream recovers to
     exactly the state an uninterrupted run reaches."""
-    first = run_with_cuts(q3, tmp_path, mode, events=200, checkpoint_full_every=3,
+    first = run_with_cuts(q3, tmp_path, mode, events=200,
                           **kwargs)
     first.ingest(q3.events[200:240])  # tail lives only in the WAL
     first.close()
@@ -120,45 +122,27 @@ def test_reads_are_refused_until_recovery_catches_up(q1, tmp_path):
     service.close()
 
 
-# -- corruption (satellite: corrupt base / mid-chain delta / WAL tail) -------------
+# -- corruption: a corrupt newest base, a torn WAL tail ----------------------------
 
 
 def test_corrupt_newest_base_falls_back_and_walks_the_shared_chain(q3, tmp_path):
-    service = run_with_cuts(q3, tmp_path, events=200, checkpoint_full_every=3)
+    """The older kept base restores and the WAL, pruned no further than that
+    base, replays the batch the corrupt base covered."""
+    service = run_with_cuts(q3, tmp_path, events=200)
     service.close()
     bases = service.checkpoints.list()
-    assert len(bases) == 2, "expected pruned layout with two bases"
+    assert [info.version for info in bases] == [180, 200]
     bases[-1].path.write_bytes(bases[-1].path.read_bytes()[:32])
 
     recovered, report = recover_and_finish(q3, tmp_path)
-    assert report["restored"]
-    assert typed(recovered.query(q3.root).entries) == typed(reference_views(q3))
-    recovered.close()
-
-
-def test_corrupt_mid_chain_delta_stops_the_walk_and_wal_covers_the_rest(
-    q3, tmp_path
-):
-    service = run_with_cuts(q3, tmp_path, events=200, checkpoint_full_every=3)
-    service.close()
-    bases = service.checkpoints.list()
-    deltas = service.checkpoints.list_deltas()
-    # Kill the newest base so restore must walk the older base's chain, and
-    # corrupt a delta in the middle of that chain.
-    bases[-1].path.write_bytes(b"\x80not a checkpoint")
-    middle = [d for d in deltas if bases[0].version < d.version < bases[-1].version]
-    assert middle, "expected deltas between the two bases"
-    middle[0].path.write_bytes(middle[0].path.read_bytes()[:16])
-
-    recovered, report = recover_and_finish(q3, tmp_path)
-    assert report["restored"]
-    assert report["wal_batches_replayed"] >= 1  # the chain alone cannot reach 200
+    assert report["restored"] and report["version"] == 200
+    assert report["wal_batches_replayed"] == 1
     assert typed(recovered.query(q3.root).entries) == typed(reference_views(q3))
     recovered.close()
 
 
 def test_corrupt_wal_tail_truncates_to_the_durable_prefix(q3, tmp_path):
-    service = run_with_cuts(q3, tmp_path, events=200, checkpoint_full_every=3)
+    service = run_with_cuts(q3, tmp_path, events=200)
     service.ingest(q3.events[200:220])
     service.ingest(q3.events[220:240])
     service.close()
@@ -224,7 +208,7 @@ def test_parent_written_chain_and_v1_wal_recover_bit_identically(tmp_path, mode,
                     dirs_exist_ok=True)
     q1 = make_workload_fixture("Q1", events=240, max_live_orders=20)
     service = build_durable_service(q1, mode, base=tmp_path, statics=False,
-                                    checkpoint_full_every=3, **kwargs)
+                                    **kwargs)
     report = service.recover()
     assert report["restored"] and report["version"] == 200
     assert report["wal_batches_replayed"] == 1  # b4, the only batch past the last cut
@@ -235,7 +219,7 @@ def test_parent_written_chain_and_v1_wal_recover_bit_identically(tmp_path, mode,
     service.close()
 
     again = build_durable_service(q1, mode, base=tmp_path, statics=False,
-                                  checkpoint_full_every=3, **kwargs)
+                                  **kwargs)
     assert again.recover()["version"] == 240
     assert again.ingest(q1.events[200:], batch_id="b5").deduplicated
     for root in sorted(q1.program.roots):
@@ -243,3 +227,85 @@ def test_parent_written_chain_and_v1_wal_recover_bit_identically(tmp_path, mode,
             reference_entries(q1.program, q1.statics, q1.events, None, root)
         )
     again.close()
+
+
+# -- a default directory written while cuts were incremental deltas ----------------
+
+
+@pytest.mark.parametrize("mode,kwargs", ENGINE_MODES)
+def test_parent_written_delta_chain_restores_its_base_and_replays_the_wal(
+    tmp_path, mode, kwargs
+):
+    """``fixtures/chain/service``: a base at 40, deltas at 80 and 120 and a WAL
+    up to 160 (see ``make_chain_fixture.py`` there).  The deltas are ignored:
+    the base restores and the three logged batches after it replay."""
+    shutil.copytree(Path(__file__).parent / "fixtures" / "chain" / "service", tmp_path,
+                    dirs_exist_ok=True)
+    q1 = make_workload_fixture("Q1", events=160, max_live_orders=20)
+    service = build_durable_service(q1, mode, base=tmp_path, statics=False, **kwargs)
+    report = service.recover()
+    assert report["restored"] and report["version"] == 160
+    assert report["wal_batches_replayed"] == 3
+    for root in sorted(q1.program.roots):
+        assert typed(service.query(root).entries) == typed(
+            reference_entries(q1.program, q1.statics, q1.events, None, root)
+        )
+    service.checkpoint()
+    assert not list((tmp_path / "ckpt").glob("delta-*.ckpt"))
+    assert [info.version for info in service.checkpoints.list()] == [40, 160]
+    service.close()
+
+
+# -- a failing log append ------------------------------------------------------------
+
+
+def _fail_second_batch(fixture, tmp_path, inject, mode="compiled"):
+    """Ingest 40 events, then fail the append of the next 40; returns the service."""
+    service = build_durable_service(fixture, mode, base=tmp_path)
+    service.ingest(fixture.events[:40])
+    inject(service.wal)
+    with pytest.raises(OSError):
+        service.ingest(fixture.events[40:80])
+    # Failed, like a mid-batch engine failure: nothing is served or logged.
+    with pytest.raises(ServiceError, match="failed mid-ingest"):
+        service.query(fixture.root)
+    with pytest.raises(ServiceError, match="failed mid-ingest"):
+        service.ingest(fixture.events[40:80])
+    service.close()
+    return service
+
+
+def _restart(fixture, tmp_path, mode="compiled"):
+    service = build_durable_service(fixture, mode, base=tmp_path, statics=False)
+    report = service.recover(
+        load_statics=lambda: load_statics(service, fixture.program, fixture.statics)
+    )
+    return service, report
+
+
+def test_a_torn_append_fails_the_service_and_a_restart_drops_the_torn_batch(
+    q3, tmp_path
+):
+    _fail_second_batch(q3, tmp_path, inject_enospc)
+    recovered, report = _restart(q3, tmp_path)
+    assert report["version"] == 40 and report["wal"]["truncated_bytes"] > 0
+    assert typed(recovered.query(q3.root).entries) == typed(
+        reference_views_prefix(q3, 40)
+    )
+    recovered.ingest(q3.events[40:80])  # the log appends again after the restart
+    assert recovered.version == 80
+    recovered.close()
+
+
+def test_a_failed_fsync_fails_the_service_and_a_restart_replays_the_logged_batch(
+    q3, tmp_path, monkeypatch
+):
+    with monkeypatch.context() as patch:
+        _fail_second_batch(q3, tmp_path, lambda wal: inject_fsync_eio(patch))
+    recovered, report = _restart(q3, tmp_path)
+    # The record reached the file before its fsync failed: the log holds it.
+    assert report["version"] == 80 and report["wal"]["truncated_bytes"] == 0
+    assert typed(recovered.query(q3.root).entries) == typed(
+        reference_views_prefix(q3, 80)
+    )
+    recovered.close()

@@ -1,7 +1,9 @@
 """Write-ahead log unit tests: append/replay round trips, the v2 frame and
 its damage matrix, v1 read compatibility, what open/prune/replay decode, group
-fsync, torn-tail truncation, segment rotation and GC, the batch-id index."""
+fsync, torn-tail truncation, failing writes, segment rotation and GC, the
+batch-id index."""
 
+import errno
 import json
 import os
 import shutil
@@ -19,6 +21,7 @@ from repro.errors import DurabilityError
 from repro.service.wire import dump_line, encode_value
 from repro.streams.adapters import encode_ingest_request, event_to_dict
 from repro.telemetry import Telemetry
+from dur_helpers import inject_enospc, inject_fsync_eio
 
 V1_FIXTURE = Path(__file__).parent / "fixtures" / "v1"
 
@@ -253,6 +256,42 @@ def test_corruption_in_an_older_segment_fails_loudly(tmp_path):
     segments[0][1].write_bytes(b"garbage\n")
     with pytest.raises(DurabilityError, match="non-tail segment"):
         WriteAheadLog(tmp_path)
+
+
+# -- failing writes ----------------------------------------------------------------
+
+
+def test_a_torn_append_closes_the_log_and_reopening_drops_only_the_torn_record(tmp_path):
+    wal = WriteAheadLog(tmp_path)
+    fill(wal, 2)
+    inject_enospc(wal)
+    with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+        wal.append(4, batch(4))
+    with pytest.raises(DurabilityError, match="restart"):
+        wal.append(4, batch(4))  # never acknowledged on top of torn bytes
+    with pytest.raises(DurabilityError, match="restart"):
+        wal.sync()
+    wal.close()
+    with WriteAheadLog(tmp_path) as reopened:
+        assert reopened.truncated_bytes > 0 and reopened.end_offset == 4
+        assert [r.offset for r in reopened.replay()] == [0, 2]
+
+
+def test_a_failed_fsync_closes_the_log_and_reopening_keeps_the_written_record(
+    tmp_path, monkeypatch
+):
+    wal = WriteAheadLog(tmp_path)
+    fill(wal, 2)
+    with monkeypatch.context() as patch:
+        inject_fsync_eio(patch)
+        with pytest.raises(OSError, match=os.strerror(errno.EIO)):
+            wal.append(4, batch(4))
+    with pytest.raises(DurabilityError, match="restart"):
+        wal.append(wal.end_offset, batch(6))
+    wal.close()
+    with WriteAheadLog(tmp_path) as reopened:
+        assert reopened.truncated_bytes == 0 and reopened.end_offset == 6
+        assert [r.offset for r in reopened.replay()] == [0, 2, 4]
 
 
 # -- rotation and GC ---------------------------------------------------------------

@@ -158,7 +158,7 @@ def test_constructor_surfaces_have_no_execution_path_knobs():
     assert not hasattr(BatchedEngine, "BACKENDS")
     # Batching is a dispatch policy: everything else is inherited, not forwarded.
     inherited = {"load_static", "provenance", "enable_provenance", "explain_row",
-                 "scalar_result", "supports_delta_state", "apply_run"}
+                 "scalar_result", "apply_run"}
     assert not inherited & set(vars(BatchedEngine))
     assert not hasattr(CompiledEngine, "apply_run")
     assert not hasattr(IncrementalEngine, "count_bulk_events")

@@ -240,53 +240,6 @@ def test_apply_many_is_all_or_nothing(q3, name, bad_at):
         twin.close()
 
 
-def _contents(state):
-    """A state's table entries, order-free, each value with its type."""
-    return {
-        "events_processed": state["events_processed"],
-        **{
-            section: {
-                table: {key: (value, type(value)) for key, value in entries}
-                for table, entries in state[section].items()
-            }
-            for section in ("maps", "relations")
-        },
-    }
-
-
-@pytest.mark.parametrize("name", list(ENGINES))
-def test_delta_chain_reproduces_checkpoint_state(q3, name):
-    engine = build(name, q3)
-    try:
-        events = q3["events"]
-        engine.apply_many(events[:50])
-        if not engine.supports_delta_state():
-            with pytest.raises(ReproError):
-                engine.delta_state()
-            return
-        engine.begin_delta_tracking()
-        base = engine.checkpoint_state()
-        deltas = []
-        # 33 and 37 are multiples of no batch size: a batched engine holds
-        # events in its buffer at every cut, and each cut must cover them.
-        for start, stop in ((50, 83), (83, 120)):
-            engine.apply_many(events[start:stop])
-            assert engine.events_processed == stop
-            deltas.append(engine.delta_state())
-            assert deltas[-1]["events_processed"] == stop
-        fresh = ENGINES[name](q3["program"])
-        try:
-            fresh.restore_state(base)
-            for delta in deltas:
-                fresh.apply_delta_state(delta)
-            assert _contents(fresh.checkpoint_state()) == _contents(engine.checkpoint_state())
-            assert fresh.result_dict(q3["root"]) == engine.result_dict(q3["root"])
-        finally:
-            fresh.close()
-    finally:
-        engine.close()
-
-
 @pytest.mark.parametrize("name", list(ENGINES))
 def test_map_sizes_report_every_declared_map(q3, name):
     engine = build(name, q3)

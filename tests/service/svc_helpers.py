@@ -23,15 +23,7 @@ def reference_entries(program, statics, events, version=None, name=None):
 
 
 #: build_service kwargs routed to ViewService instead of engine_for_mode.
-_SERVICE_KWARGS = frozenset(
-    {
-        "wal_dir",
-        "fsync_every",
-        "fsync_interval_ms",
-        "checkpoint_full_every",
-        "checkpoint_keep",
-    }
-)
+_SERVICE_KWARGS = frozenset({"wal_dir", "fsync_every", "fsync_interval_ms"})
 
 
 def build_service(fixture, mode="incremental", checkpoint_dir=None, **kwargs):

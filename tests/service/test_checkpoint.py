@@ -60,6 +60,29 @@ def test_store_load_falls_back_past_corrupt_checkpoints(tmp_path):
         store.load()
 
 
+def test_store_prune_keeps_two_bases_and_drops_delta_files(tmp_path):
+    """``delta-*.ckpt`` files of older builds are never read; GC deletes them."""
+    store = CheckpointStore(tmp_path)
+    assert store.prune() is None
+    for version in (10, 20, 30):
+        store.save(version, {"kind": "single"})
+    (tmp_path / "delta-000000000025.ckpt").write_bytes(b"from an older build")
+    assert store.prune() == 20
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "checkpoint-000000000020.ckpt",
+        "checkpoint-000000000030.ckpt",
+    ]
+
+
+def test_store_reset_deletes_every_checkpoint_file(tmp_path):
+    store = CheckpointStore(tmp_path)
+    store.save(10, {"kind": "single"})
+    (tmp_path / "delta-000000000015.ckpt").write_bytes(b"from an older build")
+    store.reset()
+    assert store.latest() is None
+    assert not list(tmp_path.iterdir())
+
+
 def test_store_rejects_unknown_formats_and_empty_dirs(tmp_path):
     store = CheckpointStore(tmp_path)
     with pytest.raises(ServiceError, match="no checkpoints"):
@@ -174,22 +197,14 @@ def test_restore_returns_none_without_checkpoints(q1, tmp_path):
 
 
 def test_replay_checkpoint_every_leaves_periodic_checkpoints(q1, tmp_path):
-    """Cuts land every 50 events: a full base first, then incremental deltas."""
+    """Cuts land every 50 events, each a full base; GC keeps the newest two."""
     service = build_service(q1, checkpoint_dir=tmp_path)
     service.replay(q1.events[:200], batch_size=25, checkpoint_every=50)
-    bases = [info.version for info in service.checkpoints.list()]
-    deltas = [info.version for info in service.checkpoints.list_deltas()]
-    assert bases == [50]
-    assert deltas == [100, 150, 200]
-
-
-def test_replay_checkpoint_every_full_cuts_only(q1, tmp_path):
-    """checkpoint_full_every=1 restores the all-full-checkpoints layout."""
-    service = build_service(q1, checkpoint_dir=tmp_path, checkpoint_full_every=1)
-    service.replay(q1.events[:200], batch_size=25, checkpoint_every=50)
-    versions = [info.version for info in service.checkpoints.list()]
-    assert versions[-1] == 200
-    assert not service.checkpoints.list_deltas()
+    assert [info.version for info in service.checkpoints.list()] == [150, 200]
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "checkpoint-000000000150.ckpt",
+        "checkpoint-000000000200.ckpt",
+    ]
 
 
 def test_stream_stats_survive_restarts(q1, tmp_path):

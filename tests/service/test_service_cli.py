@@ -129,7 +129,7 @@ def test_vector_backend_outside_the_batched_engine_is_a_usage_error(
 
 def test_default_engine_recovers_a_directory_written_by_the_interpreter(tmp_path):
     """The default engine is the compiled one, and ``kind: "single"`` states
-    are interchangeable: a checkpoint chain + WAL tail written under
+    are interchangeable: checkpoints + a WAL tail written under
     ``--engine incremental`` recovers under the default to the same views."""
     from repro.codegen.engine import CompiledEngine
     from repro.runtime.engine import IncrementalEngine
@@ -147,7 +147,7 @@ def test_default_engine_recovers_a_directory_written_by_the_interpreter(tmp_path
     first.ingest(fixture.events[:60])
     first.checkpoint()
     first.ingest(fixture.events[60:100])
-    first.checkpoint()  # a delta on top of the base
+    first.checkpoint()
     first.ingest(fixture.events[100:])  # lives only in the WAL tail
     expected = {view: first.query(view).entries for view in first.views()}
     first.close()
@@ -167,3 +167,70 @@ def test_default_engine_recovers_a_directory_written_by_the_interpreter(tmp_path
                 assert type(recovered[view][key]) is type(value), (view, key)
     finally:
         second.close()
+
+
+def _durable_args(tmp_path, *extra):
+    from repro.service.__main__ import _build_parser
+
+    return _build_parser().parse_args([
+        "serve", "--query", "Q1", "--port", "0", *extra,
+        "--checkpoint-dir", str(tmp_path / "ckpt"), "--wal-dir", str(tmp_path / "wal"),
+    ])
+
+
+def test_fresh_discards_the_previous_lifetimes_checkpoints(tmp_path):
+    """A restart after ``--fresh`` recovers the fresh lifetime, not the
+    newer-numbered checkpoint an earlier lifetime left behind."""
+    from repro.service.__main__ import build_service
+    from svc_helpers import reference_entries
+
+    fixture = make_workload_fixture("Q1", events=300, max_live_orders=20)
+    first, _ = build_service(_durable_args(tmp_path))
+    first.ingest(fixture.events)
+    first.checkpoint()
+    first.close()
+
+    fresh, recovery = build_service(_durable_args(tmp_path, "--fresh"))
+    assert recovery is None and fresh.version == 0
+    fresh.ingest(fixture.events[:40])
+    fresh.checkpoint()
+    fresh.close()
+
+    third, recovery = build_service(_durable_args(tmp_path))
+    try:
+        assert recovery["restored"] and recovery["version"] == 40
+        assert [info.version for info in third.checkpoints.list()] == [40]
+        for view in third.views():
+            assert third.query(view).entries == reference_entries(
+                fixture.program, fixture.statics, fixture.events, 40, view
+            )
+    finally:
+        third.close()
+
+
+@pytest.mark.parametrize("command", ["serve", "replay"])
+def test_a_foreign_checkpoint_is_one_error_line_naming_fresh(
+    command, stream_file, tmp_path, capsys
+):
+    """A directory written for another program: no traceback, exit 2, and the
+    advice (``--fresh``) actually starts over."""
+    from repro.service import ViewService, engine_for_mode
+
+    other = make_workload_fixture("Q6", events=10)
+    foreign = ViewService(engine_for_mode(other.program), checkpoint_dir=tmp_path)
+    foreign.checkpoint()
+    foreign.close()
+
+    argv = {"serve": ["serve", "--port", "0"], "replay": ["replay", str(stream_file)]}
+    assert main([*argv[command], "--query", "Q1", "--checkpoint-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert other.program.digest in err[0]
+    assert "start with --fresh to discard the checkpoints and the log" in err[0]
+
+    assert main(["replay", str(stream_file), "--query", "Q1", "--fresh",
+                 "--checkpoint-dir", str(tmp_path)]) == 0
+    assert "checkpoint saved:" in capsys.readouterr().out
+    assert [path.name for path in tmp_path.glob("*.ckpt")] == [
+        "checkpoint-000000000160.ckpt"
+    ]
