@@ -144,8 +144,7 @@ def format_engine_statistics(statistics: Mapping[str, object], label: str = "") 
             f"  codegen: {codegen['compiled_statements']} compiled / "
             f"{codegen['fallback_statements']} fallback statements; "
             f"{codegen.get('fused_kernels', 0)} fused kernels "
-            f"({codegen.get('fused_statements', 0)} statements, "
-            f"{codegen.get('deduped_probes', 0)} probes + "
+            f"({codegen.get('deduped_probes', 0)} probes + "
             f"{codegen.get('deduped_scalars', 0)} scalars deduped)"
         )
     partitioning = statistics.get("partitioning")

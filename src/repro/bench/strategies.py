@@ -8,7 +8,7 @@ label            engine
 dbtoaster        full Higher-Order IVM (this paper's system)
 dbtoaster-comp   HO-IVM with triggers compiled to specialized Python code
                  (:class:`repro.codegen.CompiledEngine`: one fused kernel
-                 per trigger, per-statement interpreter fallback)
+                 per trigger, interpreter fallback per trigger)
 dbtoaster-batch  HO-IVM compiled, dispatched per run of same-trigger events
                  (:class:`repro.exec.BatchedEngine`, a CompiledEngine; long
                  runs take numpy kernels when numpy is present, short ones

@@ -8,22 +8,23 @@ functional IR → target code) with an explicit **plan → IR → emit** pipelin
 
 * :mod:`repro.codegen.lowering` lowers scalar value expressions to Python
   expression source fragments;
-* :mod:`repro.codegen.statement` **plans** whole trigger statements into the
+* :mod:`repro.codegen.statement` **plans** trigger statements into the
   kernel IR of :mod:`repro.codegen.ir` — event loads, table-handle binds,
   primary/secondary/range probes, bucket loops, scalar ops, aggregate
   accumulators, sink merges — specialized on the statement's map schemas,
   trigger variables and access patterns;
 * :mod:`repro.codegen.trigger` **fuses** the statement IRs of one
-  (relation, op) trigger into a single function, hoisting shared event
-  unpacks/table handles and deduplicating identical probe/condition subtrees
-  across statements;
+  (relation, op) trigger into a single function — the only scalar kernel
+  the codegen emits — hoisting shared event unpacks/table handles and
+  deduplicating identical probe/condition subtrees across statements;
 * :mod:`repro.codegen.emit` is the only place Python source is generated: it
   walks the IR once and renders the kernel, compiled via ``compile()``/``exec``;
+* :mod:`repro.codegen.vector` re-walks one ``+=`` statement's IR into a
+  columnar numpy kernel for the batched engine's bulk runs;
 * :mod:`repro.codegen.engine` ships :class:`CompiledEngine`, a drop-in
   :class:`~repro.runtime.protocol.EngineProtocol` implementation dispatching
-  one fused kernel per event, with per-statement kernels and interpreter
-  fallback for anything outside the compilable fragment, so results are
-  always bit-identical.
+  one fused kernel per event; a trigger the fuser declines runs whole on the
+  interpreter, so results are always bit-identical.
 
 ``python -m repro.codegen dump <query>`` prints the generated kernel source
 and IR operation counts.  See the "Codegen" section of DESIGN.md for the
@@ -31,14 +32,11 @@ lowering rules, the fusion/dedup rules and the fallback policy.
 """
 
 from repro.codegen.engine import CompiledEngine, CompiledExecutor
-from repro.codegen.statement import StatementKernel, try_compile_statement
 from repro.codegen.trigger import TriggerKernel, try_fuse_trigger
 
 __all__ = [
     "CompiledEngine",
     "CompiledExecutor",
-    "StatementKernel",
     "TriggerKernel",
-    "try_compile_statement",
     "try_fuse_trigger",
 ]

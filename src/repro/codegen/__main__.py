@@ -1,25 +1,22 @@
 """Command-line inspection of generated trigger kernels.
 
 ``dump`` compiles a workload query and prints, per trigger, the fused kernel
-source (or the per-statement kernels where fusion does not apply) together
-with IR operation counts and the fusion/dedup statistics — the tool to reach
-for when a generated kernel misbehaves or a fusion win needs verifying::
+source together with IR operation counts and the fusion/dedup statistics —
+the tool to reach for when a generated kernel misbehaves or a fusion win
+needs verifying::
 
     python -m repro.codegen dump Q3
     python -m repro.codegen dump Q1 --trigger Lineitem:+
-    python -m repro.codegen dump VWAP --per-statement
     python -m repro.codegen dump Q17a --trigger Lineitem:+ --agca
 
 ``--trigger REL:+`` / ``REL:-`` restricts the output to one (relation, op)
-trigger; ``--per-statement`` additionally prints every statement's
-individual kernel (the batched execution path) below the fused one;
-``--agca`` prints each statement's AGCA expression above the kernel it
-compiles into, so the domain equalities and probe keys the delta compiler
-chose can be read next to the loops they became; a statement outside the
-fragment prints ``interpreter fallback`` with the planner's reason;
-``--json`` emits the ``repro.kernels/1`` machine description instead — the
-same document ``python -m repro.inspect explain`` joins with observed
-statistics.
+trigger; ``--agca`` prints each statement's AGCA expression above the kernel
+it compiles into, so the domain equalities and probe keys the delta compiler
+chose can be read next to the loops they became.  A trigger the fuser
+declines runs on the interpreter, and every one of its statements prints
+``interpreter fallback`` with the planner's reason; ``--json`` emits the
+``repro.kernels/1`` machine description instead — the same document
+``python -m repro.inspect explain`` joins with observed statistics.
 """
 
 from __future__ import annotations
@@ -60,10 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restrict to one trigger, e.g. Lineitem:+ or Bids:-",
     )
     dump.add_argument(
-        "--per-statement", action="store_true",
-        help="also print each statement's individual kernel",
-    )
-    dump.add_argument(
         "--agca", action="store_true",
         help="print each statement's AGCA expression above its kernel",
     )
@@ -76,13 +69,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", choices=("scalar", "vector"), default="scalar",
         help="which emitter's kernels to print: the scalar/fused source "
              "(default) or the columnar numpy batch kernels with the "
-             "per-statement reason wherever vectorization does not apply",
+             "reason wherever a statement does not vectorize",
     )
     return parser
 
 
 def _dump_vector(query_name: str, program, triggers) -> int:
-    """Print the columnar batch kernel (or the reason there is none) per statement."""
+    """Print each statement's columnar batch kernel, or the reason there is none."""
     from repro.codegen import vector
 
     if not vector.numpy_available():
@@ -185,24 +178,20 @@ def main(argv: list[str] | None = None) -> int:
                 print_agca(position, statement)
             print(fused.source, end="")
             print(f"-- IR ops: {_format_ops(fused.ir_ops)}")
-            if not args.per_statement:
-                continue
-        else:
-            print(f"== {trigger.name}: per-statement dispatch (no fused kernel) ==")
+            continue
+        if not trigger.statements:
+            print(f"== {trigger.name}: no statements ==")
+            continue
+        print(f"== {trigger.name}: interpreted (no fused kernel) ==")
         for position, statement in enumerate(trigger.statements):
-            kernel = executor.kernel_for(statement)
-            print()
             print_agca(position, statement)
-            if kernel is None:
-                reason = describe_statement(statement, program)["fallback_reason"]
-                print(
-                    f"-- statement {position} -> {statement.target}: "
-                    f"interpreter fallback ({reason})"
-                )
-                continue
-            print(f"-- statement {position} -> {statement.target}:")
-            print(kernel.source, end="")
-            print(f"-- IR ops: {_format_ops(kernel.ir_ops)}")
+            reason = describe_statement(statement, program).get(
+                "fallback_reason", "its trigger does not fuse"
+            )
+            print(
+                f"-- statement {position} -> {statement.target}: "
+                f"interpreter fallback ({reason})"
+            )
     return 0
 
 

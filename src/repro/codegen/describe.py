@@ -21,7 +21,7 @@ from repro.codegen import ir
 from repro.codegen.lowering import Unsupported
 from repro.codegen.statement import KernelContext, _StatementCompiler
 from repro.codegen.trigger import try_fuse_trigger
-from repro.compiler.program import Statement, Trigger, TriggerProgram
+from repro.compiler.program import ASSIGN, Statement, Trigger, TriggerProgram
 
 #: Schema tag of the kernel-description document.
 KERNELS_SCHEMA = "repro.kernels/1"
@@ -110,9 +110,8 @@ def describe_statement(statement: Statement, program: TriggerProgram) -> dict[st
 def _vector_status(statement: Statement, program: TriggerProgram) -> dict[str, Any]:
     """Whether the columnar batch emitter covers one statement, and why not.
 
-    ``vectorized`` answers for the statement shape alone — the batched
-    engine additionally requires the owning trigger to be bulk-safe, and
-    falls back per batch on regime violations at runtime.
+    ``vectorized`` answers for the statement shape alone; whether the
+    trigger vectorizes is :func:`describe_trigger`'s all-or-nothing rule.
     """
     from repro.codegen import vector
 
@@ -129,14 +128,25 @@ def _vector_status(statement: Statement, program: TriggerProgram) -> dict[str, A
 
 
 def describe_trigger(trigger: Trigger, program: TriggerProgram) -> dict[str, Any]:
-    """One trigger's per-statement plans plus its fusion outcome."""
+    """One trigger's statement plans plus its fusion and vectorization outcome.
+
+    ``vectorized`` is all or nothing, as the batched engine applies it: every
+    ``+=`` statement must have a vector kernel and every statement must write
+    a distinct map (the engine additionally requires the trigger to be
+    bulk-safe, and falls back a whole run at a time on regime violations).
+    """
     statements = [describe_statement(s, program) for s in trigger.statements]
     fused = try_fuse_trigger(trigger, program)
+    increments = [s for s in statements if s["operation"] != ASSIGN]
+    targets = {s["target"] for s in statements}
     description: dict[str, Any] = {
         "relation": trigger.relation,
         "op": "insert" if trigger.sign > 0 else "delete",
         "statements": statements,
         "fused": fused is not None,
+        "vectorized": bool(increments)
+        and len(targets) == len(statements)
+        and all(s["vectorized"] for s in increments),
     }
     if fused is not None:
         description["fusion"] = {
@@ -195,11 +205,11 @@ def describe_program(program: TriggerProgram) -> dict[str, Any]:
         "maps": maps,
         "triggers": triggers,
         "summary": {
-            "triggers": len(triggers),
+            "triggers": sum(1 for t in triggers if t["statements"]),
             "compiled_statements": compiled,
             "vectorized_statements": sum(
-                1 for t in triggers for s in t["statements"]
-                if s.get("vectorized")
+                1 for t in triggers if t["vectorized"]
+                for s in t["statements"] if s["operation"] != ASSIGN
             ),
             "fallback_statements": len(fallbacks),
             "fallbacks": fallbacks,

@@ -1,10 +1,9 @@
 """Emission: the only place kernel Python source is generated.
 
-The planner (:mod:`repro.codegen.statement`) and the fuser
-(:mod:`repro.codegen.trigger`) both hand this module IR trees
-(:mod:`repro.codegen.ir`); :func:`emit_function` walks them once and renders
-the kernel source string that :class:`~repro.codegen.statement.StatementKernel`
-and :class:`~repro.codegen.trigger.TriggerKernel` compile.
+The fuser (:mod:`repro.codegen.trigger`) hands this module the IR tree
+(:mod:`repro.codegen.ir`) the planner built for a trigger's statements;
+:func:`emit_function` walks it once and renders the kernel source string that
+:class:`~repro.codegen.trigger.TriggerKernel` compiles.
 
 The one piece of state the walk carries is the **abort stack**: what "this
 row/term produces nothing" compiles to at the current point — ``return`` at
@@ -147,14 +146,7 @@ def _emit_node(writer: _Writer, node: ir.Node) -> None:
     elif kind == "append":
         line(f"{node.target}.append({node.expr})")
     elif kind == "sink_add":
-        if node.scale_var is None:
-            line(f"{node.add_local}({node.key_expr}, {node.value_expr})")
-        else:
-            scale = node.scale_var
-            line(
-                f"{node.add_local}({node.key_expr}, {node.value_expr} "
-                f"if {scale} == 1 else {node.value_expr} * {scale})"
-            )
+        line(f"{node.add_local}({node.key_expr}, {node.value_expr})")
     elif kind == "agg_chain":
         line(f"{node.tmp_local} = {node.result} + {node.product_expr}")
         line(f"{node.result} = 0 if _is_zero({node.tmp_local}) else _norm({node.tmp_local})")

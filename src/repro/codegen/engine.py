@@ -1,37 +1,35 @@
-"""The compiled execution engine: generated kernels with interpreter fallback.
+"""The compiled execution engine: one generated kernel per trigger.
 
 :class:`CompiledEngine` is a drop-in replacement for
 :class:`~repro.runtime.engine.IncrementalEngine` (it *is* one — same map
 store, database, checkpoint format ``kind: "single"`` and view surface) whose
 executor runs the specialized Python functions produced by the staged
 codegen pipeline (:mod:`repro.codegen.statement` plans IR,
-:mod:`repro.codegen.emit` renders it, :mod:`repro.codegen.trigger` fuses it)
+:mod:`repro.codegen.trigger` fuses it, :mod:`repro.codegen.emit` renders it)
 instead of walking the AGCA AST per event.
 
-Dispatch is two-tier.  A trigger whose statements *all* compile runs as one
-**fused kernel**: ``apply`` is a single ``(sign, relation)`` dictionary hit
-followed by one function call covering every statement, the base-relation
-apply and all ``:=`` statements, with event unpacks and identical
-probe/condition subtrees shared across statements.  Triggers with any
-uncompilable statement fall back to per-statement dispatch: compiled
-statements run their individual kernels and the rest execute through the
-ordinary :class:`~repro.runtime.interpreter.TriggerExecutor`, in statement
-order, so the engine's observable results (values *and* types) are identical
-to the interpreted engine on every program.  One deliberate deviation in the
-error surface: hoisted loop-invariant conditions are evaluated even when the
-scan they guard is empty, so an *ill-typed* comparison (ordering a number
-against a string) can raise here on events where the interpreter would have
-skipped it.  Well-typed programs — everything the SQL frontend emits —
-behave identically, errors included.
+Every trigger with statements compiles to one **fused kernel**: ``apply`` is
+a single ``(sign, relation)`` dictionary hit followed by one function call
+covering every statement, the base-relation apply and all ``:=``
+statements, with event unpacks and identical probe/condition subtrees shared
+across statements.  A trigger the fuser declines runs whole through the
+ordinary :class:`~repro.runtime.interpreter.TriggerExecutor`, so the engine's
+observable results (values *and* types) are identical to the interpreted
+engine on every program.  One deliberate deviation in the error surface:
+hoisted loop-invariant conditions are evaluated even when the scan they
+guard is empty, so an *ill-typed* comparison (ordering a number against a
+string) can raise here on events where the interpreter would have skipped
+it.  Well-typed programs — everything the SQL frontend emits — behave
+identically, errors included.
 
 Durable state stays interchangeable with the other single engines: the
 checkpoint dictionary holds only map/relation entries and the event count,
-never code objects.  :meth:`CompiledEngine.restore_state` recompiles and
-rebinds every kernel after loading, so state pickled on one process (or one
-library version) runs on another — this is what lets partitions placed in
-worker processes rebuild compiled engines from the pickled trigger program.
-Fused kernels cache their per-database table resolution, so a restore into
-the same engine reuses the already-linked runners instead of re-``exec``-ing
+never code objects.  :meth:`CompiledEngine.restore_state` rebinds every
+kernel after loading, so state pickled on one process (or one library
+version) runs on another — this is what lets partitions placed in worker
+processes rebuild compiled engines from the pickled trigger program.  Fused
+kernels cache their per-database table resolution, so a restore into the
+same engine reuses the already-linked runners instead of re-``exec``-ing
 every code object.
 """
 
@@ -40,9 +38,8 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Callable, Mapping
 
-from repro.codegen import statement as statement_compiler
 from repro.codegen import trigger as trigger_compiler
-from repro.compiler.program import ASSIGN, Statement, TriggerProgram
+from repro.compiler.program import TriggerProgram
 from repro.delta.events import StreamEvent
 from repro.runtime.database import Database
 from repro.runtime.engine import IncrementalEngine
@@ -50,30 +47,12 @@ from repro.runtime.interpreter import TriggerExecutor
 from repro.runtime.maps import MapStore
 
 
-class _TriggerPlan:
-    """Per-(sign, relation) execution plan: one bound runner per statement."""
-
-    __slots__ = ("increments", "assigns", "arity")
-
-    def __init__(self) -> None:
-        # ``(values, scale)`` runners in statement order, linked by
-        # :meth:`CompiledExecutor.rebind`.
-        self.increments: list[Callable[[tuple, Any], None]] = []
-        self.assigns: list[Callable[[tuple, Any], None]] = []
-        # Relation arity, validated before runners index the event tuple
-        # positionally (None for triggers with no statements, where the
-        # interpreter performs no arity check either).
-        self.arity: int | None = None
-
-
 class CompiledExecutor:
-    """Applies stream events through compiled kernels, interpreting the rest.
+    """Applies stream events through fused trigger kernels, interpreting the rest.
 
-    Every statement has a ``(values, scale)`` runner (:meth:`runner_for`):
-    its bound kernel, or a closure handing the statement to the interpreter
-    when it is outside the codegen fragment.  A trigger runs as one fused
-    kernel whenever :func:`~repro.codegen.trigger.try_fuse_trigger` fuses
-    it; per-statement dispatch is the safety net for the rest.
+    Each trigger with statements gets one kernel from
+    :func:`~repro.codegen.trigger.try_fuse_trigger`; a trigger it declines
+    runs whole through the interpreter, which stays the reference.
     """
 
     def __init__(
@@ -91,55 +70,26 @@ class CompiledExecutor:
         self._interpreter = interpreter if interpreter is not None else TriggerExecutor(
             program, database, maps, maintained_relations=maintained_relations
         )
-        self._kernels: dict[int, statement_compiler.StatementKernel] = {}
-        self._plans: dict[tuple[int, str], _TriggerPlan] = {}
-        self._runners: dict[int, Callable[[tuple, Any], None]] = {}
+        started = perf_counter()
         self._trigger_kernels: dict[tuple[int, str], trigger_compiler.TriggerKernel] = {}
+        # (sign, relation) -> statement count, for the triggers that interpret.
+        self._interpreted: dict[tuple[int, str], int] = {}
+        for trigger in program.triggers.values():
+            if not trigger.statements:
+                continue
+            key = (trigger.sign, trigger.relation)
+            kernel = trigger_compiler.try_fuse_trigger(trigger, program)
+            if kernel is None:
+                self._interpreted[key] = len(trigger.statements)
+            else:
+                self._trigger_kernels[key] = kernel
         # (sign, relation) -> (fused runner, arity): the per-event fast path.
         self._fused: dict[tuple[int, str], tuple[Callable[[tuple], None], int]] = {}
-        self._pinned: list[Statement] = []  # keeps id()-keyed statements alive
-        self.compiled_statements = 0
-        self.fallback_statements = 0
-        # Always-on accounting: compile/fuse wall time (one-shot) and how
-        # often the per-statement path actually hit the interpreter.
-        self.compile_seconds = 0.0
-        self.fuse_seconds = 0.0
-        self.fallback_hits = 0
-        self._compile_all()
-
-    # -- compilation --------------------------------------------------------
-    def _compile_all(self) -> None:
-        compile_started = perf_counter()
-        fuse_spent = 0.0
-        self._kernels.clear()
-        self._trigger_kernels.clear()
-        self.compiled_statements = 0
-        self.fallback_statements = 0
-        for trigger in self._program.triggers.values():
-            plan = _TriggerPlan()
-            if trigger.statements:
-                plan.arity = len(trigger.statements[0].event.trigger_vars)
-            fully_compiled = bool(trigger.statements)
-            for stmt in trigger.statements:
-                kernel = statement_compiler.try_compile_statement(stmt, self._program)
-                if kernel is not None:
-                    self._kernels[id(stmt)] = kernel
-                    self._pinned.append(stmt)
-                    self.compiled_statements += 1
-                else:
-                    self.fallback_statements += 1
-                    fully_compiled = False
-            key = (trigger.sign, trigger.relation)
-            self._plans[key] = plan
-            if fully_compiled:
-                fuse_started = perf_counter()
-                fused = trigger_compiler.try_fuse_trigger(trigger, self._program)
-                fuse_spent += perf_counter() - fuse_started
-                if fused is not None:
-                    self._trigger_kernels[key] = fused
         self.rebind()
-        self.fuse_seconds = fuse_spent
-        self.compile_seconds = perf_counter() - compile_started
+        # Always-on accounting: compile wall time (one-shot) and how many
+        # statement executions the interpreter ran for declined triggers.
+        self.compile_seconds = perf_counter() - started
+        self.fallback_hits = 0
 
     def rebind(self) -> None:
         """(Re)link every kernel against the live tables.
@@ -150,67 +100,19 @@ class CompiledExecutor:
         their resolution per table set, so rebinding after a restore into the
         same store is a cheap identity check, not a re-``exec``.
         """
-        self._runners.clear()
-        for trigger in self._program.triggers.values():
-            plan = self._plans[(trigger.sign, trigger.relation)]
-            plan.increments = [
-                self._bind(stmt) for stmt in trigger.statements if stmt.operation != ASSIGN
-            ]
-            plan.assigns = [
-                self._bind(stmt) for stmt in trigger.statements if stmt.operation == ASSIGN
-            ]
         self._fused = {
             key: (kernel.bind(self._maps, self._database), kernel.arity)
             for key, kernel in self._trigger_kernels.items()
         }
 
-    def _bind(self, stmt: Statement) -> Callable[[tuple, Any], None]:
-        kernel = self._kernels.get(id(stmt))
-        runner = (
-            kernel.bind(self._maps, self._database)
-            if kernel is not None
-            else self._interpreting_runner(stmt)
-        )
-        self._runners[id(stmt)] = runner
-        return runner
-
-    def _interpreting_runner(self, stmt: Statement) -> Callable[[tuple, Any], None]:
-        """A ``(values, scale)`` runner for a statement outside the fragment."""
-        trigger_vars = stmt.event.trigger_vars
-        interpreter = self._interpreter
-        if stmt.operation == ASSIGN:
-            def run(values: tuple, scale: Any) -> None:
-                self.fallback_hits += 1
-                interpreter.execute_assign(stmt, dict(zip(trigger_vars, values)))
-        else:
-            def run(values: tuple, scale: Any) -> None:
-                self.fallback_hits += 1
-                interpreter.execute_increment(
-                    stmt, dict(zip(trigger_vars, values)), scale=scale
-                )
-        return run
-
-    def kernel_for(self, stmt: Statement) -> statement_compiler.StatementKernel | None:
-        """The compiled kernel of one statement (None when it interprets)."""
-        return self._kernels.get(id(stmt))
-
-    def runner_for(self, stmt: Statement) -> Callable[[tuple, Any], None]:
-        """The bound ``(values, scale)`` runner of one statement.
-
-        The batched execution subsystem's bulk path calls it per tuple of
-        a run (scale 1); a statement outside the codegen fragment gets a
-        runner that interprets.
-        """
-        return self._runners[id(stmt)]
-
     def trigger_kernel_for(self, sign: int, relation: str) -> trigger_compiler.TriggerKernel | None:
-        """The fused kernel of one trigger (None when it dispatches per statement)."""
+        """The fused kernel of one trigger (None when it interprets or is empty)."""
         return self._trigger_kernels.get((sign, relation))
 
     # -- event application ------------------------------------------------
     def apply(self, event: StreamEvent) -> None:
         """Apply one event: the fused kernel when the trigger has one, else
-        compiled runners in statement order with interpreter fallbacks."""
+        the interpreter (or, for a trigger without statements, the base apply)."""
         key = (event.sign, event.relation)
         fused = self._fused.get(key)
         if fused is not None:
@@ -225,45 +127,32 @@ class CompiledExecutor:
             # the := statements, in the executor's exact order.
             runner(values)
             return
-        plan = self._plans.get(key)
-        if plan is not None:
-            values = event.values
-            if plan.arity is not None and len(values) != plan.arity:
-                # Same error surface as TriggerEvent.bindings_for on the
-                # interpreted path; runners index positionally and must not
-                # accept malformed events the interpreter rejects.
-                raise ValueError(
-                    f"event arity {len(values)} does not match relation arity "
-                    f"{plan.arity}"
-                )
-            for runner in plan.increments:
-                runner(values, 1)
-        if event.relation in self._maintained:
+        statements = self._interpreted.get(key)
+        if statements is not None:
+            self.fallback_hits += statements
+            self._interpreter.apply(event)
+        elif event.relation in self._maintained:
             self._database.apply(event)
-        if plan is not None:
-            for runner in plan.assigns:
-                runner(event.values, 1)
 
     # -- reporting ----------------------------------------------------------
     def codegen_statistics(self) -> dict[str, object]:
-        """Compiled/fallback statement counts, fusion totals, and the splits."""
-        fallbacks = []
-        for trigger in self._program.triggers.values():
-            for stmt in trigger.statements:
-                if id(stmt) not in self._kernels:
-                    fallbacks.append(f"{trigger.name}: {stmt.target}")
+        """Compiled/interpreted statement counts and the fusion totals."""
+        fallbacks = [
+            f"{trigger.name}: {stmt.target}"
+            for trigger in self._program.triggers.values()
+            if (trigger.sign, trigger.relation) in self._interpreted
+            for stmt in trigger.statements
+        ]
         kernels = self._trigger_kernels.values()
         return {
-            "compiled_statements": self.compiled_statements,
-            "fallback_statements": self.fallback_statements,
+            "compiled_statements": sum(k.fused_statements for k in kernels),
+            "fallback_statements": len(fallbacks),
             "fallbacks": fallbacks,
             "fallback_hits": self.fallback_hits,
             "fused_kernels": len(self._trigger_kernels),
-            "fused_statements": sum(k.fused_statements for k in kernels),
             "deduped_probes": sum(k.deduped_probes for k in kernels),
             "deduped_scalars": sum(k.deduped_scalars for k in kernels),
             "compile_seconds": self.compile_seconds,
-            "fuse_seconds": self.fuse_seconds,
         }
 
 
@@ -273,7 +162,7 @@ class CompiledEngine(IncrementalEngine):
     Behaves exactly like :class:`IncrementalEngine` — same trigger program,
     same views, same ``kind: "single"`` checkpoint states (interchangeable in
     both directions) — but executes every fused trigger through a single
-    kernel call per event.  Construction compiles; restore recompiles; the
+    kernel call per event.  Construction compiles; restore rebinds; the
     pickled trigger program is all a worker process needs to rebuild one.
     """
 
@@ -304,14 +193,11 @@ class CompiledEngine(IncrementalEngine):
         super()._collect_telemetry(registry)
         summary = self._executor.codegen_statistics()
         registry.gauge(
-            "repro_codegen_compile_seconds", help="Wall time spent compiling statements"
+            "repro_codegen_compile_seconds", help="Wall time spent compiling trigger kernels"
         ).set(summary["compile_seconds"])
-        registry.gauge(
-            "repro_codegen_fuse_seconds", help="Wall time spent fusing triggers"
-        ).set(summary["fuse_seconds"])
         registry.counter(
             "repro_codegen_fallback_hits_total",
-            help="Statement executions that fell back to the interpreter",
+            help="Statement executions the interpreter ran for declined triggers",
         ).value = summary["fallback_hits"]
         registry.gauge(
             "repro_codegen_fused_kernels", help="Triggers running as one fused kernel"
@@ -323,7 +209,7 @@ class CompiledEngine(IncrementalEngine):
         return self._executor
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Load a single-engine state, then rebind every compiled kernel.
+        """Load a single-engine state, then rebind every fused kernel.
 
         States never contain code objects (they are plain map/relation entry
         lists), so this works for states produced by any single engine —
@@ -352,13 +238,9 @@ class CompiledEngine(IncrementalEngine):
             ),
             (
                 f"  fused_kernels={summary['fused_kernels']} "
-                f"fused_statements={summary['fused_statements']} "
                 f"deduped_probes={summary['deduped_probes']} "
-                f"deduped_scalars={summary['deduped_scalars']}"
-            ),
-            (
-                f"  compile_seconds={summary['compile_seconds']:.4f} "
-                f"fuse_seconds={summary['fuse_seconds']:.4f}"
+                f"deduped_scalars={summary['deduped_scalars']} "
+                f"compile_seconds={summary['compile_seconds']:.4f}"
             ),
         ]
         for entry in summary["fallbacks"]:

@@ -294,23 +294,15 @@ class ListAppend(Node):
 
 
 class AddDelta(Node):
-    """``add(key, value[ * scale])`` — the sink merge into the target table.
+    """``add(key, value)`` — the sink merge into the target table."""
 
-    ``scale_var`` names the batch-scale local (the interpreter's semantics:
-    scale applies after the per-row zero check); ``None`` pins scale to 1,
-    which is the per-event fused path.
-    """
-
-    __slots__ = ("add_local", "key_expr", "value_expr", "scale_var")
+    __slots__ = ("add_local", "key_expr", "value_expr")
     kind = "sink_add"
 
-    def __init__(
-        self, add_local: str, key_expr: str, value_expr: str, scale_var: str | None
-    ) -> None:
+    def __init__(self, add_local: str, key_expr: str, value_expr: str) -> None:
         self.add_local = add_local
         self.key_expr = key_expr
         self.value_expr = value_expr
-        self.scale_var = scale_var
 
 
 class ChainAccum(Node):

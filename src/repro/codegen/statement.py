@@ -1,13 +1,13 @@
 """Plan trigger statements into kernel IR (stage 1 of the codegen pipeline).
 
-One ``+=`` statement becomes one IR tree (:mod:`repro.codegen.ir`) describing
-a specialized function ``_kernel(_values, _scale)`` over the event's field
-values (positionally, no bindings dictionary) and the batch scale factor.
-This module *plans* — it decides access paths, hoisting slots and
-accumulation discipline — and produces IR nodes; it never generates Python
-source.  :mod:`repro.codegen.emit` renders the IR, and
-:mod:`repro.codegen.trigger` fuses the statement IRs of one trigger into a
-single function.  The plan is specialized on everything the compiler knows
+One ``+=`` or ``:=`` statement becomes one IR tree (:mod:`repro.codegen.ir`)
+over the event's field values (positionally, no bindings dictionary).  This
+module *plans* — it decides access paths, hoisting slots and accumulation
+discipline — and produces IR nodes; it never generates Python source.
+:mod:`repro.codegen.trigger` concatenates the statement IRs of one trigger
+into its single kernel function, :mod:`repro.codegen.emit` renders it, and
+:mod:`repro.codegen.vector` re-walks one statement's IR into a columnar batch
+kernel.  The plan is specialized on everything the compiler knows
 statically:
 
 * **trigger variables** load positionally from the event tuple — only the
@@ -64,9 +64,8 @@ Exact-equivalence notes (each mirrors a specific interpreter behaviour):
 * a ``Lift`` over a value binds ``normalize_number(v)`` — coerced to the
   integer ``0`` when zero-ish — because the evaluator reads the lifted value
   back out of a GMR (``scalar_value() if inner else 0``);
-* the final per-row delta is zero-checked *before* the batch scale is
-  applied (the evaluator's result GMR drops zero rows before the executor
-  scales them);
+* the final per-row delta is zero-checked before it reaches the target (the
+  evaluator's result GMR drops zero rows);
 * a top-level ``AggSum`` groups deltas in enumeration order with the GMR's
   add/normalize/drop-on-zero rule before anything touches the target map,
   and a top-level ``Sum`` merges its terms' result rows the same way —
@@ -75,17 +74,16 @@ Exact-equivalence notes (each mirrors a specific interpreter behaviour):
   primary dictionary / index buckets, product terms left to right), so
   same-key map additions happen in the same order.
 
-The **capability check** is the compile attempt itself: any construct outside
-the fragment — sums nested under products, lifts over grouped aggregates,
-grouped aggregates below the top level, unbound value variables — raises
-:class:`~repro.codegen.lowering.Unsupported` and the statement stays on the
-interpreter.  Fallback is per statement, never per program, so one hard
-statement does not slow down its siblings.
+The **capability check** is the planning attempt itself: any construct
+outside the fragment — sums nested under products, lifts over grouped
+aggregates, grouped aggregates below the top level, unbound value variables —
+raises :class:`~repro.codegen.lowering.Unsupported`, and the fuser leaves the
+statement's whole trigger on the interpreter.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.agca.ast import (
     AggSum,
@@ -104,7 +102,6 @@ from repro.agca.ast import (
     value_variables,
 )
 from repro.codegen import ir
-from repro.codegen.emit import emit_function
 from repro.codegen.lowering import (
     SourceEnv,
     Unsupported,
@@ -130,7 +127,7 @@ _BASE_ENV = {
 class KernelContext:
     """Shared allocator and namespace for one generated kernel.
 
-    A standalone statement kernel owns a fresh context; a fused trigger
+    A statement planned on its own owns a fresh context; a fused trigger
     kernel (:mod:`repro.codegen.trigger`) threads *one* context through every
     statement it concatenates, which is what makes event unpacks, table
     handles and bound-method hoists shared across statements, and local
@@ -202,46 +199,6 @@ class KernelContext:
     def preamble(self) -> list[ir.Node]:
         """Event loads then method binds — the head of every kernel body."""
         return [*self.event_loads, *self.method_binds]
-
-
-class StatementKernel:
-    """One trigger statement compiled to a specialized Python function.
-
-    ``source`` holds the generated code (kept for tests, ``describe()`` and
-    debugging) and ``ir_ops`` the IR operation counts the source was emitted
-    from; :meth:`bind` links it against a concrete map store / database
-    and returns the runnable ``(values, scale)`` closure.  The code object is
-    compiled once and can be bound any number of times (each engine, and each
-    restore, gets fresh bindings), so pickled engine state never needs to
-    carry code objects — restoring recompiles/rebinds instead.
-    """
-
-    __slots__ = ("statement", "source", "ir_ops", "_code", "_env", "_tables")
-
-    def __init__(
-        self,
-        statement: Statement,
-        source: str,
-        env: dict[str, Any],
-        tables: Sequence[tuple[str, str, str]],
-        ir_ops: Mapping[str, int] | None = None,
-    ) -> None:
-        self.statement = statement
-        self.source = source
-        self.ir_ops = dict(ir_ops or {})
-        self._code = compile(source, f"<repro.codegen:{statement.target}>", "exec")
-        self._env = env
-        self._tables = tuple(tables)
-
-    def bind(self, maps, database) -> Callable[[tuple, Any], None]:
-        """Link the kernel against live tables; returns ``run(values, scale)``."""
-        namespace = dict(self._env)
-        for handle, kind, name in self._tables:
-            namespace[handle] = (
-                maps.table(name) if kind == "map" else database.table(name)
-            )
-        exec(self._code, namespace)
-        return namespace["_kernel"]
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +310,8 @@ class _TermPlan:
 class _StatementCompiler:
     """Plans one statement into IR nodes (stage 1: plan; stage 3 emits).
 
-    ``context`` is owned when compiling standalone and shared when the fuser
-    compiles a whole trigger; ``scale_var`` names the batch-scale parameter
-    (``None`` pins scale to 1 — the fused per-event path, which drops the
-    per-sink scale branch entirely).
+    ``context`` is owned when planning standalone (``describe``, the vector
+    emitter) and shared when the fuser compiles a whole trigger.
     """
 
     def __init__(
@@ -364,14 +319,12 @@ class _StatementCompiler:
         statement: Statement,
         program: TriggerProgram,
         context: KernelContext | None = None,
-        scale_var: str | None = "_scale",
     ) -> None:
         self.statement = statement
         self.program = program
         self.ctx = context if context is not None else KernelContext(
             statement.event.trigger_vars
         )
-        self.scale_var = scale_var
         self._maintained = program.requires_base_relations()
 
     # -- small allocators ---------------------------------------------------
@@ -499,7 +452,7 @@ class _StatementCompiler:
                 self._emit_term(body, plan, sink)
 
         def add_sink(key: str, mult: str) -> ir.Node:
-            return ir.AddDelta(add_local, key, mult, self.scale_var)
+            return ir.AddDelta(add_local, key, mult)
 
         if mode == "merge":
             self._emit_merge_epilogue(body, live, colset_ids, merge_local, add_sink)
@@ -509,7 +462,7 @@ class _StatementCompiler:
         elif mode == "pending":
             kr, m = self._fresh("kr"), self._fresh("m")
             body.append(ir.PairLoop(kr, m, pending_local, [
-                ir.AddDelta(add_local, kr, m, self.scale_var)
+                ir.AddDelta(add_local, kr, m)
             ]))
         return body
 
@@ -1352,7 +1305,7 @@ class _StatementCompiler:
 
         if mode == "direct":
             key = self._target_key_expr(nodes, plan)
-            nodes.append(ir.AddDelta(add_local, key, acc, self.scale_var))
+            nodes.append(ir.AddDelta(add_local, key, acc))
             return
         if mode == "pending":
             key = self._target_key_expr(nodes, plan)
@@ -1418,32 +1371,3 @@ class _StatementCompiler:
             return self._trigger_local(key)
 
         return self._target_row_source(value_of)
-
-
-# ---------------------------------------------------------------------------
-# Public entry points
-# ---------------------------------------------------------------------------
-
-
-def try_compile_statement(
-    statement: Statement, program: TriggerProgram
-) -> StatementKernel | None:
-    """Compile one ``+=`` or ``:=`` statement, or return None when it must interpret.
-
-    This *is* the capability check: anything the planner cannot lower raises
-    internally and surfaces here as None, and the caller keeps the statement
-    on the interpreter path.  The pipeline runs all three stages: plan the
-    statement into IR, then emit the IR (``emit.py`` is the sole source
-    generator) and wrap the source into a bindable :class:`StatementKernel`.
-    """
-    try:
-        compiler = _StatementCompiler(statement, program)
-        body = compiler.compile()
-        context = compiler.ctx
-        nodes = context.preamble() + body
-        source = emit_function("_kernel", ("_values", "_scale"), nodes, abort="return")
-    except Unsupported:
-        return None
-    return StatementKernel(
-        statement, source, context.env.env, context.tables, ir.count_ops(nodes)
-    )

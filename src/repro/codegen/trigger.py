@@ -1,9 +1,9 @@
 """Whole-trigger fusion: one compiled function per (relation, op) trigger.
 
-Per-statement kernels already kill the per-event AST walk, but the engine
-still pays a Python function call plus repeated event-unpack and
-table-handle setup *per statement* per event.  This module concatenates the
-statement IRs of one trigger into a single ``_kernel(_values)`` function:
+The paper compiles each trigger of the viewlet-transformed program into one
+function; this module is that step.  It plans the statements of one trigger
+with a shared context and concatenates their IRs into a single
+``_kernel(_values)`` function, the only scalar kernel the codegen emits:
 
 * **shared preamble** — every trigger variable loads once, every table
   handle and bound method (``add``, ``range_sum``) binds once, no matter
@@ -26,17 +26,14 @@ statement IRs of one trigger into a single ``_kernel(_values)`` function:
   the sibling statements still run.  Statement order, the increments →
   base-relation apply → assigns sequence, and the interpreter's
   zero-drop/normalize/enumeration-order rules are preserved exactly: fused
-  views are bit-identical — values and types — to per-statement and
-  interpreted execution;
-* **scale specialization** — the fused kernel is the per-event path, so the
-  batch scale is pinned to 1 and the per-sink ``_scale`` branch disappears
-  (batched execution keeps using the per-statement kernels, which retain
-  the scale parameter).
+  views are bit-identical — values and types — to interpreted execution.
 
-Fusion is all-or-nothing per trigger: it only applies when every statement
-of the trigger compiles (the same capability check as per-statement
-compilation), and any surprise during fusion falls back to per-statement
-dispatch rather than risk an unsound kernel.
+Fusion is all-or-nothing per trigger: any statement the planner declines,
+and any surprise during fusion, leaves the whole trigger on the interpreter
+rather than risk an unsound kernel.  The per-event kernel fuses every step;
+the batched engine additionally fuses the ``+=`` steps (with the base apply)
+and the ``:=`` steps of a bulk-safe trigger as two separate kernels, so a
+bulk run can evaluate its ``:=`` statements once.
 """
 
 from __future__ import annotations
@@ -119,7 +116,7 @@ def _hoist_common_guards(
 
     A guard common to all steps means "if this fails, every statement
     contributes nothing" — so it runs once at kernel top (its abort is
-    ``return``) instead of once per statement, and the statements' bodies
+    ``return``) instead of once in every statement, and the statements' bodies
     shrink accordingly.  Steps with an empty leading set (notably the
     base-relation apply, which must run unconditionally) block hoisting,
     which is exactly the required semantics.  Returns the hoisted guard
@@ -149,8 +146,8 @@ def _weave_guards(
 
     Each guard is placed immediately after the last definition it reads, so
     a failing guard (a filtered event) skips the prefix computations that
-    only matter when it passes — matching the per-statement kernels, which
-    never compute a statement's values once its leading condition fails.
+    only matter when it passes, so a statement's values are never computed
+    once its leading condition fails.
     """
     placed: list[ir.Node] = []
     pending = list(guards)
@@ -348,7 +345,7 @@ class FusionCache:
 
 
 class TriggerKernel:
-    """All statements of one (relation, op) trigger fused into one function.
+    """The steps of one (relation, op) trigger fused into one function.
 
     ``source`` holds the generated code and ``ir_ops`` the IR operation
     counts (both surfaced by ``python -m repro.codegen dump``); ``arity`` is
@@ -435,38 +432,43 @@ class TriggerKernel:
         return runner
 
 
-def try_fuse_trigger(trigger: Trigger, program: TriggerProgram) -> TriggerKernel | None:
-    """Fuse every statement of ``trigger`` into one kernel, or return None.
+def try_fuse_trigger(
+    trigger: Trigger,
+    program: TriggerProgram,
+    increments: bool = True,
+    assigns: bool = True,
+) -> TriggerKernel | None:
+    """Fuse the steps of ``trigger`` into one kernel, or return None.
 
-    Fusion replays the per-statement planning with one shared context and the
-    dedup cache, interleaves the fused steps in the executor's order
-    (increments in statement order, then the base-relation apply for
-    maintained relations, then assigns), hoists shared subtrees, and emits a
-    single ``_kernel(_values)``.  Any :class:`Unsupported` — an uncompilable
-    statement, or a guard escaping its scope — means per-statement dispatch
-    (with its per-statement interpreter fallback) is used instead.
+    Fusion plans every statement with one shared context and the dedup
+    cache, interleaves the steps in the executor's order (increments in
+    statement order, then the base-relation apply for maintained relations,
+    then assigns), hoists shared subtrees, and emits a single
+    ``_kernel(_values)``.  ``increments`` selects the ``+=`` steps and the
+    base apply, ``assigns`` the ``:=`` steps; the per-event kernel takes
+    both.  A trigger without statements, or any :class:`Unsupported` — a
+    statement outside the fragment, or a guard escaping its scope — returns
+    None, and the trigger runs on the interpreter instead.
     """
     statements = list(trigger.statements)
     if not statements:
         return None
     trigger_vars = statements[0].event.trigger_vars
-    increments = [s for s in statements if s.operation != ASSIGN]
-    assigns = [s for s in statements if s.operation == ASSIGN]
-    maintained = trigger.relation in program.requires_base_relations()
+    before = [s for s in statements if s.operation != ASSIGN] if increments else []
+    after = [s for s in statements if s.operation == ASSIGN] if assigns else []
+    maintained = increments and trigger.relation in program.requires_base_relations()
 
     cache = FusionCache()
     ctx = KernelContext(trigger_vars, dedup=cache)
     step_bodies: list[list[ir.Node]] = []
 
     def compile_step(statement) -> None:
-        compiler = _StatementCompiler(
-            statement, program, context=ctx, scale_var=None
-        )
+        compiler = _StatementCompiler(statement, program, context=ctx)
         step_bodies.append(compiler.compile())
         cache.mark_write(ctx.table_handle("map", statement.target))
 
     try:
-        for statement in increments:
+        for statement in before:
             compile_step(statement)
         if maintained:
             base_handle = ctx.table_handle("relation", trigger.relation)
@@ -475,7 +477,7 @@ def try_fuse_trigger(trigger: Trigger, program: TriggerProgram) -> TriggerKernel
                 [ir.ExprStmt(f"{base_add}(_values, {trigger.sign})")]
             )
             cache.mark_write(base_handle)
-        for statement in assigns:
+        for statement in after:
             compile_step(statement)
 
         prefix = cache.finalize()
@@ -491,8 +493,7 @@ def try_fuse_trigger(trigger: Trigger, program: TriggerProgram) -> TriggerKernel
                 body.append(ir.OnePass(ctx.fresh("w"), live))
             else:
                 # The last step runs bare: nothing follows it, so its aborts
-                # compile to ``return`` — exactly the per-statement kernel
-                # shape, with no one-pass wrapper overhead.
+                # compile to ``return``, with no one-pass wrapper overhead.
                 body.extend(live)
         # Top-level abort is ``return``; only the final step may reach it (a
         # guard escaping an earlier statement's scope would corrupt the
@@ -505,12 +506,12 @@ def try_fuse_trigger(trigger: Trigger, program: TriggerProgram) -> TriggerKernel
             tuple(ctx.tables),
             len(trigger_vars),
             ir.count_ops(body),
-            len(statements),
+            len(before) + len(after),
             cache.deduped_probes,
             cache.deduped_scalars,
         )
     except (Unsupported, SyntaxError):
         # Unsupported is the planner declining; SyntaxError means the IR
-        # rendered to invalid Python — either way, per-statement dispatch
-        # is always available and always correct.
+        # rendered to invalid Python — either way, the interpreter is always
+        # available and always correct.
         return None

@@ -1,16 +1,17 @@
 """Columnar batch emitter: numpy-vectorized kernels over the kernel IR.
 
-The scalar pipeline (plan -> IR -> emit) produces per-event kernels; this
-module walks the *same* statement IR and emits a kernel that processes an
-entire run of same-trigger events per call — one ndarray per trigger column,
-masks instead of branch guards, hash-probe gathers against the table primaries,
-prefix-sum range probes against :class:`~repro.runtime.ordered.OrderedRangeIndex`,
-and a segmented seeded-cumsum sink that reproduces the scalar add chain.
+The scalar pipeline (plan -> IR -> fuse -> emit) produces one per-event kernel
+per trigger; this module walks the *same* statement IR and emits, for one
+``+=`` statement, a kernel that processes an entire run of same-trigger
+events per call — one ndarray per trigger column, masks instead of branch
+guards, hash-probe gathers against the table primaries, prefix-sum range
+probes against :class:`~repro.runtime.ordered.OrderedRangeIndex`, and a
+segmented seeded-cumsum sink that reproduces the scalar add chain.
 
 Fast-numeric regime and the bit-identity contract
 -------------------------------------------------
-Results must stay bit-identical — values *and* types — to the scalar
-statement kernels.  The vector path therefore runs in an explicit
+Results must stay bit-identical — values *and* types — to the fused scalar
+kernels.  The vector path therefore runs in an explicit
 **fast-numeric regime** (mirroring ``OrderedRangeIndex``'s exact-regime split):
 
 * all value arithmetic is computed in float64.  IEEE double addition and
@@ -29,9 +30,10 @@ statement kernels.  The vector path therefore runs in an explicit
   partial is zero-ish (the scalar chain would delete and re-insert the key,
   changing dict insertion order).
 
-Fallback is per *statement* per batch: the kernel computes its entire write
-list before touching any table, so a failed statement is replayed through
-the scalar path with the state exactly as it was before the statement.
+Fallback is per *run*: each kernel computes its entire write list before
+touching any table, and the batched engine computes every statement's list
+before committing any, so a run with one failed statement goes whole through
+the fused scalar kernel with the state exactly as it was before the run.
 
 numpy is optional: when it cannot be imported (or ``REPRO_NO_NUMPY`` is set,
 the CI no-numpy leg), no vector kernel compiles and the reason is surfaced
@@ -72,7 +74,7 @@ def vector_unavailable_reason() -> str | None:
 
 
 class VectorFallback(Exception):
-    """A batch left the fast-numeric regime; replay the statement scalar."""
+    """A batch left the fast-numeric regime; the run goes to the fused kernel."""
 
 
 #: Magnitude bound for exact float64 arithmetic over int-valued data.
@@ -696,7 +698,7 @@ def compile_vector(statement: Statement, program: TriggerProgram) -> VectorKerne
         raise Unsupported("not an increment statement")
     from repro.codegen.statement import _StatementCompiler
 
-    compiler = _StatementCompiler(statement, program, scale_var=None)
+    compiler = _StatementCompiler(statement, program)
     body = compiler.compile()
     ctx = compiler.ctx
     nodes = ctx.preamble() + body

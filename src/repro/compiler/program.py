@@ -169,9 +169,14 @@ class TriggerProgram:
 
         Computed once: a program is not modified after compilation, the
         answer walks every statement's expression, and the code generator
-        asks once per statement it plans.
+        asks for every statement it plans.
         """
         return self._base_relations
+
+    @cached_property
+    def stream_arities(self) -> dict[str, int]:
+        """The number of values each stream relation's events carry."""
+        return {relation: len(self.schemas[relation]) for relation in self.stream_relations}
 
     @cached_property
     def digest(self) -> str:

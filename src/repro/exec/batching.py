@@ -14,16 +14,25 @@ whether bulk application is equivalent to sequential application:
   same trigger writes, none read the triggering base relation itself, and its
   ``:=`` statements do not depend on the trigger variables.  The per-tuple
   deltas are then independent of the order the run's events are applied in,
-  so one pass per statement over the run is exactly the sequential result.
-* all other triggers (self-joins, nested-aggregate view maintenance, ...)
-  replay their events in order through the fused trigger kernel.
+  so applying every ``+=`` statement to the whole run, then the ``:=``
+  statements once, is exactly the sequential result.
+* all other triggers (self-joins, nested-aggregate view maintenance, ...),
+  and every trigger the fuser leaves on the interpreter, replay their events
+  in order.
 
 Runs also merge non-adjacent events of the same (relation, sign) when the
 intervening triggers *commute* (their read/write sets are disjoint), which
 turns the short per-relation runs of realistic streams into large ones.  A
 run is never slower than its events one by one: it takes the bulk path only
-where that wins (a vector kernel over enough rows, ``:=`` statements that
+where that wins (vector kernels over enough rows, ``:=`` statements that
 then run once per run) and is otherwise handed whole to the fused kernel.
+
+A bulk run either sends every ``+=`` statement through its vector kernel or
+sends its events one by one through fused code; vectorization is all or
+nothing per trigger and per run, so a fallback never leaves a run
+half-committed.  A bulk-safe trigger with ``:=`` statements gets two fused
+kernels besides its per-event one, built with the engine: the ``+=`` steps
+with the base apply, and the ``:=`` steps.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from typing import Any, Iterable, NamedTuple, Sequence
 
 from repro.agca.ast import free_variables
 from repro.codegen.engine import CompiledEngine
+from repro.codegen.trigger import try_fuse_trigger
 from repro.codegen.vector import (
     ColumnBatch,
     VectorFallback,
@@ -48,9 +58,9 @@ from repro.runtime.engine import check_stream_events
 #: Default number of events coalesced into one delta batch.
 DEFAULT_BATCH_SIZE = 100
 
-#: Shortest run dispatched to the vector backend.  A vector kernel call costs
-#: a fixed ~40 us of numpy dispatch per statement however short the run, so
-#: shorter runs — the common shape when interleaved multi-relation streams
+#: Shortest run dispatched to the vector backend.  A vector kernel call costs a
+#: fixed ~40 us of numpy dispatch for each statement however short the run,
+#: so shorter runs — the common shape when interleaved multi-relation streams
 #: partition into many of them — replay through the fused trigger kernel.
 #: The value is the measured crossover on Q1's Lineitem trigger, the one the
 #: vector backend helps most (table in DESIGN.md "Small-run cutoff").
@@ -81,24 +91,22 @@ class TriggerAnalysis:
         # Bulk at any run length: := statements then run once per run (or none run).
         self.always_bulk = self.safe and bool(self.assigns or not self.increments)
         self._program = program
-        self._vector: dict[int, Any] | None = None
+        self._vector: list[Any] | None = None
 
-    def vector_kernels(self) -> dict[int, Any]:
-        """Columnar batch kernels by ``id(statement)`` (compiled lazily).
+    def vector_kernels(self) -> list[Any]:
+        """Columnar batch kernels, one per ``+=`` statement in order, or none.
 
-        Only bulk-safe triggers qualify (one pass per statement over the run
-        is exactly the bulk contract); within them, any ``+=`` statement the
-        vector emitter can lower gets a kernel, the rest stay on their
-        statement runners.  Without numpy the dictionary is empty.
+        All or nothing (compiled lazily): only a bulk-safe trigger whose
+        statements all write distinct maps qualifies, and only when the
+        vector emitter lowers every ``+=`` statement.  A run then computes
+        every write list before it commits any.  Without numpy the list is
+        empty.
         """
         if self._vector is None:
-            kernels: dict[int, Any] = {}
-            if self.safe:
-                for statement in self.increments:
-                    kernel = try_compile_vector(statement, self._program)
-                    if kernel is not None:
-                        kernels[id(statement)] = kernel
-            self._vector = kernels
+            kernels: list[Any] = []
+            if self.safe and len(self.writes) == len(self.increments) + len(self.assigns):
+                kernels = [try_compile_vector(s, self._program) for s in self.increments]
+            self._vector = [] if None in kernels else kernels
         return self._vector
 
     def _bulk_safe(self) -> bool:
@@ -252,7 +260,8 @@ class BatchedEngine(CompiledEngine):
     provenance, checkpoint and delta state, program digest and telemetry —
     except that ``apply`` buffers: every ``batch_size`` events the buffer is
     partitioned into runs (:meth:`BatchPlan.fold`) and each run is dispatched
-    once, to the bulk path or whole to the fused kernel.  Reads flush first,
+    once, to the bulk path or whole to the fused kernel.  The extra fused
+    kernels bulk runs call are built here, with the engine.  Reads flush first,
     so observable results are identical to per-event execution.
     ``events_processed`` counts accepted events, buffered ones included.
     """
@@ -277,7 +286,9 @@ class BatchedEngine(CompiledEngine):
         self.fallback_events = self.vector_events = 0
         self.vector_fallbacks: dict[str, int] = {}
         # Bound vector kernels per trigger (restores refill the same tables).
-        self._vector_bound: dict[str, dict[int, Any]] = {}
+        self._vector_bound: dict[str, list[Any]] = {}
+        self._bulk_kernels = self._compile_bulk_kernels()
+        self._bind_bulk_kernels()
         self._fold_hist = self._apply_hist = None
         if self.telemetry.enabled:
             registry = self.telemetry.registry
@@ -298,7 +309,7 @@ class BatchedEngine(CompiledEngine):
             ("bulk_events", "Events applied through bulk runs", sum(self._bulk_events.values())),
             ("fallback_events", "Events replayed per-event inside batches", self.fallback_events),
             ("vector_events", "Events applied through columnar vector kernels", self.vector_events),
-            ("vector_fallbacks", "Vector-kernel statement applications that fell back to scalar",
+            ("vector_fallbacks", "Vectorizing runs that fell back to fused code",
              sum(self.vector_fallbacks.values())),
         ):
             registry.counter(f"repro_exec_{name}_total", help=help_text).value = value
@@ -319,8 +330,7 @@ class BatchedEngine(CompiledEngine):
 
     def apply(self, event: StreamEvent) -> None:
         """Buffer one event, flushing a full batch when the buffer fills."""
-        if event.relation not in self.program.stream_relations:
-            check_stream_events(self.program, (event,))
+        check_stream_events(self.program, (event,))
         self._buffer.append(event)
         if len(self._buffer) >= self.batch_size:
             self.flush()
@@ -328,8 +338,8 @@ class BatchedEngine(CompiledEngine):
     def apply_many(self, events: Iterable[StreamEvent]) -> int:
         """Buffer a slice, applying every batch it fills, where :meth:`apply` would.
 
-        All-or-nothing: relations are validated before anything is buffered,
-        so a rejected slice leaves the engine exactly as it was.
+        All-or-nothing: relations and arities are validated before anything
+        is buffered, so a rejected slice leaves the engine exactly as it was.
         """
         events = list(events)
         check_stream_events(self.program, events)
@@ -360,48 +370,94 @@ class BatchedEngine(CompiledEngine):
             self._fold_hist.observe(folded - started)
             self._apply_hist.observe(perf_counter() - folded)
 
-    def _vector_bindings(self, analysis: TriggerAnalysis) -> dict[int, Any]:
+    def _compile_bulk_kernels(self) -> dict[TriggerAnalysis, tuple[Any, Any]]:
+        """``(increments, assigns)`` fused kernels per trigger that may run bulk.
+
+        A bulk-safe trigger without ``:=`` statements runs its per-event
+        kernel over the run.  One with them gets its ``+=`` steps (with the
+        base apply) and its ``:=`` steps fused apart, so the ``:=`` steps run
+        once per run.  Where a trigger has no ``+=`` statement the bulk path
+        applies the base relation itself (None); a trigger left on the
+        interpreter is absent, and its runs replay.
+        """
+        kernels: dict[TriggerAnalysis, tuple[Any, Any]] = {}
+        for analysis in self.plan._analyses.values():
+            if not analysis.safe:
+                continue
+            trigger = self.program.trigger_for(analysis.sign, analysis.relation)
+            fused = self._executor.trigger_kernel_for(analysis.sign, analysis.relation)
+            if fused is None and (analysis.increments or analysis.assigns):
+                continue
+            if not analysis.assigns:
+                kernels[analysis] = (fused, None)
+                continue
+            increments = None
+            if analysis.increments:
+                increments = try_fuse_trigger(trigger, self.program, assigns=False)
+                if increments is None:
+                    continue
+            assigns = try_fuse_trigger(trigger, self.program, increments=False)
+            if assigns is not None:
+                kernels[analysis] = (increments, assigns)
+        return kernels
+
+    def _bind_bulk_kernels(self) -> None:
+        maps, database = self.maps, self.database
+        self._bulk = {
+            analysis: tuple(k and k.bind(maps, database) for k in pair)
+            for analysis, pair in self._bulk_kernels.items()
+        }
+
+    def _vector_bindings(self, analysis: TriggerAnalysis) -> list[Any]:
         bound = self._vector_bound.get(analysis.name)
         if bound is None:
-            bound = self._vector_bound[analysis.name] = {
-                sid: kernel.bind(self.maps, self.database)
-                for sid, kernel in analysis.vector_kernels().items()
-            }
+            bound = self._vector_bound[analysis.name] = [
+                kernel.bind(self.maps, self.database) for kernel in analysis.vector_kernels()
+            ]
         return bound
 
     def _note_fallback(self, reason: str) -> None:
         self.vector_fallbacks[reason] = self.vector_fallbacks.get(reason, 0) + 1
 
-    def _try_vector(self, kernel, statement: Statement, batch) -> bool:
-        """Run one statement through its vector kernel; False demands the runner.
+    def _vectorize(self, analysis: TriggerAnalysis, events, batch) -> bool:
+        """Every ``+=`` statement of a run through its vector kernel, or none.
 
-        ``compute`` touches no engine state, so any failure — regime
-        violation, overflow risk, an error a masked-out scalar path would
-        never hit — leaves the tables untouched for the statement runner.
+        ``compute`` touches no engine state and the statements write distinct
+        maps, so every write list is computed before any is committed.  Any
+        failure — regime violation, overflow risk, an error a masked-out
+        scalar path would never hit, a watcher on a target table — leaves
+        the tables untouched and returns False: the run goes to fused code.
         """
-        table = self.maps.table(statement.target)
-        if table._watcher is not None:
-            # set_total skips no-op notifications the per-tuple path would
-            # emit; keep watcher notifications exact on the statement runner.
-            self._note_fallback("watcher")
-            return False
-        try:
-            writes = kernel.compute(batch, table)
-        except VectorFallback as exc:
-            self._note_fallback(str(exc) or "fallback")
-            return False
-        except Exception as exc:  # masked rows may poison full-array ops
-            self._note_fallback(f"error:{type(exc).__name__}")
-            return False
-        kernel.commit(table, writes)
+        if batch is None:
+            batch = ColumnBatch([event.values for event in events])
+        pending = []
+        for statement, kernel in zip(analysis.increments, self._vector_bindings(analysis)):
+            table = self.maps.table(statement.target)
+            if table._watcher is not None:
+                # set_total skips no-op notifications the per-tuple path would
+                # emit; keep watcher notifications exact on fused code.
+                self._note_fallback("watcher")
+                return False
+            try:
+                pending.append((kernel, table, kernel.compute(batch, table)))
+            except VectorFallback as exc:
+                self._note_fallback(str(exc) or "fallback")
+                return False
+            except Exception as exc:  # masked rows may poison full-array ops
+                self._note_fallback(f"error:{type(exc).__name__}")
+                return False
+        for kernel, table, writes in pending:
+            kernel.commit(table, writes)
         return True
 
     def _apply_groups(self, groups: list[DeltaGroup], batches: Sequence = ()) -> None:
         """Dispatch each run once, in order (``batches``: staged columns by index)."""
-        replay, floor = self._replay_run, DEFAULT_MIN_VECTOR_ROWS
+        replay, floor, bulk = self._replay_run, DEFAULT_MIN_VECTOR_ROWS, self._bulk
         for index, (analysis, events) in enumerate(groups):
             # (The length test short-cuts bulk() for the many short runs.)
-            if analysis.always_bulk or len(events) >= floor and analysis.bulk(len(events)):
+            if (
+                analysis.always_bulk or len(events) >= floor and analysis.bulk(len(events))
+            ) and analysis in bulk:
                 self._apply_bulk(analysis, events, batches[index] if batches else None)
             else:
                 self.runs_replayed += 1
@@ -411,8 +467,8 @@ class BatchedEngine(CompiledEngine):
     def _replay_run(self, analysis: TriggerAnalysis, events: list[StreamEvent]) -> None:
         """The whole run to the fused trigger kernel, in arrival order.
 
-        Per-event execution minus the per-event lookup: the kernel and its
-        arity are resolved once for the run.  While provenance or a telemetry
+        Per-event execution minus the per-event lookup and arity check (the
+        slice was validated on the way in).  While provenance or a telemetry
         observer is armed, or the trigger has no fused kernel, each event goes
         through the inherited per-event ``apply`` (this engine's own buffers),
         so attribution and sampling are those of per-event execution.
@@ -423,17 +479,11 @@ class BatchedEngine(CompiledEngine):
             for event in events:
                 apply(event)
             return
-        runner, arity = fused
+        runner = fused[0]
         done = 0
         try:
             for done, event in enumerate(events):
-                values = event.values
-                if len(values) != arity:
-                    raise ValueError(
-                        f"event arity {len(values)} does not match relation arity "
-                        f"{arity}"
-                    )
-                runner(values)
+                runner(event.values)
         except BaseException:
             self._applied += done
             raise
@@ -442,7 +492,7 @@ class BatchedEngine(CompiledEngine):
     def _apply_bulk(
         self, analysis: TriggerAnalysis, events: list[StreamEvent], batch: ColumnBatch | None
     ) -> None:
-        """One pass per statement over a bulk-safe run (see ``TriggerAnalysis.bulk``)."""
+        """One bulk-safe run: the ``+=`` steps over every event, the ``:=`` steps once."""
         count = len(events)
         relation, sign = analysis.relation, analysis.sign
         self.runs_bulk += 1
@@ -450,47 +500,33 @@ class BatchedEngine(CompiledEngine):
         # counts to the sampled ones (events in == events accounted).
         key = (sign, relation)
         self._bulk_events[key] = self._bulk_events.get(key, 0) + count
-        runner_for = self._executor.runner_for
 
         # Provenance attributes bulk transitions to the fold descriptor,
-        # stamped with the post-run version.
+        # stamped with the post-run version.  Provenance runs skip vector
+        # dispatch wholesale — set_total does not record transitions.
         prov = self._provenance
         if prov is not None:
             prov.version = self._applied + count
             prov.cause = ("fold", relation, "insert" if sign > 0 else "delete", count, count)
 
-        # Per statement, in trigger order: the bound vector kernel when the
-        # run reaches the cutoff, else (or on any vector fallback) the
-        # statement runner over the run's tuples.  Provenance runs skip
-        # vector dispatch wholesale — set_total does not record transitions.
-        vec: dict[int, Any] = {}
-        if prov is None and analysis.vectorizes(count):
-            vec = self._vector_bindings(analysis)
-            if batch is None:
-                batch = ColumnBatch([event.values for event in events])
-        vectorized = False
-
-        for statement in analysis.increments:
-            kernel = vec.get(id(statement))
-            if kernel is not None and self._try_vector(kernel, statement, batch):
-                vectorized = True
-                continue
-            run = runner_for(statement)
-            for event in events:
-                run(event.values, 1)
+        increments, assigns = self._bulk[analysis]
+        vectorized = (
+            prov is None and analysis.vectorizes(count)
+            and self._vectorize(analysis, events, batch)
+        )
         if vectorized:
             self.vector_events += count
-
-        if analysis.updates_base:
-            table = self.database.table(relation)
+        if increments is not None and not vectorized:
             for event in events:
-                table.add(event.values, sign)
-
+                increments(event.values)
+        elif analysis.updates_base:
+            add = self.database.table(relation).add
+            for event in events:
+                add(event.values, sign)
         # Bulk-safe ``:=`` statements do not depend on the trigger variables:
         # once per run, under any one of its tuples.
-        for statement in analysis.assigns:
-            runner_for(statement)(events[0].values, 1)
-
+        if assigns is not None:
+            assigns(events[0].values)
         self._applied += count
 
     # -- staged ingest -----------------------------------------------------------
@@ -509,7 +545,7 @@ class BatchedEngine(CompiledEngine):
             batch = None
             if analysis.vectorizes(len(run)):
                 batch = ColumnBatch([event.values for event in run])
-                for kernel in analysis.vector_kernels().values():
+                for kernel in analysis.vector_kernels():
                     batch.prewarm(kernel.uses)
             batches.append(batch)
         return StagedBatch(groups, batches, len(events))
@@ -578,6 +614,7 @@ class BatchedEngine(CompiledEngine):
         """Load a single-engine state, discarding any buffered events."""
         self._buffer = []
         super().restore_state(state)
+        self._bind_bulk_kernels()
 
     def close(self) -> None:
         """Flush pending work; the batched engine owns no external resources."""

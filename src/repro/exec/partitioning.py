@@ -336,7 +336,7 @@ TABLE_COUNTERS = ("entries", "memory_bytes", "probes", "scans", "range_probes")
 #: the compiled program — identical in every partition, so not summed.
 _PER_PROGRAM = frozenset({
     "batch_size", "compiled_statements", "fallback_statements", "fused_kernels",
-    "fused_statements", "deduped_probes", "deduped_scalars", "vector_statements",
+    "deduped_probes", "deduped_scalars", "vector_statements",
 })
 
 

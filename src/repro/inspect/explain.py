@@ -136,7 +136,7 @@ def render_explain_text(report: Mapping[str, Any]) -> str:
                 f"{fusion['deduped_scalars']} scalars deduped)"
             )
         else:
-            lines.append(f"  {name} per-statement dispatch")
+            lines.append(f"  {name} interpreted")
         for statement in trigger["statements"]:
             if not statement["compiled"]:
                 lines.append(

@@ -21,7 +21,7 @@ mutation:
 * ``("event", relation, op, values)`` — one stream event (per-event engines,
   and the batched engine's replayed runs);
 * ``("fold", relation, op, events, tuples)`` — a bulk run of the batched
-  engine: one pass per statement applies ``events`` events at once
+  engine: the run applies ``events`` events at once
   (``tuples == events``: runs keep duplicate tuples apart), so individual
   transitions attribute to the run, not to a single event (the documented
   batching attribution rule);

@@ -25,16 +25,23 @@ from repro.runtime.protocol import STATE_FORMAT, STATE_SINGLE, STATS_SCHEMA
 
 
 def check_stream_events(program: TriggerProgram, events: Iterable[StreamEvent]) -> None:
-    """Reject a slice naming any relation that is not a stream of ``program``.
+    """Reject a slice holding any event that is not a stream event of ``program``:
+    its relation is not a stream, or it carries the wrong number of values.
 
     Every engine's ``apply_many`` runs this before it applies, buffers or
     routes anything, so a rejected slice leaves the engine as it was.
     """
-    unknown = {event.relation for event in events}.difference(program.stream_relations)
-    if unknown:
-        raise RuntimeEngineError(
-            f"relation {min(unknown)!r} is not a stream relation of this program"
-        )
+    arities = program.stream_arities
+    for event in events:
+        if arities.get(event.relation) != len(event.values):
+            if event.relation not in arities:
+                raise RuntimeEngineError(
+                    f"relation {event.relation!r} is not a stream relation of this program"
+                )
+            raise RuntimeEngineError(
+                f"event arity {len(event.values)} does not match relation arity "
+                f"{arities[event.relation]} of {event.relation!r}"
+            )
 
 
 class IncrementalEngine:

@@ -116,47 +116,24 @@ class TriggerExecutor:
         assigns = [s for s in statements if s.operation == ASSIGN]
 
         for statement in increments:
-            self._execute_increment(statement, event)
+            self.execute_increment(statement, statement.event.bindings_for(event))
 
         if event.relation in self._maintained:
             self._database.apply(event)
 
         for statement in assigns:
-            self._execute_assign(statement, event)
+            self.execute_assign(statement, statement.event.bindings_for(event))
 
     # -- statement execution -------------------------------------------------------
-    def _bindings(self, statement: Statement, event: StreamEvent) -> dict[str, Any]:
-        return statement.event.bindings_for(
-            event if event.sign == statement.event.sign else event
-        )
-
-    def _execute_increment(self, statement: Statement, event: StreamEvent) -> None:
-        self.execute_increment(statement, self._bindings(statement, event))
-
-    def _execute_assign(self, statement: Statement, event: StreamEvent) -> None:
-        self.execute_assign(statement, self._bindings(statement, event))
-
-    def execute_increment(
-        self,
-        statement: Statement,
-        bindings: Mapping[str, Any],
-        scale: Any = 1,
-    ) -> None:
-        """Run one ``+=`` statement under explicit trigger-variable bindings.
-
-        ``scale`` multiplies every produced delta (used by batched execution to
-        fold repeated identical events).
-        """
+    def execute_increment(self, statement: Statement, bindings: Mapping[str, Any]) -> None:
+        """Run one ``+=`` statement under explicit trigger-variable bindings."""
         result = self._evaluator.evaluate(statement.expr, bindings)
         if not result:
             return
         table = self._maps.table(statement.target)
         keys = statement.target_keys
         for row, multiplicity in result.items():
-            table.add(
-                self._key_values(keys, row, bindings, statement),
-                multiplicity if scale == 1 else multiplicity * scale,
-            )
+            table.add(self._key_values(keys, row, bindings, statement), multiplicity)
 
     def execute_assign(self, statement: Statement, bindings: Mapping[str, Any]) -> None:
         """Run one ``:=`` statement under explicit trigger-variable bindings."""

@@ -2,9 +2,9 @@
 
 The paper compares DBToaster against a commercial DBMS ("DBX") and a stream
 processor ("SPY"), both of which effectively recompute the query from their
-stored base tables on every update, paying per-statement interpretation and
-bookkeeping overhead.  Neither system is available here, so this module
-provides the substitution described in DESIGN.md: a deliberately simple
+stored base tables on every update, paying interpretation and bookkeeping
+overhead for every statement.  Neither system is available here, so this
+module provides the substitution described in DESIGN.md: a deliberately simple
 row-at-a-time engine that
 
 * stores base relations as plain lists of dictionaries, and

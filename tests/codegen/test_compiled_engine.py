@@ -2,7 +2,7 @@
 
 The compiled engine's contract is bit-identity with the interpreter: same
 keys, same values, same Python types, deletions included, regardless of how
-many statements compiled versus fell back.  One parametrized suite pins that
+many triggers fused versus fell back to the interpreter.  One parametrized suite pins that
 across every TPC-H / finance / MDDB query in the tree, plus targeted tests
 for forced interpreter fallback, checkpoint/restore recompilation and the
 service integration.
@@ -13,7 +13,7 @@ import pickle
 
 import pytest
 
-import repro.codegen.statement as statement_module
+import repro.codegen.trigger as trigger_module
 from repro.codegen import CompiledEngine
 from repro.compiler.hoivm import compile_query
 from repro.runtime.engine import IncrementalEngine
@@ -86,7 +86,9 @@ def test_compiled_engine_matches_interpreter_bit_identically(cases, query_name):
     got = _views(engine, translated, spec, program, events)
     _assert_bit_identical(expected, got, f"{query_name}/compiled")
     stats = engine.statistics()["codegen"]
-    assert stats["compiled_statements"] + stats["fallback_statements"] >= 0
+    assert stats["compiled_statements"] + stats["fallback_statements"] == (
+        program.statement_count()
+    )
 
 
 def test_streams_used_here_contain_deletes():
@@ -123,39 +125,44 @@ def test_no_workload_statement_falls_back_on_an_external_function():
 
 
 def test_forced_full_fallback_is_still_identical(cases, monkeypatch):
-    """With compilation disabled entirely, the engine degrades to the interpreter."""
+    """With fusion disabled entirely, the engine degrades to the interpreter."""
     spec, translated, program, events, expected = cases("Q3")
-    monkeypatch.setattr(
-        statement_module, "try_compile_statement", lambda statement, program: None
-    )
+    monkeypatch.setattr(trigger_module, "try_fuse_trigger", lambda *args, **kwargs: None)
     engine = CompiledEngine(program)
     stats = engine.codegen.codegen_statistics()
-    assert stats["compiled_statements"] == 0
+    assert stats["compiled_statements"] == stats["fused_kernels"] == 0
     got = _views(engine, translated, spec, program, events)
     _assert_bit_identical(expected, got, "Q3/forced-fallback")
+    assert engine.codegen.fallback_hits > 0
 
 
-@pytest.mark.parametrize("query_name", ("Q1", "Q3", "VWAP"))
-def test_forced_per_statement_fallback_is_identical(cases, monkeypatch, query_name):
-    """Mixing compiled and interpreted statements inside one trigger is safe.
-
-    Every other statement is forced onto the interpreter, so compiled and
-    fallback statements interleave within each trigger in statement order.
-    """
-    spec, translated, program, events, expected = cases(query_name)
-    original = statement_module.try_compile_statement
+def _every_other_trigger_declines(monkeypatch):
+    original = trigger_module.try_fuse_trigger
     toggle = {"count": 0}
 
-    def every_other(statement, program):
+    def every_other(trigger, program, **steps):
         toggle["count"] += 1
         if toggle["count"] % 2 == 0:
             return None
-        return original(statement, program)
+        return original(trigger, program, **steps)
 
-    monkeypatch.setattr(statement_module, "try_compile_statement", every_other)
+    monkeypatch.setattr(trigger_module, "try_fuse_trigger", every_other)
+
+
+@pytest.mark.parametrize("query_name", ("Q1", "Q3", "VWAP"))
+def test_forced_trigger_fallback_is_identical(cases, monkeypatch, query_name):
+    """Mixing fused and interpreted triggers inside one program is safe.
+
+    Every other trigger declines fusion, so fused kernels and interpreted
+    triggers interleave event by event over one map store.
+    """
+    spec, translated, program, events, expected = cases(query_name)
+    _every_other_trigger_declines(monkeypatch)
     engine = CompiledEngine(program)
+    stats = engine.codegen.codegen_statistics()
+    assert stats["fused_kernels"] > 0 and stats["fallback_statements"] > 0
     got = _views(engine, translated, spec, program, events)
-    _assert_bit_identical(expected, got, f"{query_name}/per-statement-fallback")
+    _assert_bit_identical(expected, got, f"{query_name}/trigger-fallback")
 
 
 def test_compiled_engine_implements_the_protocol(cases):

@@ -1,8 +1,8 @@
 """Whole-trigger fusion: bit-identity, dedup soundness, bind caching.
 
-The fused engine's contract is the same as the per-statement compiled
-engine's: bit-identity with the interpreter — values *and* types, deletions
-included — on every workload.  This suite pins fused vs per-statement vs
+The fused engine's contract is bit-identity with the interpreter — values
+*and* types, deletions included — on every workload.  This suite pins fused
+vs declined (triggers run on the interpreter inside a compiled engine) vs
 interpreted across the tree, checkpoint/restore mid-stream (including
 cross-restores from interpreted states and the multiprocessing partitioned
 backend recompiling fused kernels from pickled programs), plus targeted
@@ -20,6 +20,7 @@ from repro.codegen import CompiledEngine, try_fuse_trigger
 from repro.codegen import trigger as trigger_module
 from repro.compiler.hoivm import compile_query
 from repro.compiler.program import (
+    ASSIGN,
     INCREMENT,
     MapDeclaration,
     Statement,
@@ -40,8 +41,8 @@ def _stream(spec):
     return list(spec.stream_factory(events=130))
 
 
-def per_statement(program):
-    """A compiled engine whose triggers all decline fusion: per-statement dispatch."""
+def declined(program):
+    """A compiled engine whose triggers all decline fusion: each interprets."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trigger_module, "try_fuse_trigger", lambda trigger, program: None)
         return CompiledEngine(program)
@@ -96,50 +97,50 @@ def cases():
 
 
 # ---------------------------------------------------------------------------
-# The property: fused == per-statement == interpreted, on every workload
+# The property: fused == declined == interpreted, on every workload
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("query_name", ALL_QUERIES)
-def test_fused_and_per_statement_match_interpreter(cases, query_name):
+def test_fused_and_declined_triggers_match_interpreter(cases, query_name):
     spec, translated, program, events, expected = cases(query_name)
     fused = CompiledEngine(program)
     got_fused = _views(fused, translated, spec, program, events)
     _assert_bit_identical(expected, got_fused, f"{query_name}/fused")
 
-    unfused = per_statement(program)
+    unfused = declined(program)
     got_unfused = _views(unfused, translated, spec, program, events)
-    _assert_bit_identical(expected, got_unfused, f"{query_name}/per-statement")
+    _assert_bit_identical(expected, got_unfused, f"{query_name}/declined")
 
     stats = fused.statistics()["codegen"]
     unfused_stats = unfused.statistics()["codegen"]
-    assert unfused_stats["fused_kernels"] == 0
-    if stats["fallback_statements"] == 0 and stats["compiled_statements"] > 0:
-        # A fully-compiled program must fuse every trigger that has statements.
+    assert unfused_stats["fused_kernels"] == unfused_stats["compiled_statements"] == 0
+    assert unfused_stats["fallback_statements"] == program.statement_count()
+    if stats["fallback_statements"] == 0:
+        # A fully-compiled program fuses every trigger that has statements.
         populated = sum(
             1 for trigger in program.triggers.values() if trigger.statements
         )
         assert stats["fused_kernels"] == populated
-        assert stats["fused_statements"] == stats["compiled_statements"]
+        assert stats["compiled_statements"] == program.statement_count()
 
 
 def test_every_fully_compiled_trigger_fuses(cases):
-    """Fusion covers every trigger whose statements all compile.
+    """Fusion covers every trigger whose statements all plan.
 
-    The headline workloads (TPC-H linear views, all six financial queries)
-    compile with zero fallbacks, so there fusion must be total; MDDB keeps
-    its pre-existing interpreter fallback statements, and those triggers
-    stay on per-statement dispatch.
+    A trigger with a statement outside the fragment would run whole on the
+    interpreter; no workload query has one, so there fusion is total.
     """
+    from repro.codegen.describe import describe_statement
+
     for name in ALL_QUERIES:
         _, _, program, _, _ = cases(name)
-        engine = CompiledEngine(program)
-        executor = engine.codegen
+        executor = CompiledEngine(program).codegen
         expected_fused = sum(
             1
             for trigger in program.triggers.values()
             if trigger.statements
-            and all(executor.kernel_for(s) is not None for s in trigger.statements)
+            and all(describe_statement(s, program)["compiled"] for s in trigger.statements)
         )
         stats = executor.codegen_statistics()
         assert stats["fused_kernels"] == expected_fused, name
@@ -273,7 +274,7 @@ def test_fused_kernel_dedups_shared_subtrees(two_sums):
 
 def test_fused_dedup_is_bit_identical(two_sums):
     fused = CompiledEngine(two_sums)
-    unfused = per_statement(two_sums)
+    unfused = declined(two_sums)
     for engine in (fused, unfused):
         engine.apply(StreamEvent("R", (1, 5), 1))
         engine.apply(StreamEvent("R", (1, -2), 1))  # fails the condition
@@ -306,7 +307,7 @@ def test_probe_does_not_dedup_across_a_write():
     assert kernel.deduped_probes == 0  # sharing would read stale state
 
     fused = CompiledEngine(program)
-    unfused = per_statement(program)
+    unfused = declined(program)
     for engine in (fused, unfused):
         engine.apply(StreamEvent("R", (7, 10), 1))
         engine.apply(StreamEvent("R", (7, 5), 1))
@@ -347,7 +348,7 @@ def test_stale_shared_probe_still_hoists():
     engines = {
         "interpreted": IncrementalEngine(program),
         "fused": CompiledEngine(program),
-        "per-statement": per_statement(program),
+        "declined": declined(program),
     }
     stream = [
         StreamEvent("R", (7, 4), 1),
@@ -360,7 +361,7 @@ def test_stale_shared_probe_still_hoists():
     reference = engines["interpreted"]
     for name in ("M", "T1", "T2", "T3"):
         want = reference.result_dict(name)
-        for label in ("fused", "per-statement"):
+        for label in ("fused", "declined"):
             assert engines[label].result_dict(name) == want, (name, label)
 
 
@@ -393,7 +394,7 @@ def test_hoisted_probe_drags_its_key_row_into_the_prefix():
     assert row_def < probe  # the dragged row defines before the hoisted probe
 
     fused = CompiledEngine(program)
-    unfused = per_statement(program)
+    unfused = declined(program)
     for engine in (fused, unfused):
         engine.apply(StreamEvent("R", (1, 9), 1))
     for name in ("T1", "T2"):
@@ -426,8 +427,8 @@ def test_maintained_base_relation_applies_inside_fused_kernel():
     The stream relation is read by a statement, so the database must keep
     it; the fused kernel embeds the base-table add between the increments
     and the assigns, it runs *unconditionally* (the guard shared by the two
-    statements must not hoist across it), and results stay identical to
-    per-statement dispatch and the interpreter — including events that fail
+    statements must not hoist across it), and results stay identical to a
+    declined trigger and the interpreter — including events that fail
     the guard, whose base-relation rows later statements still observe.
     """
     event = TriggerEvent("R", 1, ("a", "b"), ("r_a", "r_b"))
@@ -458,7 +459,7 @@ def test_maintained_base_relation_applies_inside_fused_kernel():
     engines = {
         "interpreted": IncrementalEngine(program),
         "fused": CompiledEngine(program),
-        "per-statement": per_statement(program),
+        "declined": declined(program),
     }
     stream = [
         StreamEvent("R", (1, 5), 1),
@@ -472,7 +473,7 @@ def test_maintained_base_relation_applies_inside_fused_kernel():
     reference = engines["interpreted"]
     for name in ("T1", "T2"):
         want = reference.result_dict(name)
-        for label in ("fused", "per-statement"):
+        for label in ("fused", "declined"):
             got = engines[label].result_dict(name)
             assert got == want, (name, label, got, want)
             for key, value in want.items():
@@ -512,14 +513,14 @@ def test_fusion_handles_renamed_trigger_variables():
     engines = {
         "interpreted": IncrementalEngine(program),
         "fused": CompiledEngine(program),
-        "per-statement": per_statement(program),
+        "declined": declined(program),
     }
     for engine in engines.values():
         engine.apply(StreamEvent("R", (1, 5), 1))
         engine.apply(StreamEvent("R", (2, -1), 1))
     for name in ("S1", "S2"):
         want = engines["interpreted"].result_dict(name)
-        for label in ("fused", "per-statement"):
+        for label in ("fused", "declined"):
             assert engines[label].result_dict(name) == want, (name, label)
 
 
@@ -547,32 +548,62 @@ def test_dead_term_reservations_are_not_reusable():
     engines = {
         "interpreted": IncrementalEngine(program),
         "fused": CompiledEngine(program),
-        "per-statement": per_statement(program),
+        "declined": declined(program),
     }
     for engine in engines.values():
         engine.apply(StreamEvent("R", (1, 3), 1))  # NameError before the fix
     for name in ("M1", "M2"):
         want = engines["interpreted"].result_dict(name)
-        for label in ("fused", "per-statement"):
+        for label in ("fused", "declined"):
             assert engines[label].result_dict(name) == want, (name, label)
 
 
 def test_fusion_skipped_when_any_statement_falls_back(cases, monkeypatch):
+    """One statement the planner declines leaves its whole trigger interpreted."""
     import repro.codegen.statement as statement_module
+    from repro.codegen.lowering import Unsupported
 
-    _, _, program, _, _ = cases("Q1")
-    original = statement_module.try_compile_statement
-    toggle = {"count": 0}
+    spec, translated, program, events, expected = cases("Q3")
+    refused = program.trigger_for(1, "Orders").statements[-1]
+    original = statement_module._StatementCompiler.compile
 
-    def every_other(statement, program):
-        toggle["count"] += 1
-        return None if toggle["count"] % 2 == 0 else original(statement, program)
+    def refuse_one(self):
+        if self.statement is refused:
+            raise Unsupported("refused for this test")
+        return original(self)
 
-    monkeypatch.setattr(statement_module, "try_compile_statement", every_other)
+    monkeypatch.setattr(statement_module._StatementCompiler, "compile", refuse_one)
     engine = CompiledEngine(program)
     stats = engine.codegen.codegen_statistics()
-    assert stats["fallback_statements"] > 0
-    assert stats["fused_kernels"] == 0
+    orders = len(program.trigger_for(1, "Orders").statements)
+    assert stats["fallback_statements"] == orders
+    assert stats["fused_kernels"] == 5
+    assert engine.codegen.trigger_kernel_for(1, "Orders") is None
+    got = _views(engine, translated, spec, program, events)
+    _assert_bit_identical(expected, got, "Q3/one-trigger-declined")
+    assert engine.codegen.fallback_hits > 0
+
+
+def test_bulk_kernels_split_the_steps_at_the_base_apply(cases):
+    """The batched engine's two extra kernels of a trigger with ``:=``
+    statements: the ``+=`` steps with the base apply, then the ``:=`` steps."""
+    _, _, program, _, _ = cases("VWAP")
+    maintained = program.requires_base_relations()
+    assigning = [
+        trigger for trigger in program.triggers.values()
+        if any(statement.operation == ASSIGN for statement in trigger.statements)
+    ]
+    assert assigning
+    for trigger in assigning:
+        whole = try_fuse_trigger(trigger, program)
+        increments = try_fuse_trigger(trigger, program, assigns=False)
+        assigns = try_fuse_trigger(trigger, program, increments=False)
+        assert 0 < assigns.fused_statements < whole.fused_statements
+        assert increments.fused_statements + assigns.fused_statements == whole.fused_statements
+        assert ".replace(" in assigns.source and ".replace(" not in increments.source
+        base_add = f"(_values, {trigger.sign})"
+        assert (base_add in increments.source) == (trigger.relation in maintained)
+        assert base_add not in assigns.source
 
 
 # ---------------------------------------------------------------------------
@@ -630,14 +661,6 @@ def test_dump_cli_rejects_unknown_query(capsys):
     assert "unknown query" in capsys.readouterr().out
 
 
-def test_dump_cli_per_statement_listing(capsys):
-    from repro.codegen.__main__ import main
-
-    assert main(["dump", "Q6", "--per-statement"]) == 0
-    out = capsys.readouterr().out
-    assert "def _kernel(_values, _scale):" in out  # per-statement kernels too
-
-
 def test_dump_cli_agca_prints_each_statement_above_its_kernel(capsys):
     from repro.codegen.__main__ import main
 
@@ -663,7 +686,7 @@ def test_dump_cli_prints_the_reason_on_fallback_lines(capsys, monkeypatch):
     monkeypatch.setattr(statement_module._StatementCompiler, "_plan_lift_body", refuse)
     assert main(["dump", "Q17a", "--trigger", "Lineitem:+", "--agca"]) == 0
     out = capsys.readouterr().out
-    assert "per-statement dispatch (no fused kernel)" in out
+    assert "interpreted (no fused kernel)" in out
     assert (
         "-- statement 0 -> Q17a_query17a: interpreter fallback "
         "(lift bodies refused for this test)"

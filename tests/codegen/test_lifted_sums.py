@@ -28,7 +28,7 @@ from repro.agca.ast import (
 )
 from repro.codegen import CompiledEngine
 from repro.codegen import trigger as trigger_module
-from repro.codegen.statement import try_compile_statement
+from repro.codegen.describe import describe_statement
 from repro.compiler.hoivm import compile_query
 from repro.compiler.program import (
     INCREMENT,
@@ -149,7 +149,7 @@ def _stream(values, count=400, seed=11):
 def test_every_lifted_sum_statement_compiles():
     program = _program()
     for statement in program.statements():
-        assert try_compile_statement(statement, program) is not None, statement.pretty()
+        assert describe_statement(statement, program)["compiled"], statement.pretty()
     engine = CompiledEngine(program)
     assert engine.codegen.codegen_statistics()["fallback_statements"] == 0
     assert engine.codegen.trigger_kernel_for(INSERT, "R") is not None  # and fuses
@@ -160,7 +160,7 @@ def test_every_lifted_sum_statement_compiles():
 def test_lifted_sum_kernels_are_bit_identical_to_the_evaluator(regime, fuse, monkeypatch):
     program = _program()
     interpreted = IncrementalEngine(program)
-    if not fuse:  # decline fusion: per-statement dispatch
+    if not fuse:  # decline fusion: the trigger interprets
         monkeypatch.setattr(trigger_module, "try_fuse_trigger", lambda trigger, program: None)
     compiled = CompiledEngine(program)
     assert (compiled.codegen.trigger_kernel_for(INSERT, "R") is not None) == fuse
@@ -175,7 +175,7 @@ def test_lifted_sum_kernels_are_bit_identical_to_the_evaluator(regime, fuse, mon
             for row, value in want.items():
                 assert type(have[row]) is type(value), (name, row, event)
                 seen_types.add(type(value))
-    assert compiled.codegen.fallback_hits == 0
+    assert (compiled.codegen.fallback_hits == 0) == fuse
     # The stream actually reached the regime it is named for.
     assert {"int": int, "float": float, "fraction": Fraction}[regime] in seen_types
 
@@ -185,7 +185,7 @@ def test_lift_over_a_non_scalar_addend_still_falls_back():
     body = Sum((M_AT_KEY, MapRef("M", ("r_a",))))  # a bare map atom is not scalar
     statement = Statement("T1", (), INCREMENT, Product((Lift("s", body),)), event)
     program = _program()
-    assert try_compile_statement(statement, program) is None
+    assert not describe_statement(statement, program)["compiled"]
 
 
 @pytest.mark.parametrize("query_name", sorted(all_workloads()))

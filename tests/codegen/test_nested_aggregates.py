@@ -26,7 +26,7 @@ from repro.agca.ast import (
     VConst,
     VVar,
 )
-from repro.codegen import CompiledEngine
+from repro.codegen import CompiledEngine, try_fuse_trigger
 from repro.compiler.hoivm import compile_query
 from repro.compiler.program import (
     ASSIGN,
@@ -137,12 +137,20 @@ def test_vwap_assign_kernel_uses_the_range_probe():
         static_relations=translated.static_relations(),
     )
     engine = CompiledEngine(program)
+    # The := steps of each trigger, fused apart as the batched engine runs
+    # them once per run, and inside the per-event kernel.
+    assigning = [
+        trigger for trigger in program.triggers.values()
+        if any(stmt.operation == ASSIGN for stmt in trigger.statements)
+    ]
     sources = [
-        engine.codegen.kernel_for(stmt).source
-        for stmt in program.statements()
-        if stmt.operation == ASSIGN
+        try_fuse_trigger(trigger, program, increments=False).source
+        for trigger in assigning
     ]
     assert sources and all(".range_sum" in source for source in sources)
+    for trigger in assigning:
+        kernel = engine.codegen.trigger_kernel_for(trigger.sign, trigger.relation)
+        assert ".range_sum" in kernel.source
     # The probes actually fire: after a stream, the guarded map's ordered
     # index reports probe traffic with zero exact-regime scan fallbacks.
     for event in spec.stream_factory(events=200):

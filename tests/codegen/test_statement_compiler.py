@@ -1,4 +1,8 @@
-"""Unit tests for the statement compiler: lowering, capability check, kernels."""
+"""Unit tests for the statement planner: lowering, capability check, kernels.
+
+Every case plans one statement and runs it as the one-statement fused kernel
+of its trigger — the only scalar kernel the codegen emits.
+"""
 
 import pytest
 
@@ -17,7 +21,7 @@ from repro.agca.ast import (
     VFunc,
     VVar,
 )
-from repro.codegen.statement import try_compile_statement
+from repro.codegen.trigger import try_fuse_trigger
 from repro.compiler.program import (
     ASSIGN,
     INCREMENT,
@@ -60,14 +64,20 @@ def simple():
     return event, maps, schemas
 
 
+def fuse(statement, program):
+    """The fused kernel of the statement's trigger, or None when it interprets."""
+    trigger = program.trigger_for(statement.event.sign, statement.event.relation)
+    return try_fuse_trigger(trigger, program)
+
+
 def run_statement(statement, program, values, maps=None):
     store = maps if maps is not None else MapStore()
     for decl in program.maps.values():
         store.declare(decl.name, decl.keys)
-    kernel = try_compile_statement(statement, program)
+    kernel = fuse(statement, program)
     assert kernel is not None
     runner = kernel.bind(store, Database())
-    runner(tuple(values), 1)
+    runner(tuple(values))
     return store, kernel
 
 
@@ -87,11 +97,11 @@ def test_scalar_statement_compiles_and_filters(simple):
     assert "_values[1]" in kernel.source
     # A filtered event contributes nothing.
     runner = kernel.bind(store, Database())
-    runner((7, 3), 1)
+    runner((7, 3))
     assert store.table("T").get((7,)) == 42
 
 
-def test_scale_multiplies_after_the_factors(simple):
+def test_repeated_events_accumulate_in_the_target(simple):
     event, maps, schemas = simple
     stmt = Statement(
         target="T",
@@ -104,9 +114,9 @@ def test_scale_multiplies_after_the_factors(simple):
     store = MapStore()
     for decl in program.maps.values():
         store.declare(decl.name, decl.keys)
-    kernel = try_compile_statement(stmt, program)
-    runner = kernel.bind(store, Database())
-    runner((1, 5), 3)
+    runner = fuse(stmt, program).bind(store, Database())
+    for _ in range(3):
+        runner((1, 5))
     assert store.table("T").get((1,)) == 15
 
 
@@ -125,11 +135,11 @@ def test_bound_map_probe_and_partial_scan(simple):
     for decl in program.maps.values():
         store.declare(decl.name, decl.keys)
     store.table("M").add((1,), 11)
-    kernel = try_compile_statement(probe, program)
+    kernel = fuse(probe, program)
     assert ".primary.get(" in kernel.source
     runner = kernel.bind(store, Database())
-    runner((1, 0), 1)
-    runner((2, 0), 1)  # absent key: no contribution
+    runner((1, 0))
+    runner((2, 0))  # absent key: no contribution
     assert dict((tuple(k[c] for c in ("k",)), v) for k, v in store.table("T").items()) == {
         (1,): 11
     }
@@ -156,10 +166,10 @@ def test_foreach_statement_scans_and_loops(simple):
     store.table("M2").add((1, 10), 2)
     store.table("M2").add((1, 20), 3)
     store.table("M2").add((9, 30), 5)
-    kernel = try_compile_statement(stmt, program)
+    kernel = fuse(stmt, program)
     assert ".index_for(" in kernel.source
     runner = kernel.bind(store, Database())
-    runner((1, 100), 1)
+    runner((1, 100))
     got = {k["k"]: v for k, v in store.table("T2").items()}
     assert got == {10: 200, 20: 300}
 
@@ -185,10 +195,10 @@ def test_repeated_unbound_variable_is_a_diagonal_equality(simple):
     store.table("M2").add((1, 1), 2)
     store.table("M2").add((1, 5), 3)
     store.table("M2").add((7, 7), 4)
-    kernel = try_compile_statement(stmt, program)
+    kernel = fuse(stmt, program)
     assert kernel is not None
     runner = kernel.bind(store, Database())
-    runner((0, 0), 1)
+    runner((0, 0))
     assert {k["k"]: v for k, v in store.table("T2").items()} == {1: 2, 7: 4}
 
 
@@ -212,10 +222,10 @@ def test_repeated_bound_variable_probes_both_columns(simple):
         store.declare(decl.name, decl.keys)
     store.table("M2").add((1, 1), 2)
     store.table("M2").add((1, 5), 3)
-    kernel = try_compile_statement(stmt, program)
+    kernel = fuse(stmt, program)
     runner = kernel.bind(store, Database())
-    runner((1, 0), 1)
-    runner((5, 0), 1)
+    runner((1, 0))
+    runner((5, 0))
     assert {k["k"]: v for k, v in store.table("T2").items()} == {1: 2}
 
 
@@ -235,7 +245,7 @@ def test_trigger_var_conditions_hoist_above_scans(simple):
         event=event,
     )
     program = make_program([stmt], two, schemas)
-    kernel = try_compile_statement(stmt, program)
+    kernel = fuse(stmt, program)
     source = kernel.source
     assert source.index("if not (_v1 > 0):") < source.index("for ")
 
@@ -254,7 +264,7 @@ def test_unsupported_constructs_fall_back(simple, expr):
         target="T", target_keys=(), operation=INCREMENT, expr=expr, event=event
     )
     maps = {"T": MapDeclaration("T", (), Relation("R", ("a", "b")))}
-    assert try_compile_statement(stmt, make_program([stmt], maps, schemas)) is None
+    assert fuse(stmt, make_program([stmt], maps, schemas)) is None
 
 
 def test_assign_statements_compile(simple):
@@ -268,7 +278,7 @@ def test_assign_statements_compile(simple):
         expr=Value(VVar("r_b")),
         event=event,
     )
-    kernel = try_compile_statement(stmt, make_program([stmt], maps, schemas))
+    kernel = fuse(stmt, make_program([stmt], maps, schemas))
     assert kernel is not None
     assert ".replace(_asn" in kernel.source and ".items())" in kernel.source
 
@@ -286,9 +296,9 @@ def test_division_uses_zero_denominator_semantics(simple):
     store, _ = run_statement(stmt, program, (1, 4))
     assert store.table("T").get((1,)) == 2.5
     # Division by zero yields 0 (and a zero delta adds nothing).
-    kernel = try_compile_statement(stmt, program)
+    kernel = fuse(stmt, program)
     runner = kernel.bind(store, Database())
-    runner((2, 0), 1)
+    runner((2, 0))
     assert store.table("T").get((2,)) == 0
 
 
@@ -302,15 +312,16 @@ def _entries(table):
 
 
 def _fold(stmt, program, items):
-    """Feed folded ``(values, multiplicity)`` pairs to the statement's runner."""
+    """Feed ``(values, count)`` pairs to the kernel, each event ``count`` times."""
     store = MapStore()
     for decl in program.maps.values():
         store.declare(decl.name, decl.keys)
-    kernel = try_compile_statement(stmt, program)
+    kernel = fuse(stmt, program)
     assert kernel is not None
     runner = kernel.bind(store, Database())
-    for values, multiplicity in items:
-        runner(values, multiplicity)
+    for values, count in items:
+        for _ in range(count):
+            runner(values)
     return store.table(stmt.target), kernel
 
 
@@ -352,10 +363,9 @@ def test_external_function_compiles_bit_identical_to_interpreter(simple):
     for decl in program.maps.values():
         store.declare(decl.name, decl.keys)
     interpreter = TriggerExecutor(program, Database(), store)
-    for values, multiplicity in items:
-        interpreter.execute_increment(
-            stmt, dict(zip(event.trigger_vars, values)), scale=multiplicity
-        )
+    for values, count in items:
+        for _ in range(count):
+            interpreter.execute_increment(stmt, dict(zip(event.trigger_vars, values)))
     expected = _entries(store.table("T"))
     assert _entries(table) == expected == {(1,): 9, (2,): 3, (3,): 2.5}
     assert {k: type(v) for k, v in _entries(table).items()} == {

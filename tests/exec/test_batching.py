@@ -213,6 +213,50 @@ def test_statistics_include_batching_counters():
     assert "maps" in stats and stats["events_processed"] == 100
 
 
+@pytest.mark.parametrize("name", ["Q1", "Q3", "VWAP"])
+def test_interpreted_triggers_never_take_the_bulk_path(name, monkeypatch):
+    """Every other trigger declines fusion: its runs replay event by event
+    through the interpreter, the fused ones keep their run policy, and the
+    views match an engine where every trigger fused, bit for bit."""
+    from repro.codegen import trigger as trigger_module
+
+    spec = workload(name)
+    translated, program = _program(name)
+    agenda, static = spec.prepare(1200, 7)
+    events = list(agenda)
+    fused = BatchedEngine(program, 400)
+    original, toggle = trigger_module.try_fuse_trigger, {"count": 0}
+
+    def every_other(trigger, program, **steps):
+        toggle["count"] += 1
+        return None if toggle["count"] % 2 == 0 else original(trigger, program, **steps)
+
+    monkeypatch.setattr(trigger_module, "try_fuse_trigger", every_other)
+    mixed = BatchedEngine(program, 400)
+    interpreted = {
+        analysis for analysis in mixed.plan._analyses.values()
+        if (analysis.increments or analysis.assigns)
+        and mixed.codegen.trigger_kernel_for(analysis.sign, analysis.relation) is None
+    }
+    assert interpreted and not interpreted & set(mixed._bulk)
+    for engine in (fused, mixed):
+        for relation, rows in (static or {}).items():
+            if relation in program.static_relations:
+                engine.load_static(relation, rows)
+        engine.apply_many(events)
+        engine.flush()
+    for root in translated.roots():
+        want, got = fused.result_dict(root), mixed.result_dict(root)
+        assert got == want
+        assert all(type(got[key]) is type(value) for key, value in want.items())
+    # Each event of an interpreted trigger ran every statement of it, once.
+    assert mixed.codegen.fallback_hits == sum(
+        len(analysis.increments) + len(analysis.assigns)
+        for analysis in (mixed.plan.analysis(e.relation, e.sign) for e in events)
+        if analysis in interpreted
+    )
+
+
 # ---------------------------------------------------------------------------
 # apply_many is all-or-nothing
 # ---------------------------------------------------------------------------
@@ -347,13 +391,17 @@ def test_runs_dispatch_once_and_never_per_event_on_top(name):
         key: (calls.wrap("fused", runner), arity)
         for key, (runner, arity) in executor._fused.items()
     }
-    executor._runners = {
-        sid: calls.wrap("runner", runner) for sid, runner in executor._runners.items()
+    engine._bulk = {
+        analysis: tuple(
+            runner and calls.wrap(label, runner)
+            for label, runner in zip(("increments", "assigns"), runners)
+        )
+        for analysis, runners in engine._bulk.items()
     }
     # The per-event path is the executor's apply (the engine's own buffers).
     executor.apply = calls.wrap("apply", executor.apply)
     for analysis in engine.plan._analyses.values():
-        for bound in engine._vector_bindings(analysis).values():
+        for bound in engine._vector_bindings(analysis):
             bound._fn = calls.wrap("vector", bound._fn)
 
     events = list(agenda)
@@ -365,23 +413,33 @@ def test_runs_dispatch_once_and_never_per_event_on_top(name):
             declined_before = sum(engine.vector_fallbacks.values())
             engine._apply_groups([group])
             declined = sum(engine.vector_fallbacks.values()) - declined_before
-            assert calls.since(before, "apply") == 0
-            if analysis.assigns or not analysis.increments:
-                continue  # := triggers keep the bulk path at any size
-            if not analysis.bulk(count):
+            since = {
+                label: calls.since(before, label)
+                for label in ("apply", "fused", "increments", "assigns", "vector")
+            }
+            assert since["apply"] == 0
+            if not analysis.increments and not analysis.assigns:
+                assert not any(since.values())  # an empty trigger runs no code
+                continue
+            if not (analysis.bulk(count) and analysis in engine._bulk):
                 seen.add("replayed")
-                assert calls.since(before, "fused") == count
-                assert calls.since(before, "runner") == 0
-                assert calls.since(before, "vector") == 0
+                assert since == {**since, "fused": count, "increments": 0,
+                                 "assigns": 0, "vector": 0}
+                continue
+            assert since["fused"] == 0
+            assert since["assigns"] == (1 if analysis.assigns else 0)
+            vectorized = analysis.vectorizes(count) and not declined
+            seen.add("vectorized" if vectorized else "bulk")
+            if vectorized:
+                assert since["vector"] == len(analysis.increments)
+                assert since["increments"] == 0
             else:
-                seen.add("vectorized")
-                kernels = len(analysis.vector_kernels())
-                assert calls.since(before, "fused") == 0
-                assert calls.since(before, "vector") == kernels
-                scalar = len(analysis.increments) - kernels + declined
-                assert calls.since(before, "runner") == scalar * count
+                # All or nothing: one declining kernel sends the whole run
+                # through the fused increments, none of it half-committed.
+                assert declined <= 1
+                assert since["increments"] == (count if analysis.increments else 0)
     if name == "VWAP":
-        assert not seen  # every VWAP trigger re-evaluates with :=
+        assert seen == {"bulk"}  # every VWAP trigger re-evaluates with :=
     elif name in ("Q1", "Q6") and numpy_available():
         assert "vectorized" in seen  # a short tail run may still replay
     else:

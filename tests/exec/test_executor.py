@@ -3,7 +3,7 @@
 import pytest
 
 from repro.compiler.hoivm import compile_query
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, RuntimeEngineError
 from repro.exec import PartitionedEngine
 from repro.runtime.engine import IncrementalEngine
 from repro.workloads import workload
@@ -84,7 +84,7 @@ def test_worker_failure_surfaces_at_the_next_barrier():
     engine = PartitionedEngine(program, partitions=2, backend="process")
     try:
         engine.apply(insert("Customer", 1))  # replicated relation, wrong arity
-        with pytest.raises(ValueError, match="arity"):
+        with pytest.raises(RuntimeEngineError, match="arity"):  # the worker's check
             engine.flush()
         engine.flush()  # reported once; the workers keep serving
     finally:

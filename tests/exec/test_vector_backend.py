@@ -2,10 +2,10 @@
 
 The contract under test is the one DESIGN.md states for vector dispatch:
 results are bit-identical to the interpreted per-event engine — values *and*
-types — with the vector path falling back per statement per batch whenever a
-batch leaves the fast-numeric regime (int64 overflow, Fractions, mixed
-columns), and disabling itself entirely (with a reason) when numpy is
-missing.
+types — with the vector path sending a whole run to the fused kernel whenever
+any of its statements leaves the fast-numeric regime (int64 overflow,
+Fractions, mixed columns), and disabling itself entirely (with a reason) when
+numpy is missing.
 """
 
 import os
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.codegen import vector
+from repro.codegen import CompiledEngine, vector
 from repro.compiler.hoivm import compile_query
 from repro.core.rows import Row
 from repro.delta.events import delete, insert
@@ -32,7 +32,7 @@ needs_numpy = pytest.mark.skipif(
 )
 
 #: Workloads whose lineitem-style triggers are known to vectorize (the
-#: regression canary: losing one of these to the statement runners is a bug).
+#: regression canary: losing one of these to fused code is a bug).
 VECTORIZED_WORKLOADS = ("Q1", "Q6", "VWAP")
 
 CATALOG = Catalog.from_dict({"R": ("k", "grp", "x", "s")})
@@ -289,6 +289,41 @@ def test_deletes_fold_and_stay_bit_identical(vector_everywhere):
     reference = _reference(program, {}, events)
     engine, results = _run(program, {}, events, 8)
     _assert_bit_identical(reference, results, "deletes")
+
+
+@needs_numpy
+def test_one_kernel_falling_back_sends_the_whole_run_to_fused_code(vector_everywhere):
+    """Vectorization is all or nothing per run.
+
+    One of Q1's eleven Lineitem kernels leaves the regime for one run, after
+    the kernels before it computed their write lists: none of those may be
+    committed.  The whole run goes to the fused kernel, the fallback counts
+    once, and ``vector_events`` excludes the run.
+    """
+    program, static, events, _ = _scenario("Q1")
+    expected = _replay(CompiledEngine(program), program, static, events)
+    control, _ = _run(program, static, events, 100)
+
+    engine = BatchedEngine(program, batch_size=100)
+    analysis = engine.plan.analysis("Lineitem", 1)
+    kernels = engine._vector_bindings(analysis)
+    assert len(kernels) == len(analysis.increments) == 11
+    forced = kernels[5]
+    original, failed = forced._fn, []
+
+    def fail_once(batch):
+        if not failed:
+            failed.append(batch.n)
+            raise vector.VectorFallback("forced")
+        return original(batch)
+
+    forced._fn = fail_once
+    results = _replay(engine, program, static, events)
+    _assert_bit_identical(expected, results, "Q1 forced fallback")
+    stats = engine.statistics()["batching"]
+    assert stats["vector_fallbacks"] == {"forced": 1}
+    vectorized = control.statistics()["batching"]["vector_events"]
+    assert failed and stats["vector_events"] == vectorized - failed[0]
 
 
 # ---------------------------------------------------------------------------

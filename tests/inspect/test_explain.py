@@ -9,6 +9,7 @@ import pytest
 
 from inspect_helpers import load_statics
 from repro.codegen.describe import KERNELS_SCHEMA, describe_program
+from repro.codegen.vector import numpy_available
 from repro.compiler.hoivm import compile_query
 from repro.inspect.explain import (
     EXPLAIN_SCHEMA,
@@ -87,6 +88,16 @@ class TestExplainReport:
         text = render_explain_text(report)
         assert "batched run policy:" in text
         assert "merges blocked by: Customer:+, Customer:-, Orders:+, Orders:-" in text
+        # Only the triggers with statements count, and only Orders± vectorize:
+        # Lineitem± lower some statements but not all, so they replay whole.
+        assert "; 6/6 triggers fused (" in text
+        assert (
+            "  Lineitem:+ replay (fused); merges blocked by: "
+            "Customer:+, Customer:-, Orders:+, Orders:-"
+        ) in text
+        if numpy_available():
+            assert "; 10 statements vectorizable" in text
+            assert "  Orders:+ vector ×5 statements from 160 events" in text
         policies = {
             name: {e["policy"] for e in build_explain_report(compile_workload(name))["batching"]}
             for name in ("VWAP", "BSP")

@@ -11,8 +11,8 @@ import pytest
 
 from repro.codegen import CompiledEngine
 from repro.compiler.hoivm import compile_query
-from repro.delta.events import insert
-from repro.errors import ReproError
+from repro.delta.events import StreamEvent, insert
+from repro.errors import ReproError, RuntimeEngineError
 from repro.exec import BatchedEngine, PartitionedEngine
 from repro.exec.partitioning import TABLE_COUNTERS
 from repro.runtime.engine import IncrementalEngine
@@ -238,6 +238,65 @@ def test_apply_many_is_all_or_nothing(q3, name, bad_at):
     finally:
         engine.close()
         twin.close()
+
+
+def _resized(event, delta):
+    """``event`` carrying one value fewer (delta -1) or one more (delta +1)."""
+    values = event.values[:-1] if delta < 0 else event.values + (0,)
+    return StreamEvent(event.relation, values, event.sign)
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("bad_at", [0, 10, 20])
+@pytest.mark.parametrize("name", list(ENGINES))
+def test_wrong_arity_event_rejects_the_whole_slice(q3, name, bad_at, delta):
+    """An event one value short or long is rejected before any of its slice is
+    applied, buffered or routed: the engine matches a twin that never saw it."""
+    engine, twin = build(name, q3), build(name, q3)
+    try:
+        prefix = q3["events"][:40]
+        engine.apply_many(prefix)
+        twin.apply_many(prefix)
+        slice_ = list(q3["events"][40:61])
+        slice_[bad_at] = _resized(slice_[bad_at], delta)
+        with pytest.raises(RuntimeEngineError, match="arity"):
+            engine.apply_many(slice_)
+        assert engine.events_processed == twin.events_processed == 40
+        assert engine.result_dict(q3["root"]) == twin.result_dict(q3["root"])
+        assert _untimed(engine.statistics()) == _untimed(twin.statistics())
+    finally:
+        engine.close()
+        twin.close()
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("query", ["Q6", "VWAP"])
+def test_wrong_arity_event_never_reaches_a_bulk_run(query, delta):
+    """A 400-event slice into a 1000-event batch would fold into bulk runs
+    (vector kernels on Q6, := once per run on VWAP); the malformed event in
+    it is rejected up front, one at a time through ``apply`` too."""
+    spec = workload(query)
+    translated = spec.query_factory()
+    program = compile_query(
+        translated.roots(), translated.schemas(),
+        static_relations=translated.static_relations(),
+    )
+    agenda, _ = spec.prepare(400, 7)
+    events = list(agenda)
+    root = next(iter(translated.roots()))
+    engine = BatchedEngine(program, 1000)
+    empty = engine.result_dict(root)
+    for bad_at in (0, 200, 399):
+        slice_ = list(events)
+        slice_[bad_at] = _resized(slice_[bad_at], delta)
+        with pytest.raises(RuntimeEngineError, match="arity"):
+            engine.apply_many(slice_)
+        with pytest.raises(RuntimeEngineError, match="arity"):
+            engine.apply(slice_[bad_at])
+        engine.flush()
+        assert engine.events_processed == 0
+        assert engine.result_dict(root) == empty
+    assert engine.apply_many(events) == len(events)
 
 
 @pytest.mark.parametrize("name", list(ENGINES))
