@@ -110,8 +110,8 @@ def _dump_vector(query_name: str, program, triggers) -> int:
                 continue
             print(f"-- statement {position} -> {statement.target}:")
             print(kernel.source, end="")
-            if kernel.key_columns:
-                keys = ", ".join(kernel.key_columns)
+            if kernel.key_positions:
+                keys = ", ".join(program.maps[statement.target].keys)
                 print(f"-- sink keys: {keys} (segmented cumsum merge)")
             else:
                 print("-- sink keys: none (single running total)")

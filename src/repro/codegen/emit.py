@@ -113,7 +113,7 @@ def _emit_node(writer: _Writer, node: ir.Node) -> None:
         line(f"if {node.left} != {node.right}:")
         line(f"    {writer.abort}")
     elif kind == "field_guard":
-        line(f"if {node.row_local}._items[{node.pos}][1] != {node.local}:")
+        line(f"if {node.row_local}[{node.pos}] != {node.local}:")
         line(f"    {writer.abort}")
     elif kind == "primary_probe":
         line(f"{node.local} = {node.handle}.primary.get({node.key_expr})")
@@ -128,7 +128,7 @@ def _emit_node(writer: _Writer, node: ir.Node) -> None:
             f"({node.column!r}, {node.op!r}, {node.cutoff_expr}, {node.chain})"
         )
     elif kind == "extract":
-        line(f"{node.local} = {node.row_local}._items[{node.pos}][1]")
+        line(f"{node.local} = {node.row_local}[{node.pos}]")
     elif kind == "dict_merge":
         line(f"{node.key_local} = {node.key_expr}")
         line(f"_o = {node.target}.get({node.key_local}, 0)")

@@ -164,7 +164,7 @@ class GuardNotEq(Node):
 
 
 class FieldGuard(Node):
-    """``if row._items[pos][1] != local: abort`` — in-row repeat equality."""
+    """``if row[pos] != local: abort`` — in-row repeat equality."""
 
     __slots__ = ("row_local", "pos", "local")
     kind = "field_guard"
@@ -240,7 +240,7 @@ class RangeProbe(Node):
 
 
 class Extract(Node):
-    """``local = row._items[pos][1]`` — positional unbound-variable read."""
+    """``local = row[pos]`` — positional unbound-variable read."""
 
     __slots__ = ("local", "row_local", "pos")
     kind = "extract"

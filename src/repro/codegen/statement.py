@@ -13,12 +13,12 @@ statically:
 * **trigger variables** load positionally from the event tuple — only the
   ones the statement uses;
 * **bound-key map/relation accesses** become direct probes of the backing
-  :class:`~repro.runtime.maps.IndexedTable` primary dictionary, with the key
-  :class:`~repro.core.rows.Row` built via the trusted sorted-items
-  constructor (column sort order is resolved at compile time);
+  :class:`~repro.runtime.maps.IndexedTable` primary dictionary with a plain
+  key tuple in the table's column order;
 * **partially-bound accesses** probe the table's secondary hash index for the
-  bound column subset and loop over the bucket; unbound variables read their
-  values out of the key row by precomputed position;
+  bound column subset (the bare value for one column, else the tuple of the
+  bound values in column order) and loop over the bucket; unbound variables
+  read their values out of the key tuple by column position;
 * **scalar conditions and value factors** are lowered to plain Python and
   *hoisted* to the outermost point where their variables are bound, so a
   trigger-variable condition guards the whole statement instead of being
@@ -83,7 +83,7 @@ statement's whole trigger on the interpreter.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.agca.ast import (
     AggSum,
@@ -111,17 +111,20 @@ from repro.codegen.lowering import (
 )
 from repro.core.values import RANGE_OPS, flip_comparison
 from repro.compiler.program import ASSIGN, INCREMENT, Statement, TriggerProgram
-from repro.core.rows import Row
 from repro.core.values import div, is_zero, normalize_number
 
 _BASE_ENV = {
     "_is_zero": is_zero,
     "_norm": normalize_number,
     "_div": div,
-    "_Row": Row.from_sorted_items,
-    "_EMPTY_ROW": Row(),
     "_ONE_PASS": (0,),
 }
+
+
+def _key_source(entries: Iterable[tuple[str, str]]) -> str:
+    """Key-tuple source from ``(column, value source)`` pairs in column order."""
+    values = [source for _, source in entries]
+    return f"({', '.join(values)},)" if values else "()"
 
 
 class KernelContext:
@@ -210,14 +213,14 @@ class _AtomStep:
     """A relation/map access: probe when fully bound, scan loop otherwise."""
 
     __slots__ = (
-        "kind", "name", "stored", "sorted_stored", "bound", "unbound",
+        "kind", "name", "stored", "bound", "unbound",
         "eq_checks", "mult_local", "row_local", "index", "reused", "dedup_key",
     )
 
     def __init__(self) -> None:
         self.bound: list[tuple[str, str]] = []          # (stored column, local)
-        self.unbound: list[tuple[str, int, str]] = []   # (var, sorted pos, local)
-        self.eq_checks: list[tuple[int, str]] = []      # (sorted pos, local)
+        self.unbound: list[tuple[str, int, str]] = []   # (var, key position, local)
+        self.eq_checks: list[tuple[int, str]] = []      # (key position, local)
         self.index: int = 0                             # 1-based atom index
         self.reused = False               # fused: probe shared with an earlier def
         self.dedup_key: tuple | None = None  # fused: reserved cache key
@@ -509,7 +512,7 @@ class _StatementCompiler:
 
         def single_sink(nodes: list[ir.Node], plan: _TermPlan) -> None:
             acc = self._emit_acc(nodes, plan)
-            key = self._target_row_source(lambda k: self._value_for(k, plan))
+            key = self._target_key_source(lambda k: self._value_for(k, plan))
             nodes.append(ir.PlainMerge(assign_local, self._fresh("kr"), key, acc))
 
         def merge_sink(nodes: list[ir.Node], plan: _TermPlan) -> None:
@@ -966,7 +969,6 @@ class _StatementCompiler:
             atom_vars = node.columns
         if len(atom.stored) != len(atom_vars):
             raise Unsupported(f"arity mismatch on {node.name!r}")
-        atom.sorted_stored = tuple(sorted(atom.stored))
         atom.index = len(plan.atoms) + 1
         atom.mult_local = self._fresh("m")
         atom.row_local = self._fresh("r")
@@ -979,9 +981,8 @@ class _StatementCompiler:
                 # Repeated unbound variable within this atom: the value only
                 # exists once the bucket loop binds it, so the repeat is an
                 # in-row equality check, never a probe column.
-                sorted_pos = atom.sorted_stored.index(stored_col)
                 local = next(l for v, _, l in atom.unbound if v == var)
-                atom.eq_checks.append((sorted_pos, local))
+                atom.eq_checks.append((position, local))
                 continue
             known = bound.get(var)
             if known is None:
@@ -989,10 +990,9 @@ class _StatementCompiler:
             if known is not None:
                 atom.bound.append((stored_col, known))
             else:
-                sorted_pos = atom.sorted_stored.index(stored_col)
-                first_pos[var] = sorted_pos
+                first_pos[var] = position
                 local = self._fresh("b")
-                atom.unbound.append((var, sorted_pos, local))
+                atom.unbound.append((var, position, local))
                 bound[var] = local
         if (
             self.ctx.dedup is not None
@@ -1002,7 +1002,7 @@ class _StatementCompiler:
             and frozenset(l for _, l in atom.bound) <= self.ctx.trigger_local_names
         ):
             handle = self._table_handle(atom.kind, atom.name)
-            key = ("probe", handle, self._row_source(atom.bound))
+            key = ("probe", handle, _key_source(atom.bound))
             shared = self.ctx.dedup.reuse(key, table=handle)
             if shared is not None:
                 atom.mult_local = shared
@@ -1080,7 +1080,7 @@ class _StatementCompiler:
     def _emit_agg_spec(self, nodes: list[ir.Node], spec: _AggSpec) -> None:
         """Build IR leaving the aggregate's value in ``spec.result``."""
         if spec.mode == "total":
-            nodes.append(ir.Probe(spec.result, spec.handle, "_EMPTY_ROW"))
+            nodes.append(ir.Probe(spec.result, spec.handle, "()"))
             nodes.append(ir.DefaultZero(spec.result))
             return
         if spec.mode == "probe":
@@ -1164,21 +1164,13 @@ class _StatementCompiler:
             loop_body.append(ir.Let(local, f"{gk}[{position}]"))
         return loop_body
 
-    def _row_source(self, entries: Sequence[tuple[str, str]]) -> str:
-        """Row-construction source from (column, local) pairs, sorted by name."""
-        if not entries:
-            return "_EMPTY_ROW"
-        ordered = sorted(entries)
-        inner = ", ".join(f"({col!r}, {local})" for col, local in ordered)
-        return f"_Row(({inner},))"
-
     def _emit_atom(self, nodes: list[ir.Node], atom: _AtomStep) -> list[ir.Node]:
         """Build the probe or scan for one atom; returns the active body list."""
         handle = self._table_handle(atom.kind, atom.name)
         if not atom.unbound and not atom.eq_checks:
             if not atom.reused:
-                probe_key = self._shared_row(
-                    nodes, self._row_source(atom.bound),
+                probe_key = self._shared_key(
+                    nodes, _key_source(atom.bound),
                     frozenset(local for _, local in atom.bound),
                 )
                 node = ir.Probe(atom.mult_local, handle, probe_key)
@@ -1193,18 +1185,21 @@ class _StatementCompiler:
             columns = frozenset(col for col, _ in atom.bound)
             colset = self.ctx.env.add("fs", columns)
             bucket = self._fresh("bu")
-            probe = self._shared_row(
-                nodes, self._row_source(atom.bound),
-                frozenset(local for _, local in atom.bound),
-            )
+            if len(atom.bound) == 1:
+                probe = atom.bound[0][1]
+            else:
+                probe = self._shared_key(
+                    nodes, _key_source(atom.bound),
+                    frozenset(local for _, local in atom.bound),
+                )
             nodes.append(ir.IndexProbe(bucket, handle, colset, probe))
             nodes.append(ir.GuardFalsy(bucket))
             loop_body = []
             nodes.append(ir.ItemsLoop(atom.row_local, atom.mult_local, bucket, loop_body))
-        for var, sorted_pos, local in atom.unbound:
-            loop_body.append(ir.Extract(local, atom.row_local, sorted_pos))
-        for sorted_pos, local in atom.eq_checks:
-            loop_body.append(ir.FieldGuard(atom.row_local, sorted_pos, local))
+        for var, position, local in atom.unbound:
+            loop_body.append(ir.Extract(local, atom.row_local, position))
+        for position, local in atom.eq_checks:
+            loop_body.append(ir.FieldGuard(atom.row_local, position, local))
         return loop_body
 
     def _value_for(self, var: str, plan: _TermPlan) -> str:
@@ -1213,27 +1208,25 @@ class _StatementCompiler:
             return local
         return self._trigger_local(var)
 
-    def _target_row_source(self, value_of: Callable[[str], str]) -> str:
-        table_columns = self.program.maps[self.statement.target].keys
-        entries = [
-            (column, value_of(key))
-            for column, key in zip(table_columns, self.statement.target_keys)
-        ]
-        return self._row_source(entries)
+    def _target_key_source(self, value_of: Callable[[str], str]) -> str:
+        """The target key tuple (target keys are in the map's column order)."""
+        return _key_source(
+            (key, value_of(key)) for key in self.statement.target_keys
+        )
 
-    def _shared_row(self, nodes: list[ir.Node], source: str, deps: frozenset[str]) -> str:
-        """A key-row build — shared across fused statements when possible.
+    def _shared_key(self, nodes: list[ir.Node], source: str, deps: frozenset[str]) -> str:
+        """A key-tuple build — shared across fused statements when possible.
 
-        When every component is a trigger local, the row build is named into
-        a ``Let`` and cached, so identical key rows across fused statements
+        When every component is a trigger local, the tuple build is named
+        into a ``Let`` and cached, so identical keys across fused statements
         (the Q1 shape: every aggregate map keyed by the same group-by
-        columns; the Q3 shape: sibling maps bucket-probed by the same
-        trigger key) construct once per event.
+        columns; the Q3 shape: sibling maps probed by the same trigger keys)
+        construct once per event.
         """
         dedup = self.ctx.dedup
         if (
             dedup is None
-            or source == "_EMPTY_ROW"
+            or source == "()"
             or not deps <= self.ctx.trigger_local_names
         ):
             return source
@@ -1249,11 +1242,11 @@ class _StatementCompiler:
 
     def _target_key_expr(self, nodes: list[ir.Node], plan: _TermPlan) -> str:
         """The sink key row for ``plan`` — a dedup candidate when fused."""
-        source = self._target_row_source(lambda k: self._value_for(k, plan))
+        source = self._target_key_source(lambda k: self._value_for(k, plan))
         deps = frozenset(
             self._value_for(key, plan) for key in self.statement.target_keys
         )
-        return self._shared_row(nodes, source, deps)
+        return self._shared_key(nodes, source, deps)
 
     def _emit_acc(self, nodes: list[ir.Node], plan) -> str:
         """The per-row delta: factor product in term order, dead on zero.
@@ -1335,7 +1328,7 @@ class _StatementCompiler:
                 return f"{gk}[{positions[key]}]"
             return self._trigger_local(key)
 
-        key = self._target_row_source(value_of)
+        key = self._target_key_source(value_of)
         body.append(ir.ItemsLoop(gk, m, group_local, [sink(key, m)]))
 
     def _emit_merge_epilogue(self, body, plans, colset_ids, merge_local, sink) -> None:
@@ -1370,4 +1363,4 @@ class _StatementCompiler:
                 return f"{bk_local}[{positions[key]}]"
             return self._trigger_local(key)
 
-        return self._target_row_source(value_of)
+        return self._target_key_source(value_of)

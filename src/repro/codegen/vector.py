@@ -50,7 +50,6 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.codegen import ir
 from repro.codegen.lowering import Unsupported
 from repro.compiler.program import INCREMENT, Statement, TriggerProgram
-from repro.core.rows import Row
 
 try:  # pragma: no cover - exercised via the no-numpy CI leg
     if os.environ.get("REPRO_NO_NUMPY"):
@@ -166,12 +165,13 @@ class ColumnBatch:
             return np.array(vals, dtype=object)
         raise VectorFallback("mixed-column")
 
-    def key_groups(self, positions: tuple[int, ...], columns: tuple[str, ...]):
-        """Factorize the key tuple at ``positions``: (rows, inverse array).
+    def key_groups(self, positions: tuple[int, ...]):
+        """Factorize the key tuple at ``positions``: (keys, inverse array).
 
-        ``rows`` are :class:`Row` objects (name-sorted ``columns`` zip the
-        native values, preserving key value types exactly); ``inverse[i]``
-        indexes each batch row's key in ``rows``.  Cached per position tuple.
+        ``keys`` are the distinct table key tuples (the native event values
+        at ``positions``, so key value types are preserved exactly);
+        ``inverse[i]`` indexes each batch row's key in ``keys``.  Cached per
+        position tuple.
         """
         cached = self._key_cache.get(positions)
         if cached is None:
@@ -186,16 +186,8 @@ class ColumnBatch:
                     mapping[key] = j
                     uniques.append(key)
                 inverse[i] = j
-            cached = (uniques, inverse, {})
-            self._key_cache[positions] = cached
-        uniques, inverse, row_cache = cached
-        rows = row_cache.get(columns)
-        if rows is None:
-            rows = [
-                Row.from_sorted_items(tuple(zip(columns, key))) for key in uniques
-            ]
-            row_cache[columns] = rows
-        return rows, inverse
+            cached = self._key_cache[positions] = (uniques, inverse)
+        return cached
 
     def prewarm(self, uses: Sequence[tuple[str, Any]]) -> None:
         """Build the arrays/factorizations ``uses`` names (staged ingest)."""
@@ -206,7 +198,7 @@ class ColumnBatch:
                 elif kind == "raw":
                     self.raw(arg)
                 elif kind == "key":
-                    self.key_groups(arg[0], arg[1])
+                    self.key_groups(arg)
         except VectorFallback:
             pass  # the apply path will fall back with the recorded reason
 
@@ -273,7 +265,7 @@ def _numeric_table_ok(table) -> bool:
 
 def _vprobe0(table, b):
     """Nullary primary probe broadcast over the batch."""
-    value = table.primary.get(_EMPTY_ROW)
+    value = table.primary.get(())
     found = value is not None
     if value is None:
         value = 0.0
@@ -296,36 +288,23 @@ def _probe_value(value) -> float:
     raise VectorFallback("probe-value")
 
 
-def _vprobe(table, b, entries):
+def _vprobe(table, b, arrays):
     """Bound-key primary probe gather: ``(values float64, found bool)``.
 
-    ``entries`` are name-sorted ``(column, array)`` pairs.  Keys factorize
-    through a per-call dict so each distinct key probes the primary once.
+    ``arrays`` hold the key columns in the table's column order; the key
+    tuples zip straight out of them.
     """
     if not _numeric_table_ok(table):
         raise VectorFallback("probe-table")
-    columns = tuple(c for c, _ in entries)
-    lists = []
-    for _, arr in entries:
-        arr = np.asarray(arr)
-        lists.append(arr.tolist())
     primary = table.primary
-    n = b.n
-    values = np.empty(n, dtype=np.float64)
-    found = np.empty(n, dtype=bool)
-    cache: dict[tuple, tuple[float, bool]] = {}
-    for i in range(n):
-        key = tuple(column_list[i] for column_list in lists)
-        hit = cache.get(key)
-        if hit is None:
-            stored = primary.get(Row.from_sorted_items(tuple(zip(columns, key))))
-            if stored is None:
-                hit = (0.0, False)
-            else:
-                hit = (_probe_value(stored), True)
-            cache[key] = hit
-        values[i] = hit[0]
-        found[i] = hit[1]
+    values = np.zeros(b.n, dtype=np.float64)
+    found = np.zeros(b.n, dtype=bool)
+    lists = [np.broadcast_to(arr, (b.n,)).tolist() for arr in arrays]
+    for i, key in enumerate(zip(*lists)):
+        stored = primary.get(key)
+        if stored is not None:
+            values[i] = _probe_value(stored)
+            found[i] = True
     return values, found
 
 
@@ -410,8 +389,6 @@ def _vrange(table, column, op, cutoff, b):
         out = np.full(b.n, float(out))
     return out
 
-
-_EMPTY_ROW = Row()
 
 # ---------------------------------------------------------------------------
 # Expression translation (scalar Python source -> array source)
@@ -516,25 +493,13 @@ class _ExprTranslator:
         raise Unsupported(f"constant of type {type(value).__name__}")
 
 
-def _parse_key_expr(key_expr: str) -> list[tuple[str, str]] | None:
-    """``_Row((('col', local), ...))`` -> [(col, local)]; None for _EMPTY_ROW."""
-    if key_expr == "_EMPTY_ROW":
-        return None
+def _parse_key_expr(key_expr: str) -> list[str]:
+    """``(local, ...,)`` -> [local, ...] (empty for the nullary key ``()``)."""
     node = ast.parse(key_expr, mode="eval").body
-    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "_Row" and len(node.args) == 1):
-        raise Unsupported("sink key is not a row build")
-    entries = []
-    tup = node.args[0]
-    if not isinstance(tup, ast.Tuple):
-        raise Unsupported("sink key shape")
-    for item in tup.elts:
-        if not (isinstance(item, ast.Tuple) and len(item.elts) == 2
-                and isinstance(item.elts[0], ast.Constant)
-                and isinstance(item.elts[1], ast.Name)):
-            raise Unsupported("sink key component")
-        entries.append((item.elts[0].value, item.elts[1].id))
-    return entries
+    if not (isinstance(node, ast.Tuple)
+            and all(isinstance(item, ast.Name) for item in node.elts)):
+        raise Unsupported("key is not a tuple of locals")
+    return [item.id for item in node.elts]
 
 
 # ---------------------------------------------------------------------------
@@ -545,19 +510,17 @@ def _parse_key_expr(key_expr: str) -> list[tuple[str, str]] | None:
 class VectorKernel:
     """One statement's columnar batch kernel: emitted source plus sink spec."""
 
-    __slots__ = ("statement", "source", "uses", "key_positions", "key_columns",
+    __slots__ = ("statement", "source", "uses", "key_positions",
                  "_code", "_env", "_tables")
 
     def __init__(self, statement: Statement, source: str, env: dict,
                  tables: Sequence[tuple[str, str, str]],
                  uses: Sequence[tuple[str, Any]],
-                 key_positions: tuple[int, ...],
-                 key_columns: tuple[str, ...]) -> None:
+                 key_positions: tuple[int, ...]) -> None:
         self.statement = statement
         self.source = source
         self.uses = tuple(uses)
         self.key_positions = key_positions
-        self.key_columns = key_columns
         self._code = compile(source, f"<repro.vector:{statement.target}>", "exec")
         self._env = env
         self._tables = tuple(tables)
@@ -581,7 +544,7 @@ class BoundVectorKernel:
         self.spec = spec
         self._fn = fn
 
-    def compute(self, batch: ColumnBatch, table) -> list[tuple[Row, float]]:
+    def compute(self, batch: ColumnBatch, table) -> list[tuple[tuple, float]]:
         """Run the kernel and build the ordered write list (no mutations)."""
         mask, acc = self._fn(batch)
         deltas = np.asarray(acc, dtype=np.float64)
@@ -599,10 +562,10 @@ class BoundVectorKernel:
             selected = None
         primary = table.primary
         spec = self.spec
-        if not spec.key_positions and not spec.key_columns:
-            seed = _seed_value(primary.get(_EMPTY_ROW))
-            return [(_EMPTY_ROW, _chain(seed, deltas))]
-        rows, inverse = batch.key_groups(spec.key_positions, spec.key_columns)
+        if not spec.key_positions:
+            seed = _seed_value(primary.get(()))
+            return [((), _chain(seed, deltas))]
+        keys, inverse = batch.key_groups(spec.key_positions)
         if selected is not None:
             inverse = inverse[selected]
         count = len(inverse)
@@ -613,7 +576,7 @@ class BoundVectorKernel:
             ([0], np.flatnonzero(np.diff(inv_sorted)) + 1, [count])
         )
         n_segments = len(starts) - 1
-        writes: list[tuple[Row, float]] = []
+        writes: list[tuple[tuple, float]] = []
         if n_segments > _MAX_SEGMENTS:
             if count != n_segments:
                 raise VectorFallback("segments")
@@ -621,7 +584,7 @@ class BoundVectorKernel:
             ids = inv_sorted
             seeds = np.empty(n_segments, dtype=np.float64)
             for j, u in enumerate(ids.tolist()):
-                seeds[j] = _seed_value(primary.get(rows[u]))
+                seeds[j] = _seed_value(primary.get(keys[u]))
             totals = seeds + d_sorted
             if not np.all(np.abs(totals) < _LIMIT):
                 raise VectorFallback("magnitude")
@@ -629,14 +592,14 @@ class BoundVectorKernel:
             commit_order = np.argsort(firsts, kind="stable")
             total_list = totals.tolist()
             for j in commit_order.tolist():
-                writes.append((rows[ids[j]], total_list[j]))
+                writes.append((keys[ids[j]], total_list[j]))
             return writes
-        firsts = np.full(len(rows), count, dtype=np.int64)
+        firsts = np.full(len(keys), count, dtype=np.int64)
         np.minimum.at(firsts, inverse, np.arange(count))
         segments = []
         for j in range(n_segments):
             u = int(inv_sorted[starts[j]])
-            seed = _seed_value(primary.get(rows[u]))
+            seed = _seed_value(primary.get(keys[u]))
             partials = np.cumsum(
                 np.concatenate(([seed], d_sorted[starts[j]:starts[j + 1]]))
             )[1:]
@@ -646,14 +609,14 @@ class BoundVectorKernel:
                 # The scalar chain would delete and re-insert this key,
                 # moving it to the end of the dict: insertion-order hazard.
                 raise VectorFallback("interzero")
-            segments.append((int(firsts[u]), rows[u], float(partials[-1])))
+            segments.append((int(firsts[u]), keys[u], float(partials[-1])))
         segments.sort(key=lambda entry: entry[0])
-        return [(row, total) for _, row, total in segments]
+        return [(key, total) for _, key, total in segments]
 
-    def commit(self, table, writes: list[tuple[Row, float]]) -> None:
+    def commit(self, table, writes: list[tuple[tuple, float]]) -> None:
         set_total = table.set_total
-        for row, total in writes:
-            set_total(row, total)
+        for key, total in writes:
+            set_total(key, total)
 
 
 def _seed_value(stored) -> float:
@@ -743,13 +706,11 @@ def compile_vector(statement: Statement, program: TriggerProgram) -> VectorKerne
         elif kind == "primary_probe":
             if node.handle not in handles:
                 raise Unsupported("unknown probe handle")
-            entries = _parse_key_expr(node.key_expr)
-            if entries is None:
+            key_locals = _parse_key_expr(node.key_expr)
+            if not key_locals:
                 call = f"_vprobe0({node.handle}, _b)"
             else:
-                parts = ", ".join(
-                    f"({col!r}, {tx.numeric(local)})" for col, local in entries
-                )
+                parts = ", ".join(tx.numeric(local) for local in key_locals)
                 call = f"_vprobe({node.handle}, _b, ({parts},))"
             lines.append(f"    {node.local}, {node.local}_f = {call}")
             scalar_locals.add(node.local)
@@ -774,27 +735,20 @@ def compile_vector(statement: Statement, program: TriggerProgram) -> VectorKerne
             resolved = methods.get(node.add_local)
             if resolved is None or resolved[1] != "add":
                 raise Unsupported("sink handle")
-            entries = _parse_key_expr(node.key_expr)
-            if entries is None:
-                key_positions: tuple[int, ...] = ()
-                key_columns: tuple[str, ...] = ()
-            else:
-                positions, columns = [], []
-                for column, local in entries:
-                    index = event_locals.get(local)
-                    if index is None:
-                        # Computed keys would store float-typed values
-                        # into key rows; only raw event columns keep the
-                        # stored key types bit-identical.
-                        raise Unsupported("sink key is not an event column")
-                    positions.append(index)
-                    columns.append(column)
-                key_positions = tuple(positions)
-                key_columns = tuple(columns)
-                tx.uses.append(("key", (key_positions, key_columns)))
+            positions = []
+            for local in _parse_key_expr(node.key_expr):
+                index = event_locals.get(local)
+                if index is None:
+                    # Computed keys would store float-typed values into
+                    # key tuples; only raw event columns keep the stored
+                    # key types bit-identical.
+                    raise Unsupported("sink key is not an event column")
+                positions.append(index)
+            sink = tuple(positions)
+            if sink:
+                tx.uses.append(("key", sink))
             value = tx.numeric(node.value_expr)
             lines.append(f"    return _mask, {value}")
-            sink = (key_positions, key_columns)
         else:
             raise Unsupported(f"IR node {kind!r}")
     if sink is None:
@@ -804,10 +758,7 @@ def compile_vector(statement: Statement, program: TriggerProgram) -> VectorKerne
     env["np"] = np
     env.update(tx.consts)
     uses = list(dict.fromkeys(tx.uses))
-    return VectorKernel(
-        statement, "\n".join(lines) + "\n", env, ctx.tables, uses,
-        sink[0], sink[1],
-    )
+    return VectorKernel(statement, "\n".join(lines) + "\n", env, ctx.tables, uses, sink)
 
 
 def try_compile_vector(

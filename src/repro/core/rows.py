@@ -8,7 +8,8 @@ for the natural-join style consistency checks the semantics relies on.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class Row(Mapping[str, Any]):
@@ -39,19 +40,33 @@ class Row(Mapping[str, Any]):
         self._hash = hash(items)
 
     @classmethod
-    def from_sorted_items(cls, items: tuple[tuple[str, Any], ...]) -> "Row":
-        """Trusted constructor: ``items`` must be name-sorted and duplicate-free.
+    def factory(cls, columns: Sequence[str]) -> Callable[[Sequence[Any]], "Row"]:
+        """Rows over fixed ``columns``, built from value tuples in that order.
 
-        Used by generated trigger code (:mod:`repro.codegen`), which knows the
-        sorted column order of every key it builds at compile time and can
-        therefore skip the sorting and duplicate checks of ``__init__``.
+        The name sort and duplicate check of ``__init__`` run once, here; each
+        call only pairs the values with the sorted names.  This is how the
+        runtime's positional key tuples become the evaluator's rows.
         """
-        row = cls.__new__(cls)
-        row._items = items
-        row._hash = hash(items)
-        return row
+        order = sorted(range(len(columns)), key=lambda i: str(columns[i]))
+        names = tuple(str(columns[i]) for i in order)
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate column in {tuple(columns)!r}")
+        pick = itemgetter(*order) if order != list(range(len(order))) else None
+        new = cls.__new__
+
+        def make(values: Sequence[Any]) -> Row:
+            row = new(cls)
+            row._items = items = tuple(zip(names, values if pick is None else pick(values)))
+            row._hash = hash(items)
+            return row
+
+        return make
 
     # -- Mapping protocol -------------------------------------------------
+    def items(self) -> tuple[tuple[str, Any], ...]:  # type: ignore[override]
+        """The ``(name, value)`` pairs, name-sorted (no per-name lookups)."""
+        return self._items
+
     def __getitem__(self, name: str) -> Any:
         for key, value in self._items:
             if key == name:
@@ -81,14 +96,6 @@ class Row(Mapping[str, Any]):
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}: {value!r}" for name, value in self._items)
         return f"<{inner}>"
-
-    def values_sorted(self) -> tuple:
-        """Values in name-sorted order (the row's storage order).
-
-        Hot-path accessor for callers that resolved the column permutation
-        up front (e.g. provenance watchers): one pass, no name lookups.
-        """
-        return tuple(value for _, value in self._items)
 
     # -- row algebra --------------------------------------------------------
     @property

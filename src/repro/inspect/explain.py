@@ -135,8 +135,10 @@ def render_explain_text(report: Mapping[str, Any]) -> str:
                 f"{fusion['deduped_probes']} probes + "
                 f"{fusion['deduped_scalars']} scalars deduped)"
             )
-        else:
+        elif trigger["statements"]:
             lines.append(f"  {name} interpreted")
+        else:
+            lines.append(f"  {name} no statements")
         for statement in trigger["statements"]:
             if not statement["compiled"]:
                 lines.append(

@@ -9,10 +9,8 @@ appended to a per-view ``deque(maxlen=depth)`` as a compact tuple::
 
     (version, key, old, new, cause)
 
-On the hot path ``key`` is the table's immutable ``Row`` itself; the read
-paths (:meth:`ProvenanceRecorder.history` / :meth:`ProvenanceRecorder.state`)
-convert it to a value tuple in table-column order, so recording costs one
-tuple pack plus one deque append per transition.
+``key`` is the table's own key tuple (values in table-column order), so
+recording costs one tuple pack plus one deque append per transition.
 
 ``version`` is the engine's event count *after* the causing event (the same
 version the service stamps on snapshots); ``cause`` identifies what drove the
@@ -95,7 +93,7 @@ class ProvenanceRecorder:
     same order ``result_dict`` and checkpoints use).
     """
 
-    __slots__ = ("depth", "columns", "rings", "cause", "version", "_positions")
+    __slots__ = ("depth", "columns", "rings", "cause", "version")
 
     def __init__(self, views: Mapping[str, tuple[str, ...]], depth: int = DEFAULT_DEPTH) -> None:
         if depth <= 0:
@@ -105,17 +103,6 @@ class ProvenanceRecorder:
         self.rings: dict[str, deque] = {
             name: deque(maxlen=self.depth) for name in self.columns
         }
-        # Rows store values name-sorted; ring keys are in table-column order.
-        # The permutation is applied lazily at read time (the hot path stores
-        # the immutable Row itself), so it is resolved once here.
-        self._positions: dict[str, tuple[int, ...] | None] = {}
-        for name, cols in self.columns.items():
-            sorted_cols = tuple(sorted(cols))
-            self._positions[name] = (
-                None
-                if sorted_cols == cols
-                else tuple(sorted_cols.index(column) for column in cols)
-            )
         self.cause: Cause | None = None
         self.version = 0
 
@@ -124,10 +111,7 @@ class ProvenanceRecorder:
         """The table watcher feeding one view's ring.
 
         This closure runs once per view mutation on the engine's hot path,
-        so it does the minimum: pack and append.  The key stays the table's
-        immutable :class:`~repro.core.rows.Row`; converting it to a value
-        tuple in table-column order is deferred to :meth:`history` /
-        :meth:`state` (the cold read paths).
+        so it does the minimum: pack and append.
         """
         append = self.rings[view].append
 
@@ -135,20 +119,6 @@ class ProvenanceRecorder:
             append((self.version, row, old, new, self.cause))
 
         return watch
-
-    def _key_tuple(self, view: str, key: Any) -> tuple:
-        """One ring entry's key as a value tuple in table-column order.
-
-        Restored entries already carry plain tuples; live entries carry the
-        Row the table keyed by (exactly the view's columns, name-sorted).
-        """
-        if isinstance(key, tuple):
-            return key
-        values = key.values_sorted()
-        positions = self._positions[view]
-        if positions is None:
-            return values
-        return tuple(values[p] for p in positions)
 
     def set_cause(self, cause: Cause | None, version: int) -> None:
         self.cause = cause
@@ -165,10 +135,7 @@ class ProvenanceRecorder:
             raise RuntimeEngineError(
                 f"provenance is not tracking view {view!r}; tracked: {sorted(self.rings)}"
             )
-        entries = [
-            (version, self._key_tuple(view, key_), old, new, cause)
-            for version, key_, old, new, cause in ring
-        ]
+        entries = list(ring)
         if key is None:
             return entries
         wanted = tuple(key)

@@ -11,7 +11,8 @@ of DBToaster's memory advantages), but three situations do:
   statement.
 
 :class:`Database` stores relations in the same indexed tables used for maps
-and exposes the relation side of the evaluator's ``DataSource`` protocol.
+(keyed by the tuple of a relation's values in schema order) and exposes the
+relation side of the evaluator's ``DataSource`` protocol.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class Database:
         return self.schema(name)
 
     def scan_relation(self, name: str, bound: Mapping[str, Any]) -> Iterator[tuple[Row, Any]]:
-        return self.table(name).scan(bound)
+        return self.table(name).scan_rows(bound)
 
     # -- conveniences -----------------------------------------------------------------------
     def contents(self, name: str) -> GMR:

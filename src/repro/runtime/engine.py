@@ -261,16 +261,13 @@ class IncrementalEngine:
         return self.view(name).total_multiplicity()
 
     def result_dict(self, name: str | None = None) -> dict[tuple, Any]:
-        """View contents keyed by the tuple of key values, in key order."""
+        """A fresh dict of the view's contents, keyed by key tuple (key order)."""
         # The lookup inline, not through _view_declaration: this is the read
         # the service's snapshot queries time.
         decl = self.program.view_map(name)
         if decl is None:
             raise RuntimeEngineError(f"unknown view {name!r}")
-        table = self.maps.table(decl.name)
-        return {
-            tuple(row[c] for c in table.columns): value for row, value in table.items()
-        }
+        return self.maps.table(decl.name).primary.copy()
 
     # -- row provenance ----------------------------------------------------------
     @property
@@ -377,20 +374,11 @@ class IncrementalEngine:
         every stored base relation's tuples and the event count; values keep
         their exact runtime types so a restored engine is bit-identical.
         """
-        maps: dict[str, list[tuple[tuple, Any]]] = {}
-        for name in self.maps.names():
-            table = self.maps.table(name)
-            maps[name] = [
-                (tuple(row[c] for c in table.columns), value)
-                for row, value in table.items()
-            ]
-        relations: dict[str, list[tuple[tuple, Any]]] = {}
-        for name in self.database.relations():
-            table = self.database.table(name)
-            relations[name] = [
-                (tuple(row[c] for c in table.columns), value)
-                for row, value in table.items()
-            ]
+        maps = {name: list(self.maps.table(name).items()) for name in self.maps.names()}
+        relations = {
+            name: list(self.database.table(name).items())
+            for name in self.database.relations()
+        }
         state: dict[str, Any] = {
             "format": STATE_FORMAT,
             "kind": STATE_SINGLE,

@@ -35,10 +35,13 @@ from repro.runtime.maps import MapStore
 class RuntimeSource:
     """DataSource combining base relations and materialized maps.
 
-    Column tuples are immutable once a relation/map is declared, so both
-    lookups are cached here: the evaluator asks for them on every atom of
-    every statement of every event, and the dict probe beats the two
-    attribute hops plus table lookup they would otherwise cost.
+    This is where the evaluator's :class:`Row` environment meets positional
+    storage: scans turn each stored key tuple into a ``Row`` (and the
+    executor below writes key tuples back).  Column tuples are immutable
+    once a relation/map is declared, so both lookups are cached here: the
+    evaluator asks for them on every atom of every statement of every event,
+    and the dict probe beats the two attribute hops plus table lookup they
+    would otherwise cost.
     """
 
     __slots__ = ("_database", "_maps", "_relation_columns", "_map_columns")
@@ -57,7 +60,7 @@ class RuntimeSource:
         return columns
 
     def scan_relation(self, name: str, bound: Mapping[str, Any]) -> Iterator:
-        return self._database.scan_relation(name, bound)
+        return self._database.table(name).scan_rows(bound)
 
     def map_columns(self, name: str) -> tuple[str, ...]:
         columns = self._map_columns.get(name)
@@ -67,7 +70,7 @@ class RuntimeSource:
         return columns
 
     def scan_map(self, name: str, bound: Mapping[str, Any]) -> Iterator:
-        return self._maps.scan_map(name, bound)
+        return self._maps.table(name).scan_rows(bound)
 
     def range_sum(self, name: str, column: str, op: str, cutoff: Any, chain: bool = True):
         """Ordered-index probe for comparison-guarded nested aggregates.
@@ -140,10 +143,10 @@ class TriggerExecutor:
         result = self._evaluator.evaluate(statement.expr, bindings)
         table = self._maps.table(statement.target)
         keys = statement.target_keys
-        grouped: dict[Row, Any] = {}
+        grouped: dict[tuple, Any] = {}
         for row, multiplicity in result.items():
-            key_row = Row(zip(table.columns, self._key_values(keys, row, bindings, statement)))
-            grouped[key_row] = grouped.get(key_row, 0) + multiplicity
+            key = self._key_values(keys, row, bindings, statement)
+            grouped[key] = grouped.get(key, 0) + multiplicity
         table.replace(grouped.items())
 
     @staticmethod

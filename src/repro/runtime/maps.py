@@ -4,8 +4,9 @@ The generated C++/Scala runtimes of the paper store views in multi-indexed
 map containers (Boost Multi-Index): a primary index over the full key plus
 secondary hash indexes for every binding pattern occurring in the trigger
 program.  :class:`IndexedTable` reproduces that design in Python: a primary
-``dict`` keyed by the full key row plus lazily created, incrementally
-maintained secondary indexes keyed by column subsets, and — for the
+``dict`` keyed by the full key — a plain tuple in the table's declared
+``columns`` order — plus lazily created, incrementally maintained secondary
+indexes keyed by projections of it onto column subsets, and — for the
 comparison-guarded nested aggregates of the financial workload — ordered
 range indexes (:mod:`repro.runtime.ordered`) answering
 ``sum(value) where column op cutoff`` probes through :meth:`IndexedTable.range_sum`.
@@ -22,6 +23,7 @@ valuation, updated rather than invalidated on change).
 from __future__ import annotations
 
 import sys
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.gmr import GMR
@@ -32,17 +34,26 @@ from repro.runtime.ordered import OrderedRangeIndex
 
 
 class IndexedTable:
-    """A mutable map from key rows to numeric values with secondary indexes."""
+    """A mutable map from key tuples to numeric values with secondary indexes.
+
+    Every key is a plain tuple of values in ``columns`` order: the order of
+    ``result_dict``, checkpoints and the wire.  :class:`~repro.core.rows.Row`
+    keys and column mappings are accepted by :meth:`add`/:meth:`get`/
+    :meth:`set` and converted; :meth:`to_gmr` converts back.
+    """
 
     __slots__ = (
-        "columns", "_data", "_indexes", "_ordered", "probes", "scans",
-        "range_probes", "_watcher", "write_epoch", "_vector_cache",
+        "columns", "_arity", "_row", "_data", "_indexes", "_ordered", "probes",
+        "scans", "range_probes", "_watcher", "write_epoch", "_vector_cache",
     )
 
     def __init__(self, columns: Sequence[str]) -> None:
         self.columns = tuple(columns)
-        self._data: dict[Row, Any] = {}
-        self._indexes: dict[frozenset[str], dict[Row, dict[Row, Any]]] = {}
+        self._arity = len(self.columns)
+        self._row = Row.factory(self.columns)  # key tuple -> Row, for the evaluator
+        self._data: dict[tuple, Any] = {}
+        # columns -> (projection getter, index); see index_for.
+        self._indexes: dict[frozenset[str], tuple[Callable[[tuple], Any], dict]] = {}
         self._ordered: dict[str, OrderedRangeIndex] = {}
         # Always-on access counters (plain int increments); the telemetry
         # registry pulls them in at scrape time via a collector.  Generated
@@ -56,7 +67,7 @@ class IndexedTable:
         # those issued by generated kernels, which bind ``add`` as a method —
         # funnel through add/set/replace/clear, so this one slot observes
         # every mutation at the cost of a single None check.
-        self._watcher: Callable[[Row, Any, Any], None] | None = None
+        self._watcher: Callable[[tuple, Any, Any], None] | None = None
         # Monotone write epoch: bumped once per actual value transition
         # (wholesale swaps count as one).  The vector backend's columnar-view
         # cache below — ``(write_epoch, payload)`` pairs owned by
@@ -71,22 +82,23 @@ class IndexedTable:
     def __bool__(self) -> bool:
         return bool(self._data)
 
-    def items(self) -> Iterator[tuple[Row, Any]]:
-        """Iterate over ``(key row, value)`` pairs."""
+    def items(self) -> Iterator[tuple[tuple, Any]]:
+        """Iterate over ``(key tuple, value)`` pairs."""
         return iter(self._data.items())
 
-    def get(self, key: Row | Mapping[str, Any] | Sequence[Any], default: Any = 0) -> Any:
+    def get(self, key: Mapping[str, Any] | Sequence[Any], default: Any = 0) -> Any:
         """Value stored under ``key`` (0 when absent)."""
         self.probes += 1
         return self._data.get(self._normalize(key), default)
 
     def to_gmr(self) -> GMR:
-        """A snapshot of the table contents as a GMR."""
-        return GMR(self._data)
+        """A snapshot of the table contents as a GMR (``Row``-keyed)."""
+        row = self._row
+        return GMR((row(key), value) for key, value in self._data.items())
 
     @property
-    def primary(self) -> Mapping[Row, Any]:
-        """The primary ``full key row -> value`` dictionary.
+    def primary(self) -> Mapping[tuple, Any]:
+        """The primary ``key tuple -> value`` dictionary.
 
         Exposed (read-only by convention) for generated trigger code, which
         probes bound keys directly instead of going through :meth:`scan`.
@@ -96,86 +108,103 @@ class IndexedTable:
         """
         return self._data
 
-    def index_for(self, columns: frozenset[str]) -> Mapping[Row, Mapping[Row, Any]]:
+    def index_for(self, columns: frozenset[str]) -> Mapping[Any, Mapping[tuple, Any]]:
         """The secondary index over ``columns`` (built on first use).
 
-        Buckets map the projected key row to the full ``key row -> value``
+        Buckets map the projected key to the full ``key tuple -> value``
         entries sharing that projection; empty buckets are pruned eagerly.
-        This is the partially-bound probe used by generated trigger code.
+        The projected key is the bare value for a one-column projection and
+        otherwise the tuple of the projected values in ``columns`` order —
+        the shape generated trigger code builds for its partially-bound
+        probes.
         """
-        return self._ensure_index(columns)
+        entry = self._indexes.get(columns)
+        if entry is None:
+            positions = sorted(self.columns.index(column) for column in columns)
+            project = itemgetter(*positions)
+            index: dict[Any, dict[tuple, Any]] = {}
+            for key, value in self._data.items():
+                index.setdefault(project(key), {})[key] = value
+            entry = self._indexes[columns] = (project, index)
+        return entry[1]
 
     # -- normalization --------------------------------------------------------
-    def _normalize(self, key: Row | Mapping[str, Any] | Sequence[Any]) -> Row:
-        if isinstance(key, Row):
-            return key
-        if isinstance(key, Mapping):
-            return Row(key)
-        values = tuple(key)
-        if len(values) != len(self.columns):
+    def _normalize(self, key: Mapping[str, Any] | Sequence[Any]) -> tuple:
+        """``key`` as a tuple in ``columns`` order (``Row``s are mappings)."""
+        if type(key) is not tuple:
+            if isinstance(key, Mapping):
+                if len(key) != self._arity or any(c not in key for c in self.columns):
+                    raise RuntimeEngineError(
+                        f"key with columns {sorted(key)} for table with columns {self.columns}"
+                    )
+                key = tuple([key[c] for c in self.columns])
+            else:
+                key = tuple(key)
+        if len(key) != self._arity:
             raise RuntimeEngineError(
-                f"key of arity {len(values)} for table with columns {self.columns}"
+                f"key of arity {len(key)} for table with columns {self.columns}"
             )
-        return Row(zip(self.columns, values))
+        return key
 
     # -- mutation ---------------------------------------------------------------
-    def set_watcher(self, watcher: Callable[[Row, Any, Any], None] | None) -> None:
+    def set_watcher(self, watcher: Callable[[tuple, Any, Any], None] | None) -> None:
         """Install (or remove, with None) the mutation watcher."""
         self._watcher = watcher
 
-    def add(self, key: Row | Mapping[str, Any] | Sequence[Any], delta: Any) -> None:
+    def add(self, key: Mapping[str, Any] | Sequence[Any], delta: Any) -> None:
         """Add ``delta`` to the value stored under ``key`` (removing zeros)."""
         if is_zero(delta):
             return
-        row = self._normalize(key)
-        old = self._data.get(row)
+        # Generated kernels pass tuples of the right arity: no method call.
+        if type(key) is not tuple or len(key) != self._arity:
+            key = self._normalize(key)
+        old = self._data.get(key)
         new = normalize_number((old or 0) + delta)
         if is_zero(new):
             if old is not None:
-                del self._data[row]
-                self._index_remove(row)
+                del self._data[key]
+                if self._indexes:
+                    self._index_remove(key)
                 if self._ordered:
-                    self._ordered_change(row, old, None)
+                    self._ordered_change(key, old, None)
                 self.write_epoch += 1
                 if self._watcher is not None:
-                    self._watcher(row, old, 0)
+                    self._watcher(key, old, 0)
         else:
-            self._data[row] = new
-            if old is None:
-                self._index_add(row)
-            else:
-                self._index_update(row, new)
+            self._data[key] = new
+            if self._indexes:
+                self._index_put(key, new)
             if self._ordered:
-                self._ordered_change(row, old, new)
+                self._ordered_change(key, old, new)
             self.write_epoch += 1
             if self._watcher is not None:
-                self._watcher(row, 0 if old is None else old, new)
+                self._watcher(key, 0 if old is None else old, new)
 
-    def set(self, key: Row | Mapping[str, Any] | Sequence[Any], value: Any) -> None:
+    def set(self, key: Mapping[str, Any] | Sequence[Any], value: Any) -> None:
         """Overwrite the value stored under ``key`` (removing it when zero)."""
-        row = self._normalize(key)
-        old = self._data.pop(row, None)
+        key = self._normalize(key)
+        old = self._data.pop(key, None)
         if old is not None:
-            self._index_remove(row)
+            self._index_remove(key)
         if is_zero(value):
             if old is not None:
                 if self._ordered:
-                    self._ordered_change(row, old, None)
+                    self._ordered_change(key, old, None)
                 self.write_epoch += 1
                 if self._watcher is not None:
-                    self._watcher(row, old, 0)
+                    self._watcher(key, old, 0)
             return
         new = normalize_number(value)
-        self._data[row] = new
-        self._index_add(row)
+        self._data[key] = new
+        self._index_put(key, new)
         if self._ordered:
-            self._ordered_change(row, old, new)
+            self._ordered_change(key, old, new)
         if old is None or old != new or type(old) is not type(new):
             self.write_epoch += 1
             if self._watcher is not None:
-                self._watcher(row, 0 if old is None else old, new)
+                self._watcher(key, 0 if old is None else old, new)
 
-    def set_total(self, key: Row | Mapping[str, Any] | Sequence[Any], value: Any) -> None:
+    def set_total(self, key: Mapping[str, Any] | Sequence[Any], value: Any) -> None:
         """Overwrite one key's total with *add-shaped* index maintenance.
 
         The vector backend commits per-key chain totals through this method:
@@ -185,32 +214,29 @@ class IndexedTable:
         being removed and re-appended, so bucket iteration order stays
         bit-identical to the scalar path.
         """
-        row = self._normalize(key)
-        old = self._data.get(row)
+        key = self._normalize(key)
+        old = self._data.get(key)
         if is_zero(value):
             if old is not None:
-                del self._data[row]
-                self._index_remove(row)
+                del self._data[key]
+                self._index_remove(key)
                 if self._ordered:
-                    self._ordered_change(row, old, None)
+                    self._ordered_change(key, old, None)
                 self.write_epoch += 1
                 if self._watcher is not None:
-                    self._watcher(row, old, 0)
+                    self._watcher(key, old, 0)
             return
         new = normalize_number(value)
-        self._data[row] = new
-        if old is None:
-            self._index_add(row)
-        else:
-            self._index_update(row, new)
+        self._data[key] = new
+        self._index_put(key, new)
         if self._ordered:
-            self._ordered_change(row, old, new)
+            self._ordered_change(key, old, new)
         if old is None or old != new or type(old) is not type(new):
             self.write_epoch += 1
             if self._watcher is not None:
-                self._watcher(row, 0 if old is None else old, new)
+                self._watcher(key, 0 if old is None else old, new)
 
-    def replace(self, entries: Iterable[tuple[Row | Sequence[Any], Any]]) -> None:
+    def replace(self, entries: Iterable[tuple[Mapping[str, Any] | Sequence[Any], Any]]) -> None:
         """Replace the entire contents (used by ``:=`` re-evaluation statements)."""
         watcher = self._watcher
         old_data = self._data if watcher is not None else None
@@ -221,10 +247,10 @@ class IndexedTable:
         for key, value in entries:
             if is_zero(value):
                 continue
-            row = self._normalize(key)
-            self._data[row] = normalize_number(self._data.get(row, 0) + value)
-            if is_zero(self._data[row]):
-                del self._data[row]
+            key = self._normalize(key)
+            self._data[key] = normalize_number(self._data.get(key, 0) + value)
+            if is_zero(self._data[key]):
+                del self._data[key]
         # Secondary and ordered indexes are rebuilt lazily on the next probe.
         if had_entries or self._data:
             self.write_epoch += 1
@@ -244,41 +270,48 @@ class IndexedTable:
             self._diff_into_watcher(old_data, watcher)
 
     def _diff_into_watcher(
-        self, old_data: Mapping[Row, Any], watcher: Callable[[Row, Any, Any], None]
+        self, old_data: Mapping[tuple, Any], watcher: Callable[[tuple, Any, Any], None]
     ) -> None:
         """Report wholesale-swap transitions (:meth:`replace` / :meth:`clear`)."""
         new_data = self._data
-        for row, old in old_data.items():
-            new = new_data.get(row, 0)
+        for key, old in old_data.items():
+            new = new_data.get(key, 0)
             if old != new or type(old) is not type(new):
-                watcher(row, old, new)
-        for row, new in new_data.items():
-            if row not in old_data:
-                watcher(row, 0, new)
+                watcher(key, old, new)
+        for key, new in new_data.items():
+            if key not in old_data:
+                watcher(key, 0, new)
 
     # -- scans ---------------------------------------------------------------------
-    def scan(self, bound: Mapping[str, Any]) -> Iterator[tuple[Row, Any]]:
-        """Yield entries whose key agrees with ``bound`` (a column->value mapping)."""
+    def scan(self, bound: Mapping[str, Any]) -> Iterator[tuple[tuple, Any]]:
+        """Yield ``(key tuple, value)`` entries whose key agrees with ``bound``
+        (a column->value mapping)."""
         self.scans += 1
         if not bound:
             yield from self._data.items()
             return
-        columns = frozenset(bound)
-        if columns == frozenset(self.columns):
-            row = Row(bound)
-            value = self._data.get(row)
-            if value is not None:
-                yield row, value
-            return
-        unknown = columns - frozenset(self.columns)
-        if unknown:
+        values = tuple([bound[c] for c in self.columns if c in bound])
+        if len(values) != len(bound):
+            unknown = sorted(set(bound).difference(self.columns))
             raise RuntimeEngineError(
-                f"scan on unknown columns {sorted(unknown)}; table has {self.columns}"
+                f"scan on unknown columns {unknown}; table has {self.columns}"
             )
-        index = self._ensure_index(columns)
-        bucket = index.get(Row(bound))
+        if len(values) == self._arity:
+            value = self._data.get(values)
+            if value is not None:
+                yield values, value
+            return
+        bucket = self.index_for(frozenset(bound)).get(
+            values[0] if len(values) == 1 else values
+        )
         if bucket:
             yield from bucket.items()
+
+    def scan_rows(self, bound: Mapping[str, Any]) -> Iterator[tuple[Row, Any]]:
+        """:meth:`scan` as the AGCA evaluator reads it: ``(Row, value)`` pairs."""
+        row = self._row
+        for key, value in self.scan(bound):
+            yield row(key), value
 
     # -- ordered range indexes ---------------------------------------------------
     def range_index(self, column: str) -> OrderedRangeIndex:
@@ -296,7 +329,7 @@ class IndexedTable:
                 raise RuntimeEngineError(
                     f"range index on unknown column {column!r}; table has {self.columns}"
                 )
-            index = OrderedRangeIndex(column, sorted(self.columns).index(column))
+            index = OrderedRangeIndex(column, self.columns.index(column))
             self._ordered[column] = index
         return index
 
@@ -328,46 +361,32 @@ class IndexedTable:
         position = index.key_pos
         total: Any = 0
         if chain:
-            for row, stored in self._data.items():
-                if comparison_holds(row._items[position][1], op, cutoff):
+            for key, stored in self._data.items():
+                if comparison_holds(key[position], op, cutoff):
                     candidate = total + stored
                     total = 0 if is_zero(candidate) else normalize_number(candidate)
             return total
-        for row, stored in self._data.items():
-            if comparison_holds(row._items[position][1], op, cutoff):
+        for key, stored in self._data.items():
+            if comparison_holds(key[position], op, cutoff):
                 total = total + stored
         return normalize_number(total)
 
-    def _ordered_change(self, row: Row, old: Any, new: Any) -> None:
-        items = row._items
+    def _ordered_change(self, key: tuple, old: Any, new: Any) -> None:
         for index in self._ordered.values():
-            index.change(items[index.key_pos][1], old, new)
+            index.change(key[index.key_pos], old, new)
 
     # -- secondary indexes ------------------------------------------------------------
-    def _ensure_index(self, columns: frozenset[str]) -> dict[Row, dict[Row, Any]]:
-        index = self._indexes.get(columns)
-        if index is None:
-            index = {}
-            for row, value in self._data.items():
-                index.setdefault(row.project(columns), {})[row] = value
-            self._indexes[columns] = index
-        return index
+    def _index_put(self, key: tuple, value: Any) -> None:
+        """Store ``key``'s value in every index bucket (appended when new)."""
+        for project, index in self._indexes.values():
+            index.setdefault(project(key), {})[key] = value
 
-    def _index_add(self, row: Row) -> None:
-        value = self._data[row]
-        for columns, index in self._indexes.items():
-            index.setdefault(row.project(columns), {})[row] = value
-
-    def _index_update(self, row: Row, value: Any) -> None:
-        for columns, index in self._indexes.items():
-            index.setdefault(row.project(columns), {})[row] = value
-
-    def _index_remove(self, row: Row) -> None:
-        for columns, index in self._indexes.items():
-            projected = row.project(columns)
+    def _index_remove(self, key: tuple) -> None:
+        for project, index in self._indexes.values():
+            projected = project(key)
             bucket = index.get(projected)
             if bucket is not None:
-                bucket.pop(row, None)
+                bucket.pop(key, None)
                 if not bucket:
                     del index[projected]
 
@@ -375,14 +394,14 @@ class IndexedTable:
     def memory_bytes(self) -> int:
         """Rough resident size of the primary data (keys + values), in bytes."""
         total = sys.getsizeof(self._data)
-        for row, value in self._data.items():
-            total += sys.getsizeof(value) + 64 * max(len(row), 1)
+        for key, value in self._data.items():
+            total += sys.getsizeof(value) + 64 * max(len(key), 1)
         return total
 
     def index_stats(self) -> dict[str, dict[str, int]]:
         """Entry/bucket/memory counts per secondary index, keyed by its columns."""
         out: dict[str, dict[str, int]] = {}
-        for columns, index in self._indexes.items():
+        for columns, (_, index) in self._indexes.items():
             entries = sum(len(bucket) for bucket in index.values())
             memory = sys.getsizeof(index) + sum(
                 sys.getsizeof(bucket) for bucket in index.values()
@@ -448,7 +467,7 @@ class MapStore:
         return self.table(name).columns
 
     def scan_map(self, name: str, bound: Mapping[str, Any]) -> Iterator[tuple[Row, Any]]:
-        return self.table(name).scan(bound)
+        return self.table(name).scan_rows(bound)
 
     # -- accounting -------------------------------------------------------------
     def sizes(self) -> dict[str, int]:
@@ -479,7 +498,7 @@ class ViewCache:
         self,
         input_variables: Sequence[str],
         output_columns: Sequence[str],
-        compute: Callable[[Mapping[str, Any]], Iterable[tuple[Row, Any]]],
+        compute: Callable[[Mapping[str, Any]], Iterable[tuple[Mapping[str, Any], Any]]],
     ) -> None:
         self.input_variables = tuple(input_variables)
         self.output_columns = tuple(output_columns)

@@ -60,9 +60,8 @@ _EXACT_TYPES = (int, Fraction)
 class OrderedRangeIndex:
     """Per-key-column aggregate sums in sorted key order, with lazy arrays.
 
-    ``column`` is the indexed column name; ``key_pos`` its position inside
-    the name-sorted items of the table's key rows (resolved once by the
-    owning table).  The owner calls :meth:`change` from its mutation hooks
+    ``column`` is the indexed column name; ``key_pos`` its position in the
+    owning table's declared ``columns`` (so in every key tuple).  The owner calls :meth:`change` from its mutation hooks
     and :meth:`rebuild` when :attr:`wants_rebuild` says the totals must be
     recomputed from the table contents.
     """
@@ -184,13 +183,13 @@ class OrderedRangeIndex:
         self._prefix_stale = True
 
     def rebuild(self, items: Iterable[Tuple[Any, Any]]) -> None:
-        """Recompute totals from the table's ``(key row, value)`` entries."""
+        """Recompute totals from the table's ``(key tuple, value)`` entries."""
         pos = self.key_pos
         totals: dict[Any, Any] = {}
         counts: dict[Any, int] = {}
         inexact = 0
         for row, value in items:
-            key = row._items[pos][1]
+            key = row[pos]
             if not isinstance(value, _EXACT_TYPES):
                 inexact += 1
             if key in counts:

@@ -32,6 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+from repro.core.values import encode_value
 from repro.errors import ServiceError
 from repro.streams.stats import QueueStats
 
@@ -65,8 +66,6 @@ class DeltaNotification:
         Values go through the wire encoding so rational aggregates
         (:class:`fractions.Fraction`) survive ``json.dumps``.
         """
-        from repro.service.wire import encode_value
-
         return {
             "sequence": self.sequence,
             "version": self.version,

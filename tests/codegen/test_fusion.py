@@ -264,10 +264,11 @@ def test_fused_kernel_dedups_shared_subtrees(two_sums):
     kernel = try_fuse_trigger(trigger, two_sums)
     assert kernel is not None
     assert kernel.fused_statements == 2
-    # The condition, the normalized value and the key row each compute once.
+    # The condition, the normalized value and the key tuple each compute once.
     assert kernel.deduped_scalars >= 3
     assert kernel.source.count("_norm(_v1)") == 1
-    assert kernel.source.count("_Row(") == 1
+    assert kernel.source.count(" = (_v0,)") == 1
+    assert "_Row(" not in kernel.source
     # The shared condition guards the whole kernel exactly once.
     assert kernel.source.count("(_v1 > 0)") == 1
 
@@ -369,8 +370,8 @@ def test_hoisted_probe_drags_its_key_row_into_the_prefix():
     """A shared probe's cached key row hoists with it.
 
     The probe of M is shared by both statements and moves to the prefix;
-    its key row — a single-use cached build — must move above it, or the
-    prefix would read the row local before its definition.
+    its key tuple — a single-use cached build — must move above it, or the
+    prefix would read the key local before its definition.
     """
     event = TriggerEvent("R", 1, ("a", "b"), ("r_a", "r_b"))
     maps = {
@@ -388,10 +389,11 @@ def test_hoisted_probe_drags_its_key_row_into_the_prefix():
     assert kernel is not None
     assert kernel.deduped_probes == 1
     source = kernel.source
-    assert source.count("_Row(") == 2  # one probe key, one sink key — each once
-    row_def = source.index(" = _Row(")
+    assert source.count(" = (_v0,)") == 1  # probe key, built once
+    assert source.count(" = (_v1,)") == 1  # sink key, built once
+    key_def = source.index(" = (_v0,)")
     probe = source.index(".primary.get(")
-    assert row_def < probe  # the dragged row defines before the hoisted probe
+    assert key_def < probe  # the dragged key defines before the hoisted probe
 
     fused = CompiledEngine(program)
     unfused = declined(program)

@@ -140,9 +140,7 @@ def test_bound_map_probe_and_partial_scan(simple):
     runner = kernel.bind(store, Database())
     runner((1, 0))
     runner((2, 0))  # absent key: no contribution
-    assert dict((tuple(k[c] for c in ("k",)), v) for k, v in store.table("T").items()) == {
-        (1,): 11
-    }
+    assert dict(store.table("T").items()) == {(1,): 11}
 
 
 def test_foreach_statement_scans_and_loops(simple):
@@ -170,7 +168,7 @@ def test_foreach_statement_scans_and_loops(simple):
     assert ".index_for(" in kernel.source
     runner = kernel.bind(store, Database())
     runner((1, 100))
-    got = {k["k"]: v for k, v in store.table("T2").items()}
+    got = {k[0]: v for k, v in store.table("T2").items()}
     assert got == {10: 200, 20: 300}
 
 
@@ -199,7 +197,7 @@ def test_repeated_unbound_variable_is_a_diagonal_equality(simple):
     assert kernel is not None
     runner = kernel.bind(store, Database())
     runner((0, 0))
-    assert {k["k"]: v for k, v in store.table("T2").items()} == {1: 2, 7: 4}
+    assert {k[0]: v for k, v in store.table("T2").items()} == {1: 2, 7: 4}
 
 
 def test_repeated_bound_variable_probes_both_columns(simple):
@@ -226,7 +224,7 @@ def test_repeated_bound_variable_probes_both_columns(simple):
     runner = kernel.bind(store, Database())
     runner((1, 0))
     runner((5, 0))
-    assert {k["k"]: v for k, v in store.table("T2").items()} == {1: 2}
+    assert {k[0]: v for k, v in store.table("T2").items()} == {1: 2}
 
 
 def test_trigger_var_conditions_hoist_above_scans(simple):
@@ -308,7 +306,7 @@ def test_division_uses_zero_denominator_semantics(simple):
 
 
 def _entries(table):
-    return {tuple(key[c] for c in table.columns): value for key, value in table.items()}
+    return dict(table.items())
 
 
 def _fold(stmt, program, items):
@@ -338,8 +336,9 @@ def test_statement_kernel_folds_items_with_prebuilt_key_rows(simple):
         stmt, make_program([stmt], maps, schemas),
         [((1, 5), 2), ((1, -3), 7), ((2, 4), 1)],
     )
-    # The key row is built sorted at codegen time, not normalized per add.
-    assert "_Row((('k', _v0),))" in kernel.source
+    # The key tuple is built in column order at codegen time, not
+    # normalized per add.
+    assert "_kr3 = (_v0,)" in kernel.source
     assert _entries(table) == {(1,): 10, (2,): 4}
 
 

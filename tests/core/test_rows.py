@@ -120,10 +120,17 @@ def test_project_then_drop_partition(mapping, columns):
     assert not set(projected.columns) & set(dropped.columns)
 
 
-def test_from_sorted_items_matches_the_checked_constructor():
-    items = (("a", 1), ("b", "x"))
-    fast = Row.from_sorted_items(items)
-    slow = Row({"b": "x", "a": 1})
+@pytest.mark.parametrize("columns", [(), ("k",), ("a", "b"), ("z", "a", "m")])
+def test_factory_matches_the_checked_constructor(columns):
+    values = tuple(range(len(columns)))
+    fast = Row.factory(columns)(values)
+    slow = Row(dict(zip(columns, values)))
     assert fast == slow
     assert hash(fast) == hash(slow)
-    assert dict(fast) == {"a": 1, "b": "x"}
+    assert fast.items() == slow.items() == tuple(sorted(zip(columns, values)))
+    assert dict(fast) == dict(zip(columns, values))
+
+
+def test_factory_rejects_duplicate_columns():
+    with pytest.raises(ValueError):
+        Row.factory(("a", "b", "a"))

@@ -5,12 +5,16 @@ Every test asserts *bit-identical* recovery — values and their runtime types
 if exactness survives a restart.
 """
 
+import pickle
 import shutil
 from pathlib import Path
 
 import pytest
 
+from repro.codegen import CompiledEngine
 from repro.errors import ServiceError
+from repro.exec import BatchedEngine
+from repro.runtime.engine import IncrementalEngine
 from dur_helpers import (
     build_durable_service,
     inject_enospc,
@@ -254,6 +258,44 @@ def test_parent_written_delta_chain_restores_its_base_and_replays_the_wal(
     assert not list((tmp_path / "ckpt").glob("delta-*.ckpt"))
     assert [info.version for info in service.checkpoints.list()] == [40, 160]
     service.close()
+
+
+# -- engine states written while tables keyed by Rows ------------------------------
+
+
+@pytest.mark.parametrize(
+    "make", [CompiledEngine, lambda program: BatchedEngine(program, 1000)],
+    ids=["compiled", "batched-1000"],
+)
+@pytest.mark.parametrize("query,total,cut,stream_kwargs", [
+    ("Q3", 800, 400, {"max_live_orders": 25}),
+    ("VWAP", 300, 150, {}),
+])
+def test_parent_written_single_state_restores_bit_identically(
+    query, total, cut, stream_kwargs, make
+):
+    """``fixtures/single/<query>.state``: a compiled engine's mid-stream
+    ``checkpoint_state()`` written while tables keyed by ``Row``s (see
+    ``make_single_fixture.py`` there).  Restored and continued, every map
+    matches the interpreter over the whole stream: values, types and order."""
+    with open(Path(__file__).parent / "fixtures" / "single" / f"{query}.state", "rb") as handle:
+        state = pickle.load(handle)
+    fixture = make_workload_fixture(query, events=total, **stream_kwargs)
+    reference = IncrementalEngine(fixture.program)
+    load_statics(reference, fixture.program, fixture.statics)
+    reference.apply_many(fixture.events)
+    engine = make(fixture.program)
+    engine.restore_state(state)
+    assert engine.events_processed == cut
+    engine.apply_many(fixture.events[cut:])
+    engine.flush()
+    assert any(reference.result_dict(root) for root in fixture.program.roots)
+    for name in fixture.program.maps:
+        expected = reference.result_dict(name)
+        got = engine.result_dict(name)
+        assert typed(got) == typed(expected)
+        assert list(got) == list(expected)
+    engine.close()
 
 
 # -- a failing log append ------------------------------------------------------------

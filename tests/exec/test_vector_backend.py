@@ -17,7 +17,6 @@ import pytest
 
 from repro.codegen import CompiledEngine, vector
 from repro.compiler.hoivm import compile_query
-from repro.core.rows import Row
 from repro.delta.events import delete, insert
 from repro.errors import ExecutionError
 from repro.exec import BatchedEngine, batching
@@ -458,13 +457,13 @@ def test_set_total_preserves_index_bucket_order():
     table = IndexedTable(("a", "b"))
     index_cols = frozenset({"a"})
     table.index_for(index_cols)
-    first = Row((("a", 1), ("b", 1)))
-    second = Row((("a", 1), ("b", 2)))
+    first = (1, 1)
+    second = (1, 2)
     table.add(first, 10)
     table.add(second, 20)
 
     def bucket_order():
-        bucket = table.index_for(index_cols)[Row((("a", 1),))]
+        bucket = table.index_for(index_cols)[1]
         return list(bucket)
 
     before = bucket_order()
@@ -479,7 +478,7 @@ def test_set_total_preserves_index_bucket_order():
 
 def test_set_total_deletes_on_zero_and_skips_noops():
     table = IndexedTable(("a",))
-    row = Row((("a", 1),))
+    row = (1,)
     table.add(row, 5)
     epoch = table.write_epoch
     table.set_total(row, 5)

@@ -64,6 +64,29 @@ class TestExplainReport:
         text = render_explain_text(report)
         assert name in text and "plan:" in text
 
+    def test_trigger_lines_for_q1(self):
+        """Empty triggers say so; only triggers with statements can fuse."""
+        text = render_explain_text(build_explain_report(compile_workload("Q1"), query="Q1"))
+        lines = text.splitlines()
+        start = lines.index("triggers:") + 1
+        triggers = lines[start:start + 12]
+        fused = "fused (11 statements, 0 probes + 25 scalars deduped)"
+        assert triggers == [
+            "  Customer:+ no statements",
+            "  Customer:- no statements",
+            "  Orders:+ no statements",
+            "  Orders:- no statements",
+            f"  Lineitem:+ {fused}",
+            f"  Lineitem:- {fused}",
+            "  Part:+ no statements",
+            "  Part:- no statements",
+            "  Supplier:+ no statements",
+            "  Supplier:- no statements",
+            "  Partsupp:+ no statements",
+            "  Partsupp:- no statements",
+        ]
+        assert "interpreted" not in text
+
     def test_observed_counters_joined_per_map(self, q1):
         engine = engine_for_mode(q1.program, "incremental")
         load_statics(engine, q1.program, q1.statics)

@@ -11,12 +11,14 @@ import pytest
 
 from repro.codegen import CompiledEngine
 from repro.compiler.hoivm import compile_query
+from repro.core.rows import Row
 from repro.delta.events import StreamEvent, insert
 from repro.errors import ReproError, RuntimeEngineError
 from repro.exec import BatchedEngine, PartitionedEngine
 from repro.exec.partitioning import TABLE_COUNTERS
 from repro.runtime.engine import IncrementalEngine
 from repro.runtime.protocol import STATS_SCHEMA, EngineProtocol
+from repro.service.core import diff_results
 from repro.workloads import workload
 
 ENGINES = {
@@ -160,6 +162,53 @@ def test_flush_is_idempotent_and_close_is_safe(q3, name):
     engine.flush()
     assert engine.result_dict(q3["root"]) == before
     engine.close()
+
+
+def _local_engines(engine):
+    """The engines whose tables live in this process."""
+    partitions = getattr(engine, "_partitions", None)
+    if partitions is None:
+        return [engine]
+    return [p for p in partitions if hasattr(p, "maps")]
+
+
+@pytest.mark.parametrize("name", list(ENGINES))
+def test_keys_are_tuples_and_reads_are_copies(q3, baseline, name):
+    """Tables key by tuples in column order; result_dict hands out a fresh
+    dict; view() stays a Row-keyed GMR."""
+    engine = build(name, q3)
+    # Q3's root is still empty on this short stream: read its fullest map
+    # (views accept map names; M3 sum-merges across partitions).
+    root = "M3"
+    try:
+        engine.apply_many(q3["events"])
+        engine.flush()
+        for local in _local_engines(engine):
+            for decl in q3["program"].maps.values():
+                table = local.maps.table(decl.name)
+                assert table.columns == decl.keys
+                for key, _ in table.items():
+                    assert type(key) is tuple and len(key) == len(decl.keys)
+                assert all(type(key) is tuple for key in table.primary)
+        before = engine.result_dict(root)
+        assert before and all(type(key) is tuple for key in before)
+        expected = dict(before)
+        # Mutating the returned dict touches neither the engine nor the next read.
+        first = next(iter(before))
+        before[first] = "scribbled"
+        before[("not", "a", "key")] = 1
+        after = engine.result_dict(root)
+        assert after == expected and after is not engine.result_dict(root)
+        assert diff_results(expected, after) == []
+        if not hasattr(engine, "_partitions"):  # merges reorder keys
+            assert list(after) == list(baseline.result_dict(root))
+        view = engine.view(root)
+        assert view == baseline.view(root)
+        columns = q3["program"].maps[root].keys
+        assert all(type(row) is Row for row in view.rows())
+        assert {tuple(row[c] for c in columns): v for row, v in view.items()} == expected
+    finally:
+        engine.close()
 
 
 @pytest.mark.parametrize("name", list(ENGINES))

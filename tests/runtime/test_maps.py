@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.rows import Row
 from repro.errors import RuntimeEngineError
+from repro.runtime.database import Database
+from repro.runtime.interpreter import RuntimeSource
 from repro.runtime.maps import IndexedTable, MapStore, ViewCache
 
 
@@ -64,7 +66,7 @@ def test_partially_bound_scan_uses_secondary_index():
             table.add((a, b), a * 10 + b)
     results = dict(table.scan({"a": 3}))
     assert len(results) == 4
-    assert all(row["a"] == 3 for row in results)
+    assert all(key[0] == 3 for key in results)
     # The index must stay consistent under later updates.
     table.add((3, 0), -(30))
     assert len(dict(table.scan({"a": 3}))) == 3
@@ -110,13 +112,69 @@ def test_mapstore_lookup_unknown_map_raises():
 
 
 def test_mapstore_datasource_protocol():
+    """The evaluator's scans yield Rows, directly and through RuntimeSource."""
     store = MapStore()
     store.declare("M", ("k", "x"))
     store.table("M").add((1, "a"), 3)
     assert store.map_columns("M") == ("k", "x")
     assert dict(store.scan_map("M", {"k": 1}))[Row({"k": 1, "x": "a"})] == 3
+    source = RuntimeSource(Database(), store)
+    assert source.map_columns("M") == ("k", "x")
+    scanned = list(source.scan_map("M", {"k": 1}))
+    assert scanned == [(Row({"k": 1, "x": "a"}), 3)]
+    assert all(type(row) is Row for row, _ in scanned)
+    assert list(store.table("M").scan({"k": 1})) == [((1, "a"), 3)]
     assert store.sizes() == {"M": 1}
     assert store.memory_bytes() > 0
+
+
+def test_keys_are_tuples_in_declared_column_order():
+    # Columns deliberately not name-sorted: keys follow the declaration.
+    table = IndexedTable(("z", "a", "m"))
+    table.add((1, "x", 2.5), 3)
+    table.add(Row({"a": "y", "m": 0, "z": 2}), 1)
+    table.add({"m": 1, "z": 3, "a": "w"}, 2)
+    assert list(table.primary) == [(1, "x", 2.5), (2, "y", 0), (3, "w", 1)]
+    assert all(type(key) is tuple for key, _ in table.items())
+    assert table.get(Row({"z": 1, "a": "x", "m": 2.5})) == 3
+    with pytest.raises(RuntimeEngineError):
+        table.add({"z": 1, "a": "x"}, 1)  # a mapping missing a column
+    with pytest.raises(RuntimeEngineError):
+        table.add({"z": 1, "a": "x", "m": 0, "q": 9}, 1)  # an extra column
+    # to_gmr is the Row-keyed snapshot.
+    assert table.to_gmr()[{"z": 2, "a": "y", "m": 0}] == 1
+
+
+def test_projected_index_keys_match_the_probe_shape():
+    table = IndexedTable(("c", "b", "a"))
+    table.add((1, 2, 3), 1)
+    table.add((1, 5, 3), 2)
+    # One column: the bare value, on the write path and the probe path alike.
+    one = table.index_for(frozenset(("b",)))
+    assert set(one) == {2, 5}
+    table.add((4, 2, 0), 7)
+    assert one[2] == {(1, 2, 3): 1, (4, 2, 0): 7}
+    # Several columns: the tuple of the projected values in column order.
+    two = table.index_for(frozenset(("a", "c")))
+    assert two[(1, 3)] == {(1, 2, 3): 1, (1, 5, 3): 2}
+    assert dict(table.scan({"a": 3, "c": 1})) == two[(1, 3)]
+    assert dict(table.scan({"b": 2})) == one[2]
+
+
+def test_index_buckets_keep_insertion_order_across_delete_and_reinsert():
+    table = IndexedTable(("g", "k"))
+    for k in range(4):
+        table.add((0, k), k + 1)
+    bucket = table.index_for(frozenset(("g",)))
+    table.add((0, 1), 5)  # an update stays in place
+    assert list(bucket[0]) == [(0, 0), (0, 1), (0, 2), (0, 3)]
+    table.add((0, 1), -7)  # drops to zero: removed
+    table.add((0, 1), 9)  # re-inserted: appended, as in the primary dict
+    assert list(bucket[0]) == [(0, 0), (0, 2), (0, 3), (0, 1)]
+    assert list(bucket[0]) == list(table.primary)
+    for k in range(4):
+        table.add((0, k), -table.get((0, k)))
+    assert 0 not in bucket  # empty buckets are pruned
 
 
 def test_view_cache_lookup_computes_and_caches():
@@ -164,13 +222,13 @@ def test_primary_and_index_for_expose_the_probe_surfaces():
     table.add((1, 10), 2)
     table.add((1, 20), 3)
     table.add((2, 10), 5)
-    assert table.primary[Row({"a": 1, "b": 10})] == 2
+    assert table.primary[(1, 10)] == 2
     index = table.index_for(frozenset(("a",)))
-    bucket = index.get(Row({"a": 1}))
-    assert {dict(k)["b"]: v for k, v in bucket.items()} == {10: 2, 20: 3}
+    bucket = index.get(1)  # a one-column projection keys by the bare value
+    assert bucket == {(1, 10): 2, (1, 20): 3}
     # Indexes stay maintained through later writes.
     table.add((1, 30), 7)
-    assert len(index[Row({"a": 1})]) == 3
+    assert len(index[1]) == 3
     # clear() replaces the primary dict wholesale, so re-read the property.
     table.clear()
     assert table.primary == {}

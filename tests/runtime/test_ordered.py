@@ -22,10 +22,10 @@ OPS = (">", ">=", "<", "<=")
 
 def naive_chain(table, column, op, cutoff):
     """The interpreter's AggSum chain over a primary-dict scan, verbatim."""
-    position = sorted(table.columns).index(column)
+    position = table.columns.index(column)
     total = 0
-    for row, value in table._data.items():
-        if comparison_holds(row._items[position][1], op, cutoff):
+    for key, value in table._data.items():
+        if comparison_holds(key[position], op, cutoff):
             candidate = total + value
             total = 0 if is_zero(candidate) else normalize_number(candidate)
     return total
@@ -33,10 +33,10 @@ def naive_chain(table, column, op, cutoff):
 
 def naive_plain(table, column, op, cutoff):
     """The interpreter's Exists total-multiplicity summation, verbatim."""
-    position = sorted(table.columns).index(column)
+    position = table.columns.index(column)
     total = 0
-    for row, value in table._data.items():
-        if comparison_holds(row._items[position][1], op, cutoff):
+    for key, value in table._data.items():
+        if comparison_holds(key[position], op, cutoff):
             total = total + value
     return normalize_number(total)
 
