@@ -25,6 +25,7 @@ import argparse
 
 from repro.codegen.describe import describe_program, describe_statement
 from repro.codegen.engine import CompiledEngine
+from repro.codegen.lowering import Unsupported
 from repro.compiler.hoivm import compile_query
 from repro.workloads import all_workloads, workload
 
@@ -68,53 +69,44 @@ def _build_parser() -> argparse.ArgumentParser:
     dump.add_argument(
         "--backend", choices=("scalar", "vector"), default="scalar",
         help="which emitter's kernels to print: the scalar/fused source "
-             "(default) or the columnar numpy batch kernels with the "
-             "reason wherever a statement does not vectorize",
+             "(default) or the columnar numpy batch kernel of each trigger, "
+             "with the reason wherever a trigger does not vectorize",
     )
     return parser
 
 
 def _dump_vector(query_name: str, program, triggers) -> int:
-    """Print each statement's columnar batch kernel, or the reason there is none."""
+    """Print each trigger's columnar batch kernel, or the reason there is none."""
     from repro.codegen import vector
 
     if not vector.numpy_available():
         print(f"{query_name}: vector backend unavailable ({vector.vector_unavailable_reason()})")
         return 2
 
-    from repro.codegen.lowering import Unsupported
-
-    statements = [(t, s) for t in triggers for s in t.statements]
-    kernels: dict[int, object] = {}
-    for trigger, statement in statements:
+    kernels: dict[str, object] = {}
+    for trigger in triggers:
         try:
-            kernels[id(statement)] = vector.compile_vector(statement, program)
+            kernels[trigger.name] = vector.compile_vector(trigger, program)
         except Unsupported as exc:
-            kernels[id(statement)] = str(exc)
-    compiled = sum(1 for k in kernels.values() if not isinstance(k, str))
+            kernels[trigger.name] = str(exc)
+    compiled = [k for k in kernels.values() if not isinstance(k, str)]
     print(
-        f"{query_name}: {compiled}/{len(statements)} statements vectorized "
-        f"(columnar batch kernels; the rest run the scalar path)"
+        f"{query_name}: {sum(len(k.sinks) for k in compiled)}/"
+        f"{sum(len(t.statements) for t in triggers)} statements vectorized; "
+        f"vector kernels: {len(compiled)} (one per trigger; the rest run the scalar path)"
     )
     for trigger in triggers:
+        kernel = kernels[trigger.name]
         print()
-        print(f"== {trigger.name}: vector backend ==")
-        for position, statement in enumerate(trigger.statements):
-            kernel = kernels[id(statement)]
-            print()
-            if isinstance(kernel, str):
-                print(
-                    f"-- statement {position} -> {statement.target}: "
-                    f"scalar ({kernel})"
-                )
-                continue
-            print(f"-- statement {position} -> {statement.target}:")
-            print(kernel.source, end="")
-            if kernel.key_positions:
-                keys = ", ".join(program.maps[statement.target].keys)
-                print(f"-- sink keys: {keys} (segmented cumsum merge)")
-            else:
-                print("-- sink keys: none (single running total)")
+        if isinstance(kernel, str):
+            print(f"== {trigger.name}: scalar ({kernel}) ==")
+            continue
+        print(f"== {trigger.name}: vector kernel ({len(kernel.sinks)} statements) ==")
+        print(kernel.source, end="")
+        for position, (target, positions) in enumerate(kernel.sinks):
+            keys = ", ".join(program.maps[target].keys)
+            merge = "segmented cumsum merge" if positions else "single running total"
+            print(f"-- sink {position} -> {target}[{keys}] ({merge})")
     return 0
 
 

@@ -37,8 +37,8 @@ _ACCESS_SHAPES = {
 }
 
 
-def _handle_resolver(context: KernelContext):
-    """handle/local -> (kind, table name) maps for one planning context."""
+def _accesses(nodes: list[ir.Node], context: KernelContext) -> list[dict[str, Any]]:
+    """Every table access in one kernel body, in plan order."""
     tables = {handle: (kind, name) for handle, kind, name in context.tables}
     # Bound-method locals (``add``, ``range_sum``) resolve through their
     # owning handle: AddDelta and RangeProbe reference the method local, not
@@ -46,12 +46,6 @@ def _handle_resolver(context: KernelContext):
     methods = {
         local: handle for (handle, _attr), local in context._method_locals.items()
     }
-    return tables, methods
-
-
-def _accesses(nodes: list[ir.Node], context: KernelContext) -> list[dict[str, Any]]:
-    """Every table access in one kernel body, in plan order."""
-    tables, methods = _handle_resolver(context)
 
     def resolve(handle: str) -> tuple[str, str]:
         handle = methods.get(handle, handle)
@@ -62,17 +56,11 @@ def _accesses(nodes: list[ir.Node], context: KernelContext) -> list[dict[str, An
         shape = _ACCESS_SHAPES.get(node.kind)
         if shape is None:
             continue
-        if node.kind == "primary_probe":
-            kind, name = resolve(node.handle)
-        elif node.kind == "index_probe":
-            kind, name = resolve(node.handle)
-        elif node.kind == "range_probe":
+        if node.kind == "range_probe":
             kind, name = resolve(node.probe_local)
-        elif node.kind == "full_scan":
-            kind, name = resolve(node.handle)
         elif node.kind == "sink_add":
             kind, name = resolve(node.add_local)
-        else:  # replace
+        else:  # probes, scans and replace name their handle
             kind, name = resolve(node.handle)
         access: dict[str, Any] = {"table": name, "kind": kind, "shape": shape}
         if node.kind == "index_probe":
@@ -97,56 +85,40 @@ def describe_statement(statement: Statement, program: TriggerProgram) -> dict[st
     except Unsupported as exc:
         description["compiled"] = False
         description["fallback_reason"] = str(exc)
-        description["vectorized"] = False
-        description["vector_reason"] = "statement does not plan"
         return description
     description["compiled"] = True
     description["ir_ops"] = ir.count_ops(nodes)
     description["accesses"] = _accesses(nodes, compiler.ctx)
-    description.update(_vector_status(statement, program))
     return description
-
-
-def _vector_status(statement: Statement, program: TriggerProgram) -> dict[str, Any]:
-    """Whether the columnar batch emitter covers one statement, and why not.
-
-    ``vectorized`` answers for the statement shape alone; whether the
-    trigger vectorizes is :func:`describe_trigger`'s all-or-nothing rule.
-    """
-    from repro.codegen import vector
-
-    if not vector.numpy_available():
-        return {
-            "vectorized": False,
-            "vector_reason": vector.vector_unavailable_reason(),
-        }
-    try:
-        vector.compile_vector(statement, program)
-    except Unsupported as exc:
-        return {"vectorized": False, "vector_reason": str(exc)}
-    return {"vectorized": True}
 
 
 def describe_trigger(trigger: Trigger, program: TriggerProgram) -> dict[str, Any]:
     """One trigger's statement plans plus its fusion and vectorization outcome.
 
-    ``vectorized`` is all or nothing, as the batched engine applies it: every
-    ``+=`` statement must have a vector kernel and every statement must write
-    a distinct map (the engine additionally requires the trigger to be
-    bulk-safe, and falls back a whole run at a time on regime violations).
+    ``vectorized`` is the outcome of the trigger's one vector-kernel compile
+    attempt, the one the batched engine makes; each ``+=`` statement is
+    vectorized exactly when its trigger is, and otherwise carries the
+    attempt's reason.
     """
+    from repro.codegen import vector
+
     statements = [describe_statement(s, program) for s in trigger.statements]
     fused = try_fuse_trigger(trigger, program)
-    increments = [s for s in statements if s["operation"] != ASSIGN]
-    targets = {s["target"] for s in statements}
+    try:
+        vector.compile_vector(trigger, program)
+        reason = None
+    except Unsupported as exc:
+        reason = str(exc)
+    for statement in statements:
+        statement["vectorized"] = reason is None and statement["operation"] != ASSIGN
+        if not statement["vectorized"]:
+            statement["vector_reason"] = reason or "not an increment statement"
     description: dict[str, Any] = {
         "relation": trigger.relation,
         "op": "insert" if trigger.sign > 0 else "delete",
         "statements": statements,
         "fused": fused is not None,
-        "vectorized": bool(increments)
-        and len(targets) == len(statements)
-        and all(s["vectorized"] for s in increments),
+        "vectorized": reason is None,
     }
     if fused is not None:
         description["fusion"] = {
@@ -208,8 +180,7 @@ def describe_program(program: TriggerProgram) -> dict[str, Any]:
             "triggers": sum(1 for t in triggers if t["statements"]),
             "compiled_statements": compiled,
             "vectorized_statements": sum(
-                1 for t in triggers if t["vectorized"]
-                for s in t["statements"] if s["operation"] != ASSIGN
+                1 for t in triggers for s in t["statements"] if s["vectorized"]
             ),
             "fallback_statements": len(fallbacks),
             "fallbacks": fallbacks,

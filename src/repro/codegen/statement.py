@@ -4,11 +4,11 @@ One ``+=`` or ``:=`` statement becomes one IR tree (:mod:`repro.codegen.ir`)
 over the event's field values (positionally, no bindings dictionary).  This
 module *plans* — it decides access paths, hoisting slots and accumulation
 discipline — and produces IR nodes; it never generates Python source.
-:mod:`repro.codegen.trigger` concatenates the statement IRs of one trigger
-into its single kernel function, :mod:`repro.codegen.emit` renders it, and
-:mod:`repro.codegen.vector` re-walks one statement's IR into a columnar batch
-kernel.  The plan is specialized on everything the compiler knows
-statically:
+:mod:`repro.codegen.trigger` plans the statements of one trigger together
+and concatenates their IRs into its single kernel function,
+:mod:`repro.codegen.emit` renders it, and :mod:`repro.codegen.vector` walks
+the same trigger plan into one columnar batch kernel.  The plan is
+specialized on everything the compiler knows statically:
 
 * **trigger variables** load positionally from the event tuple — only the
   ones the statement uses;

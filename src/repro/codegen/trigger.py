@@ -1,9 +1,13 @@
 """Whole-trigger fusion: one compiled function per (relation, op) trigger.
 
 The paper compiles each trigger of the viewlet-transformed program into one
-function; this module is that step.  It plans the statements of one trigger
-with a shared context and concatenates their IRs into a single
-``_kernel(_values)`` function, the only scalar kernel the codegen emits:
+function; this module is that step, in two halves.  :func:`plan_trigger`
+plans the statements of one trigger with a shared context into one
+:class:`TriggerPlan` — a head (preamble, dedup prefix, hoisted guards) and
+one node list per step — and :func:`try_fuse_trigger` emits that plan as a
+single ``_kernel(_values)`` function, the only scalar kernel the codegen
+emits.  The columnar emitter (:mod:`repro.codegen.vector`) reads the same
+plan for its one vector kernel per trigger.  The plan gives:
 
 * **shared preamble** — every trigger variable loads once, every table
   handle and bound method (``add``, ``range_sum``) binds once, no matter
@@ -33,20 +37,20 @@ and any surprise during fusion, leaves the whole trigger on the interpreter
 rather than risk an unsound kernel.  The per-event kernel fuses every step;
 the batched engine additionally fuses the ``+=`` steps (with the base apply)
 and the ``:=`` steps of a bulk-safe trigger as two separate kernels, so a
-bulk run can evaluate its ``:=`` statements once.
+bulk run can evaluate its ``:=`` statements once.  The plan of the ``+=``
+steps is also the one the vector emitter walks.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
-
 import re
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.codegen import ir
 from repro.codegen.emit import emit_function
 from repro.codegen.lowering import Unsupported
 from repro.codegen.statement import KernelContext, _StatementCompiler
-from repro.compiler.program import ASSIGN, Trigger, TriggerProgram
+from repro.compiler.program import ASSIGN, Statement, Trigger, TriggerProgram
 
 #: Node kinds that define one local and are pure enough to scan past when
 #: collecting a step's leading guards (value bindings and probes).
@@ -344,92 +348,146 @@ class FusionCache:
         return prefix
 
 
-class TriggerKernel:
-    """The steps of one (relation, op) trigger fused into one function.
+class LinkedKernel:
+    """Generated source, linked against live tables on :meth:`bind`.
 
-    ``source`` holds the generated code and ``ir_ops`` the IR operation
-    counts (both surfaced by ``python -m repro.codegen dump``); ``arity`` is
-    the relation arity the dispatcher validates before the kernel indexes
-    the event tuple positionally.  :meth:`bind` links against live tables
-    and **caches per-database resolution**: restoring a checkpoint mutates
-    tables in place, so a rebind against the same store resolves to the same
-    table objects and returns the cached runner without re-``exec``-ing the
-    code object.
+    ``bind`` resolves every table handle and **caches per table set**:
+    restoring a checkpoint mutates tables in place, so a rebind against the
+    same store resolves to the same table objects and returns the callable
+    already linked, without re-``exec``-ing the code object.
     """
 
-    __slots__ = (
-        "relation", "sign", "arity", "source", "ir_ops",
-        "fused_statements", "deduped_probes", "deduped_scalars",
-        "_code", "_env", "_tables", "_bound_tables", "_bound_runner",
-    )
+    __slots__ = ("source", "_code", "_env", "_tables", "_bound_tables", "_bound")
+    #: The function the source defines.
+    _entry = "_kernel"
 
     def __init__(
         self,
-        trigger: Trigger,
+        label: str,
         source: str,
         env: dict[str, Any],
-        tables: tuple[tuple[str, str, str], ...],
-        arity: int,
-        ir_ops: dict[str, int],
-        fused_statements: int,
-        deduped_probes: int,
-        deduped_scalars: int,
+        tables: Sequence[tuple[str, str, str]],
     ) -> None:
-        self.relation = trigger.relation
-        self.sign = trigger.sign
-        self.arity = arity
         self.source = source
-        self.ir_ops = ir_ops
-        self.fused_statements = fused_statements
-        self.deduped_probes = deduped_probes
-        self.deduped_scalars = deduped_scalars
-        self._code = compile(
-            source, f"<repro.codegen:fused:{trigger.name}>", "exec"
-        )
+        self._code = compile(source, label, "exec")
         self._env = env
-        self._tables = tables
+        self._tables = tuple(tables)
         self._bound_tables: tuple | None = None
-        self._bound_runner: Callable[[tuple], None] | None = None
+        self._bound: Any = None
 
-    def describe(self) -> dict[str, Any]:
-        """This kernel's shape as plain data (the ``repro.kernels/1`` idiom)."""
-        return {
-            "relation": self.relation,
-            "op": "insert" if self.sign > 0 else "delete",
-            "arity": self.arity,
-            "fused_statements": self.fused_statements,
-            "deduped_probes": self.deduped_probes,
-            "deduped_scalars": self.deduped_scalars,
-            "ir_ops": dict(self.ir_ops),
-        }
+    def _link(self, fn: Callable, namespace: dict[str, Any]) -> Any:
+        """What :meth:`bind` returns for one freshly linked function."""
+        return fn
 
-    def bind(self, maps, database) -> Callable[[tuple], None]:
-        """Link against live tables; returns ``run(values)``.
-
-        Resolution is cached per concrete table set: when every handle
-        resolves to the identical table object as the previous bind (the
-        restore-into-the-same-engine case), the previously built runner is
-        returned as-is instead of re-resolving and re-``exec``-ing.
-        """
+    def bind(self, maps, database) -> Any:
         resolved = tuple(
             maps.table(name) if kind == "map" else database.table(name)
             for _, kind, name in self._tables
         )
         cached = self._bound_tables
-        if (
-            cached is not None
-            and len(cached) == len(resolved)
-            and all(a is b for a, b in zip(cached, resolved))
-        ):
-            return self._bound_runner
+        if cached is not None and all(a is b for a, b in zip(cached, resolved)):
+            return self._bound
         namespace = dict(self._env)
         for (handle, _, _), table in zip(self._tables, resolved):
             namespace[handle] = table
         exec(self._code, namespace)
-        runner = namespace["_kernel"]
         self._bound_tables = resolved
-        self._bound_runner = runner
-        return runner
+        self._bound = self._link(namespace[self._entry], namespace)
+        return self._bound
+
+
+class TriggerKernel(LinkedKernel):
+    """The steps of one (relation, op) trigger fused into one function.
+
+    ``source`` holds the generated code and ``ir_ops`` the IR operation
+    counts (both surfaced by ``python -m repro.codegen dump``); ``arity`` is
+    the relation arity the dispatcher validates before the kernel indexes
+    the event tuple positionally.  :meth:`bind` returns ``run(values)``.
+    """
+
+    __slots__ = ("arity", "ir_ops", "fused_statements", "deduped_probes", "deduped_scalars")
+
+    def __init__(
+        self,
+        trigger: Trigger,
+        source: str,
+        plan: "TriggerPlan",
+        ir_ops: dict[str, int],
+    ) -> None:
+        super().__init__(
+            f"<repro.codegen:fused:{trigger.name}>", source, plan.ctx.env.env, plan.ctx.tables
+        )
+        self.arity = len(plan.ctx.trigger_vars)
+        self.ir_ops = ir_ops
+        self.fused_statements = sum(1 for statement, _ in plan.steps if statement)
+        self.deduped_probes = plan.cache.deduped_probes
+        self.deduped_scalars = plan.cache.deduped_scalars
+
+
+class TriggerPlan(NamedTuple):
+    """One trigger planned once: the input of both emitters.
+
+    ``head`` runs first — the preamble (event loads, method binds), the
+    dedup prefix and the hoisted guards woven into it; ``steps`` follow in
+    the executor's order, one live node list each, paired with the statement
+    it plans (``None`` for the base-relation apply).
+    """
+
+    ctx: KernelContext
+    cache: FusionCache
+    head: list[ir.Node]
+    steps: list[tuple[Statement | None, list[ir.Node]]]
+
+
+def plan_trigger(
+    trigger: Trigger,
+    program: TriggerProgram,
+    increments: bool = True,
+    assigns: bool = True,
+) -> TriggerPlan:
+    """Plan the steps of ``trigger`` with one shared context and dedup cache.
+
+    The steps interleave in the executor's order: increments in statement
+    order, then the base-relation apply for maintained relations, then
+    assigns.  ``increments`` selects the ``+=`` steps and the base apply,
+    ``assigns`` the ``:=`` steps.  Raises :class:`Unsupported` for a trigger
+    without statements, a statement outside the fragment, or a guard
+    escaping its scope.
+    """
+    statements = list(trigger.statements)
+    if not statements:
+        raise Unsupported("no statements")
+    trigger_vars = statements[0].event.trigger_vars
+    before = [s for s in statements if s.operation != ASSIGN] if increments else []
+    after = [s for s in statements if s.operation == ASSIGN] if assigns else []
+    maintained = increments and trigger.relation in program.requires_base_relations()
+
+    cache = FusionCache()
+    ctx = KernelContext(trigger_vars, dedup=cache)
+    steps: list[tuple[Statement | None, list[ir.Node]]] = []
+
+    def compile_step(statement) -> None:
+        compiler = _StatementCompiler(statement, program, context=ctx)
+        steps.append((statement, compiler.compile()))
+        cache.mark_write(ctx.table_handle("map", statement.target))
+
+    for statement in before:
+        compile_step(statement)
+    if maintained:
+        base_handle = ctx.table_handle("relation", trigger.relation)
+        base_add = ctx.method_local(base_handle, "add", "badd")
+        steps.append((None, [ir.ExprStmt(f"{base_add}(_values, {trigger.sign})")]))
+        cache.mark_write(base_handle)
+    for statement in after:
+        compile_step(statement)
+
+    prefix = cache.finalize()
+    hoisted_guards = _hoist_common_guards([body for _, body in steps])
+    head: list[ir.Node] = [*ctx.preamble(), *prefix]
+    if hoisted_guards:
+        head = _weave_guards(head, hoisted_guards, set(ctx.env.env))
+    live = [(statement, [n for n in body if n is not None]) for statement, body in steps]
+    return TriggerPlan(ctx, cache, head, live)
 
 
 def try_fuse_trigger(
@@ -438,59 +496,20 @@ def try_fuse_trigger(
     increments: bool = True,
     assigns: bool = True,
 ) -> TriggerKernel | None:
-    """Fuse the steps of ``trigger`` into one kernel, or return None.
+    """The scalar emit of :func:`plan_trigger`: one ``_kernel(_values)``, or None.
 
-    Fusion plans every statement with one shared context and the dedup
-    cache, interleaves the steps in the executor's order (increments in
-    statement order, then the base-relation apply for maintained relations,
-    then assigns), hoists shared subtrees, and emits a single
-    ``_kernel(_values)``.  ``increments`` selects the ``+=`` steps and the
-    base apply, ``assigns`` the ``:=`` steps; the per-event kernel takes
-    both.  A trigger without statements, or any :class:`Unsupported` — a
-    statement outside the fragment, or a guard escaping its scope — returns
-    None, and the trigger runs on the interpreter instead.
+    Each step whose body can abort runs inside its own one-pass loop; the
+    last step runs bare.  The per-event kernel takes both ``increments`` and
+    ``assigns``.  Any :class:`Unsupported` returns None, and the trigger runs
+    on the interpreter instead.
     """
-    statements = list(trigger.statements)
-    if not statements:
-        return None
-    trigger_vars = statements[0].event.trigger_vars
-    before = [s for s in statements if s.operation != ASSIGN] if increments else []
-    after = [s for s in statements if s.operation == ASSIGN] if assigns else []
-    maintained = increments and trigger.relation in program.requires_base_relations()
-
-    cache = FusionCache()
-    ctx = KernelContext(trigger_vars, dedup=cache)
-    step_bodies: list[list[ir.Node]] = []
-
-    def compile_step(statement) -> None:
-        compiler = _StatementCompiler(statement, program, context=ctx)
-        step_bodies.append(compiler.compile())
-        cache.mark_write(ctx.table_handle("map", statement.target))
-
     try:
-        for statement in before:
-            compile_step(statement)
-        if maintained:
-            base_handle = ctx.table_handle("relation", trigger.relation)
-            base_add = ctx.method_local(base_handle, "add", "badd")
-            step_bodies.append(
-                [ir.ExprStmt(f"{base_add}(_values, {trigger.sign})")]
-            )
-            cache.mark_write(base_handle)
-        for statement in after:
-            compile_step(statement)
-
-        prefix = cache.finalize()
-        hoisted_guards = _hoist_common_guards(step_bodies)
-        head: list[ir.Node] = [*ctx.preamble(), *prefix]
-        if hoisted_guards:
-            head = _weave_guards(head, hoisted_guards, set(ctx.env.env))
-
-        body: list[ir.Node] = head
-        for position, step_body in enumerate(step_bodies):
-            live = [node for node in step_body if node is not None]
-            if ir.needs_scope(live) and position != len(step_bodies) - 1:
-                body.append(ir.OnePass(ctx.fresh("w"), live))
+        plan = plan_trigger(trigger, program, increments, assigns)
+        body: list[ir.Node] = list(plan.head)
+        last = len(plan.steps) - 1
+        for position, (_, live) in enumerate(plan.steps):
+            if ir.needs_scope(live) and position != last:
+                body.append(ir.OnePass(plan.ctx.fresh("w"), live))
             else:
                 # The last step runs bare: nothing follows it, so its aborts
                 # compile to ``return``, with no one-pass wrapper overhead.
@@ -499,17 +518,7 @@ def try_fuse_trigger(
         # guard escaping an earlier statement's scope would corrupt the
         # siblings, which the per-step wrapping above rules out).
         source = emit_function("_kernel", ("_values",), body, abort="return")
-        return TriggerKernel(
-            trigger,
-            source,
-            ctx.env.env,
-            tuple(ctx.tables),
-            len(trigger_vars),
-            ir.count_ops(body),
-            len(before) + len(after),
-            cache.deduped_probes,
-            cache.deduped_scalars,
-        )
+        return TriggerKernel(trigger, source, plan, ir.count_ops(body))
     except (Unsupported, SyntaxError):
         # Unsupported is the planner declining; SyntaxError means the IR
         # rendered to invalid Python — either way, the interpreter is always

@@ -1,12 +1,15 @@
-"""Columnar batch emitter: numpy-vectorized kernels over the kernel IR.
+"""Columnar batch emitter: one numpy-vectorized kernel per trigger.
 
-The scalar pipeline (plan -> IR -> fuse -> emit) produces one per-event kernel
-per trigger; this module walks the *same* statement IR and emits, for one
-``+=`` statement, a kernel that processes an entire run of same-trigger
-events per call — one ndarray per trigger column, masks instead of branch
-guards, hash-probe gathers against the table primaries, prefix-sum range
-probes against :class:`~repro.runtime.ordered.OrderedRangeIndex`, and a
-segmented seeded-cumsum sink that reproduces the scalar add chain.
+The scalar pipeline (plan -> IR -> emit) produces one per-event kernel per
+trigger; this module walks the *same* trigger plan
+(:func:`repro.codegen.trigger.plan_trigger`, its ``+=`` steps) and emits one
+kernel that processes an entire run of same-trigger events per call — one
+ndarray per trigger column, masks instead of branch guards (the hoisted
+guards narrow one shared mask, each step's guards its own sink's), the
+plan's deduplicated loads and probes computed once, hash-probe gathers
+against the table primaries, prefix-sum range probes against
+:class:`~repro.runtime.ordered.OrderedRangeIndex`, and per sink a segmented
+seeded-cumsum write list that reproduces the scalar add chain.
 
 Fast-numeric regime and the bit-identity contract
 -------------------------------------------------
@@ -30,10 +33,9 @@ kernels.  The vector path therefore runs in an explicit
   partial is zero-ish (the scalar chain would delete and re-insert the key,
   changing dict insertion order).
 
-Fallback is per *run*: each kernel computes its entire write list before
-touching any table, and the batched engine computes every statement's list
-before committing any, so a run with one failed statement goes whole through
-the fused scalar kernel with the state exactly as it was before the run.
+Fallback is per *run*: the kernel builds every sink's write list before it
+commits any, so a run with one failed sink goes whole through the fused
+scalar kernel with the state exactly as it was before the run.
 
 numpy is optional: when it cannot be imported (or ``REPRO_NO_NUMPY`` is set,
 the CI no-numpy leg), no vector kernel compiles and the reason is surfaced
@@ -49,7 +51,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.codegen import ir
 from repro.codegen.lowering import Unsupported
-from repro.compiler.program import INCREMENT, Statement, TriggerProgram
+from repro.codegen.trigger import LinkedKernel, plan_trigger
+from repro.compiler.program import INCREMENT, Trigger, TriggerProgram
 
 try:  # pragma: no cover - exercised via the no-numpy CI leg
     if os.environ.get("REPRO_NO_NUMPY"):
@@ -100,7 +103,7 @@ class ColumnBatch:
     ``Fraction``, ``None``, mixed types — raises :class:`VectorFallback`.
     ``num()`` converts to float64 after the 2**53 exactness check; ``raw()``
     keeps the native dtype for guards and probe keys.  Sink-key
-    factorizations are cached per position tuple so sibling statements keyed
+    factorizations are cached per position tuple so sibling sinks keyed
     by the same columns (the Q1 shape) pay once per batch.
     """
 
@@ -267,10 +270,7 @@ def _vprobe0(table, b):
     """Nullary primary probe broadcast over the batch."""
     value = table.primary.get(())
     found = value is not None
-    if value is None:
-        value = 0.0
-    else:
-        value = _probe_value(value)
+    value = _probe_value(value) if found else 0.0
     return (
         np.full(b.n, value, dtype=np.float64),
         np.full(b.n, found, dtype=bool),
@@ -493,9 +493,13 @@ class _ExprTranslator:
         raise Unsupported(f"constant of type {type(value).__name__}")
 
 
+def _parsed(source: str) -> ast.expr:
+    return ast.parse(source, mode="eval").body
+
+
 def _parse_key_expr(key_expr: str) -> list[str]:
     """``(local, ...,)`` -> [local, ...] (empty for the nullary key ``()``)."""
-    node = ast.parse(key_expr, mode="eval").body
+    node = _parsed(key_expr)
     if not (isinstance(node, ast.Tuple)
             and all(isinstance(item, ast.Name) for item in node.elts)):
         raise Unsupported("key is not a tuple of locals")
@@ -503,120 +507,124 @@ def _parse_key_expr(key_expr: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# The vector statement compiler
+# The vector trigger compiler
 # ---------------------------------------------------------------------------
 
 
-class VectorKernel:
-    """One statement's columnar batch kernel: emitted source plus sink spec."""
+class VectorKernel(LinkedKernel):
+    """One trigger's columnar batch kernel: emitted source plus sink specs.
 
-    __slots__ = ("statement", "source", "uses", "key_positions",
-                 "_code", "_env", "_tables")
+    ``sinks`` lists ``(target map, key positions)`` per ``+=`` statement, in
+    statement order — one ``(mask, value)`` pair of the kernel's result each.
+    """
 
-    def __init__(self, statement: Statement, source: str, env: dict,
+    __slots__ = ("uses", "sinks", "_sink_handles")
+    _entry = "_vkernel"
+
+    def __init__(self, trigger: Trigger, source: str, env: dict,
                  tables: Sequence[tuple[str, str, str]],
                  uses: Sequence[tuple[str, Any]],
-                 key_positions: tuple[int, ...]) -> None:
-        self.statement = statement
-        self.source = source
+                 sinks: Sequence[tuple[str, str, tuple[int, ...]]]) -> None:
+        super().__init__(f"<repro.vector:{trigger.name}>", source, env, tables)
         self.uses = tuple(uses)
-        self.key_positions = key_positions
-        self._code = compile(source, f"<repro.vector:{statement.target}>", "exec")
-        self._env = env
-        self._tables = tuple(tables)
+        self.sinks = tuple((target, positions) for target, _, positions in sinks)
+        self._sink_handles = tuple(handle for _, handle, _ in sinks)
 
-    def bind(self, maps, database) -> "BoundVectorKernel":
-        namespace = dict(self._env)
-        for handle, kind, name in self._tables:
-            namespace[handle] = (
-                maps.table(name) if kind == "map" else database.table(name)
-            )
-        exec(self._code, namespace)
-        return BoundVectorKernel(self, namespace["_vkernel"])
+    def _link(self, fn: Callable, namespace: dict[str, Any]) -> "BoundVectorKernel":
+        return BoundVectorKernel(self, fn, [namespace[h] for h in self._sink_handles])
 
 
 class BoundVectorKernel:
-    """A linked vector kernel: compute the write list, then commit it."""
+    """A linked vector kernel: compute every sink's write list, then commit."""
 
-    __slots__ = ("spec", "_fn")
+    __slots__ = ("spec", "_fn", "_tables")
 
-    def __init__(self, spec: VectorKernel, fn: Callable) -> None:
+    def __init__(self, spec: VectorKernel, fn: Callable, tables: list) -> None:
         self.spec = spec
         self._fn = fn
+        self._tables = tables
 
-    def compute(self, batch: ColumnBatch, table) -> list[tuple[tuple, float]]:
-        """Run the kernel and build the ordered write list (no mutations)."""
-        mask, acc = self._fn(batch)
-        deltas = np.asarray(acc, dtype=np.float64)
-        if deltas.ndim == 0:
-            deltas = np.full(batch.n, float(deltas))
-        # One row per event (multiplicity 1): the seeded cumsum below adds
-        # each event's delta in arrival order, as per-event execution does.
-        deltas = _ck(deltas)
-        if mask is not None:
-            selected = np.flatnonzero(mask)
-            if selected.size == 0:
-                return []
-            deltas = deltas[selected]
-        else:
-            selected = None
-        primary = table.primary
-        spec = self.spec
-        if not spec.key_positions:
-            seed = _seed_value(primary.get(()))
-            return [((), _chain(seed, deltas))]
-        keys, inverse = batch.key_groups(spec.key_positions)
-        if selected is not None:
-            inverse = inverse[selected]
-        count = len(inverse)
-        order = np.argsort(inverse, kind="stable")
-        inv_sorted = inverse[order]
-        d_sorted = deltas[order]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(inv_sorted)) + 1, [count])
-        )
-        n_segments = len(starts) - 1
-        writes: list[tuple[tuple, float]] = []
-        if n_segments > _MAX_SEGMENTS:
-            if count != n_segments:
-                raise VectorFallback("segments")
-            # Every key occurs once: one exact seeded add, fully vectorized.
-            ids = inv_sorted
-            seeds = np.empty(n_segments, dtype=np.float64)
-            for j, u in enumerate(ids.tolist()):
-                seeds[j] = _seed_value(primary.get(keys[u]))
-            totals = seeds + d_sorted
-            if not np.all(np.abs(totals) < _LIMIT):
-                raise VectorFallback("magnitude")
-            firsts = order  # singleton segments: sorted position = first use
-            commit_order = np.argsort(firsts, kind="stable")
-            total_list = totals.tolist()
-            for j in commit_order.tolist():
-                writes.append((keys[ids[j]], total_list[j]))
-            return writes
-        firsts = np.full(len(keys), count, dtype=np.int64)
-        np.minimum.at(firsts, inverse, np.arange(count))
-        segments = []
-        for j in range(n_segments):
-            u = int(inv_sorted[starts[j]])
-            seed = _seed_value(primary.get(keys[u]))
-            partials = np.cumsum(
-                np.concatenate(([seed], d_sorted[starts[j]:starts[j + 1]]))
-            )[1:]
-            if not np.all(np.abs(partials) < _LIMIT):
-                raise VectorFallback("magnitude")
-            if partials.size > 1 and np.any(np.abs(partials[:-1]) <= _EPS):
-                # The scalar chain would delete and re-insert this key,
-                # moving it to the end of the dict: insertion-order hazard.
-                raise VectorFallback("interzero")
-            segments.append((int(firsts[u]), keys[u], float(partials[-1])))
-        segments.sort(key=lambda entry: entry[0])
-        return [(key, total) for _, key, total in segments]
+    def compute(self, batch: ColumnBatch) -> list[list[tuple[tuple, float]]]:
+        """Run the kernel and build every sink's ordered write list.
 
-    def commit(self, table, writes: list[tuple[tuple, float]]) -> None:
-        set_total = table.set_total
-        for key, total in writes:
-            set_total(key, total)
+        Touches no table; raises :class:`VectorFallback` (or whatever a
+        masked-out row made numpy raise) before any write exists.
+        """
+        for table in self._tables:
+            if table._watcher is not None:
+                # set_total skips no-op notifications the per-tuple path would
+                # emit; keep watcher notifications exact on fused code.
+                raise VectorFallback("watcher")
+        return [
+            _sink_writes(batch, table, positions, mask, acc)
+            for (mask, acc), table, (_, positions) in zip(
+                self._fn(batch), self._tables, self.spec.sinks
+            )
+        ]
+
+    def commit(self, writes: list[list[tuple[tuple, float]]]) -> None:
+        for table, sink in zip(self._tables, writes):
+            set_total = table.set_total
+            for key, total in sink:
+                set_total(key, total)
+
+
+def _sink_writes(batch: ColumnBatch, table, positions: tuple[int, ...],
+                 mask, acc) -> list[tuple[tuple, float]]:
+    """One sink's ordered write list: seeded per-key add chains (no mutations)."""
+    deltas = np.asarray(acc, dtype=np.float64)
+    if deltas.ndim == 0:
+        deltas = np.full(batch.n, float(deltas))
+    # One row per event (multiplicity 1): the seeded cumsum below adds
+    # each event's delta in arrival order, as per-event execution does.
+    deltas = _ck(deltas)
+    if mask is not None:
+        selected = np.flatnonzero(mask)
+        if selected.size == 0:
+            return []
+        deltas = deltas[selected]
+    else:
+        selected = None
+    primary = table.primary
+    if not positions:
+        seed = _seed_value(primary.get(()))
+        return [((), _chain(seed, deltas))]
+    keys, inverse = batch.key_groups(positions)
+    if selected is not None:
+        inverse = inverse[selected]
+    count = len(inverse)
+    order = np.argsort(inverse, kind="stable")
+    inv_sorted = inverse[order]
+    d_sorted = deltas[order]
+    starts = np.concatenate(
+        ([0], np.flatnonzero(np.diff(inv_sorted)) + 1, [count])
+    )
+    n_segments = len(starts) - 1
+    if n_segments > _MAX_SEGMENTS:
+        if count != n_segments:
+            raise VectorFallback("segments")
+        # Every key occurs once: one exact seeded add, fully vectorized.
+        ids = inv_sorted
+        seeds = np.empty(n_segments, dtype=np.float64)
+        for j, u in enumerate(ids.tolist()):
+            seeds[j] = _seed_value(primary.get(keys[u]))
+        totals = seeds + d_sorted
+        if not np.all(np.abs(totals) < _LIMIT):
+            raise VectorFallback("magnitude")
+        firsts = order  # singleton segments: sorted position = first use
+        commit_order = np.argsort(firsts, kind="stable")
+        total_list = totals.tolist()
+        return [(keys[ids[j]], total_list[j]) for j in commit_order.tolist()]
+    firsts = np.full(len(keys), count, dtype=np.int64)
+    np.minimum.at(firsts, inverse, np.arange(count))
+    segments = []
+    for j in range(n_segments):
+        u = int(inv_sorted[starts[j]])
+        seed = _seed_value(primary.get(keys[u]))
+        total = _chain(seed, d_sorted[starts[j]:starts[j + 1]])
+        segments.append((int(firsts[u]), keys[u], total))
+    segments.sort(key=lambda entry: entry[0])
+    return [(key, total) for _, key, total in segments]
 
 
 def _seed_value(stored) -> float:
@@ -631,10 +639,13 @@ def _seed_value(stored) -> float:
 
 
 def _chain(seed: float, deltas) -> float:
+    """One key's seeded add chain, left to right: its final total."""
     partials = np.cumsum(np.concatenate(([seed], deltas)))[1:]
     if not np.all(np.abs(partials) < _LIMIT):
         raise VectorFallback("magnitude")
     if partials.size > 1 and np.any(np.abs(partials[:-1]) <= _EPS):
+        # The scalar chain would delete and re-insert this key, moving it
+        # to the end of the dict: insertion-order hazard.
         raise VectorFallback("interzero")
     return float(partials[-1])
 
@@ -646,35 +657,45 @@ _KERNEL_GLOBALS = {
 }
 
 
-def compile_vector(statement: Statement, program: TriggerProgram) -> VectorKernel:
-    """Compile one ``+=`` statement into a columnar batch kernel.
+def compile_vector(trigger: Trigger, program: TriggerProgram) -> VectorKernel:
+    """Compile the ``+=`` steps of one trigger into one columnar batch kernel.
 
-    Only the straight-line "direct" statement shape vectorizes: a single
-    product term whose target is unread by its own trigger.  Anything with a
-    loop, branch, merge accumulator or grouped aggregate stays scalar — the
-    compile attempt *is* the capability check, exactly like the scalar
-    pipeline.  Raises :class:`Unsupported` with the blocking construct.
+    It walks the plan of the fused ``+=`` kernel (:func:`plan_trigger`
+    without the ``:=`` steps) and returns one ``(mask, value)`` pair per
+    sink.  Only bulk-safe triggers whose statements write distinct maps
+    qualify (every sink is computed from the state before the run), and
+    only straight-line steps lower: a loop, branch, merge accumulator or
+    grouped aggregate keeps the trigger scalar.  The compile attempt *is*
+    the capability check; raises :class:`Unsupported` naming the blocker.
     """
     if np is None:
         raise Unsupported(_NUMPY_REASON or "numpy unavailable")
-    if statement.operation != INCREMENT:
-        raise Unsupported("not an increment statement")
-    from repro.codegen.statement import _StatementCompiler
-
-    compiler = _StatementCompiler(statement, program)
-    body = compiler.compile()
-    ctx = compiler.ctx
-    nodes = ctx.preamble() + body
+    if not any(s.operation == INCREMENT for s in trigger.statements):
+        raise Unsupported("no += statement")
+    if not trigger.bulk_safe():
+        raise Unsupported("not bulk-safe")
+    targets = [s.target for s in trigger.statements]
+    if len(set(targets)) != len(targets):
+        raise Unsupported("two statements write one map")
+    plan = plan_trigger(trigger, program, assigns=False)
+    ctx = plan.ctx
 
     event_locals: dict[str, int] = {}
+    rows: dict[str, list[str]] = {}  # key-row locals -> the locals they pack
     methods: dict[str, tuple[str, str]] = {}
     scalar_locals: set = set()
     handles = {handle: (kind, name) for handle, kind, name in ctx.tables}
     tx = _ExprTranslator(event_locals, scalar_locals, ctx.env.env)
-    lines = ["def _vkernel(_b):", "    _mask = None"]
-    sink: tuple | None = None
+    lines = ["def _vkernel(_b):"]
+    masks: dict[tuple[str, str], str] = {}  # (mask, condition) -> ANDed mask
+    sinks: list[tuple[str, str, tuple[int, ...]]] = []
+    results: list[str] = []
 
-    for node in nodes:
+    def key_locals(key_expr: str) -> list[str]:
+        return rows[key_expr] if key_expr in rows else _parse_key_expr(key_expr)
+
+    def lower(node: ir.Node) -> str | None:
+        """Emit one node's arrays; a guard returns its row condition instead."""
         kind = node.kind
         if kind == "event_load":
             event_locals[node.local] = node.index
@@ -682,41 +703,37 @@ def compile_vector(statement: Statement, program: TriggerProgram) -> VectorKerne
             if node.attr not in ("add", "range_sum"):
                 raise Unsupported(f"method {node.attr!r}")
             methods[node.local] = (node.handle, node.attr)
-        elif kind == "norm":
+        elif kind == "let" and isinstance(_parsed(node.expr), ast.Tuple):
+            rows[node.local] = _parse_key_expr(node.expr)  # a key row: no array
+        elif kind == "let" and isinstance(_parsed(node.expr), ast.Compare):
+            lines.append(f"    {node.local} = {tx.condition(node.expr)}")  # a shared guard
+            scalar_locals.add(node.local)
+        elif kind in ("let", "norm"):
             lines.append(f"    {node.local} = {tx.numeric(node.expr)}")
             scalar_locals.add(node.local)
         elif kind == "lift_bind":
             lines.append(f"    {node.local} = _zz({tx.numeric(node.expr)})")
             scalar_locals.add(node.local)
-        elif kind == "let":
-            lines.append(f"    {node.local} = {tx.numeric(node.expr)}")
-            scalar_locals.add(node.local)
         elif kind == "guard_zero":
-            lines.append(
-                f"    _mask = _and(_mask, _nz({tx.numeric(node.expr)}), _b)"
-            )
+            return f"_nz({tx.numeric(node.expr)})"
         elif kind == "guard_cond":
-            lines.append(
-                f"    _mask = _and(_mask, {tx.condition(node.expr)}, _b)"
-            )
+            return tx.condition(node.expr)
         elif kind == "guard_eq":
-            left = tx.numeric(node.left)
-            right = tx.numeric(node.right)
-            lines.append(f"    _mask = _and(_mask, ({left} == {right}), _b)")
+            return f"({tx.numeric(node.left)} == {tx.numeric(node.right)})"
+        elif kind == "guard_none":
+            return f"{node.local}_f"
         elif kind == "primary_probe":
             if node.handle not in handles:
                 raise Unsupported("unknown probe handle")
-            key_locals = _parse_key_expr(node.key_expr)
-            if not key_locals:
+            keys = key_locals(node.key_expr)
+            if not keys:
                 call = f"_vprobe0({node.handle}, _b)"
             else:
-                parts = ", ".join(tx.numeric(local) for local in key_locals)
+                parts = ", ".join(tx.numeric(local) for local in keys)
                 call = f"_vprobe({node.handle}, _b, ({parts},))"
             lines.append(f"    {node.local}, {node.local}_f = {call}")
             scalar_locals.add(node.local)
             scalar_locals.add(f"{node.local}_f")
-        elif kind == "guard_none":
-            lines.append(f"    _mask = _and(_mask, {node.local}_f, _b)")
         elif kind == "default_zero":
             pass  # missing probes already gathered as 0.0
         elif kind == "range_probe":
@@ -729,44 +746,54 @@ def compile_vector(statement: Statement, program: TriggerProgram) -> VectorKerne
                 f"{node.column!r}, {node.op!r}, {cutoff}, _b)"
             )
             scalar_locals.add(node.local)
-        elif kind == "sink_add":
-            if sink is not None:
-                raise Unsupported("multiple sinks")
-            resolved = methods.get(node.add_local)
-            if resolved is None or resolved[1] != "add":
-                raise Unsupported("sink handle")
-            positions = []
-            for local in _parse_key_expr(node.key_expr):
-                index = event_locals.get(local)
-                if index is None:
-                    # Computed keys would store float-typed values into
-                    # key tuples; only raw event columns keep the stored
-                    # key types bit-identical.
-                    raise Unsupported("sink key is not an event column")
-                positions.append(index)
-            sink = tuple(positions)
-            if sink:
-                tx.uses.append(("key", sink))
-            value = tx.numeric(node.value_expr)
-            lines.append(f"    return _mask, {value}")
         else:
             raise Unsupported(f"IR node {kind!r}")
-    if sink is None:
-        raise Unsupported("no sink")
+        return None
+
+    def narrow(mask: str, node: ir.Node) -> str:
+        """Lower one node; a guard ANDs into ``mask`` (equal masks are shared)."""
+        condition = lower(node)
+        if condition is None:
+            return mask
+        anded = masks.get((mask, condition))
+        if anded is None:
+            anded = masks[(mask, condition)] = ctx.fresh("k")
+            lines.append(f"    {anded} = _and({mask}, {condition}, _b)")
+        return anded
+
+    shared = "None"  # the hoisted guards' mask, where every sink's starts
+    for node in plan.head:
+        shared = narrow(shared, node)
+    for statement, body in plan.steps:
+        if statement is None:
+            continue  # the base-relation apply stays with the engine
+        mask = shared
+        for node in body[:-1]:
+            mask = narrow(mask, node)
+        sink = body[-1] if body else None
+        if sink is None or sink.kind != "sink_add":
+            raise Unsupported("step does not end in its sink")
+        resolved = methods.get(sink.add_local)
+        if resolved is None or resolved[1] != "add":
+            raise Unsupported("sink handle")
+        positions = []
+        for local in key_locals(sink.key_expr):
+            index = event_locals.get(local)
+            if index is None:
+                # Computed keys would store float-typed values into key
+                # tuples; only raw event columns keep the stored key types
+                # bit-identical.
+                raise Unsupported("sink key is not an event column")
+            positions.append(index)
+        if positions:
+            tx.uses.append(("key", tuple(positions)))
+        sinks.append((statement.target, resolved[0], tuple(positions)))
+        results.append(f"({mask}, {tx.numeric(sink.value_expr)})")
+    lines.append(f"    return ({', '.join(results)},)")
 
     env = dict(_KERNEL_GLOBALS)
     env["np"] = np
     env.update(tx.consts)
     uses = list(dict.fromkeys(tx.uses))
-    return VectorKernel(statement, "\n".join(lines) + "\n", env, ctx.tables, uses, sink)
-
-
-def try_compile_vector(
-    statement: Statement, program: TriggerProgram
-) -> VectorKernel | None:
-    """:func:`compile_vector`, with Unsupported collapsed to None."""
-    try:
-        return compile_vector(statement, program)
-    except Unsupported:
-        return None
+    return VectorKernel(trigger, "\n".join(lines) + "\n", env, ctx.tables, uses, sinks)
 

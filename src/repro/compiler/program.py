@@ -20,9 +20,9 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
-from repro.agca.ast import Expr, Relation, maps_of, relations_of, walk
+from repro.agca.ast import Expr, free_variables, maps_of, relations_of
 from repro.agca.printer import to_string
 from repro.agca.schema import degree
 from repro.delta.events import TriggerEvent
@@ -104,6 +104,27 @@ class Trigger:
         """Stable identifier like ``insert_lineitem``."""
         kind = "insert" if self.sign > 0 else "delete"
         return f"{kind}_{self.relation.lower()}"
+
+    def bulk_safe(self) -> bool:
+        """Whether one pass over a run of this trigger's events is exact.
+
+        True when no ``+=`` statement reads a map this trigger writes or the
+        triggering base relation itself, and no ``:=`` statement depends on
+        the trigger variables: every event's deltas then read state the run
+        does not change, so they may be applied in any grouping, and one
+        re-evaluation after the run equals the last per-event one.
+        """
+        writes = {statement.target for statement in self.statements}
+        for statement in self.statements:
+            if statement.operation == ASSIGN:
+                trigger_vars = set(statement.event.trigger_vars)
+                if free_variables(statement.expr) & trigger_vars:
+                    return False
+                if any(key in trigger_vars for key in statement.target_keys):
+                    return False
+            elif statement.reads_maps() & writes or self.relation in statement.reads_relations():
+                return False
+        return True
 
     def pretty(self) -> str:
         """Multi-line rendering of the whole trigger body."""

@@ -21,32 +21,38 @@ whether bulk application is equivalent to sequential application:
   in order.
 
 Runs also merge non-adjacent events of the same (relation, sign) when the
-intervening triggers *commute* (their read/write sets are disjoint), which
+intervening triggers *commute* (neither reads what the other writes, and they
+share no ``:=`` target; both may ``+=`` one map, which reorders a float sum:
+DESIGN.md "Live findings"), which
 turns the short per-relation runs of realistic streams into large ones.  A
 run is never slower than its events one by one: it takes the bulk path only
-where that wins (vector kernels over enough rows, ``:=`` statements that
+where that wins (a vector kernel over enough rows, ``:=`` statements that
 then run once per run) and is otherwise handed whole to the fused kernel.
 
-A bulk run either sends every ``+=`` statement through its vector kernel or
-sends its events one by one through fused code; vectorization is all or
-nothing per trigger and per run, so a fallback never leaves a run
-half-committed.  A bulk-safe trigger with ``:=`` statements gets two fused
-kernels besides its per-event one, built with the engine: the ``+=`` steps
-with the base apply, and the ``:=`` steps.
+A bulk run either sends its ``+=`` statements through the trigger's one
+vector kernel, which builds every sink's write list before it commits any,
+or sends its events one by one through fused code; a fallback never leaves a
+run half-committed.  Whether a trigger vectorizes is that kernel's compile
+attempt (:attr:`TriggerAnalysis.vector_kernel`), nothing else.  A bulk-safe
+trigger with ``:=`` statements gets two fused kernels besides its per-event
+one, built with the engine: the ``+=`` steps with the base apply, and the
+``:=`` steps.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from time import perf_counter
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from repro.agca.ast import free_variables
 from repro.codegen.engine import CompiledEngine
+from repro.codegen.lowering import Unsupported
 from repro.codegen.trigger import try_fuse_trigger
 from repro.codegen.vector import (
     ColumnBatch,
     VectorFallback,
-    try_compile_vector,
+    VectorKernel,
+    compile_vector,
     vector_unavailable_reason,
 )
 from repro.compiler.program import ASSIGN, INCREMENT, Statement, TriggerProgram
@@ -59,8 +65,8 @@ from repro.runtime.engine import check_stream_events
 DEFAULT_BATCH_SIZE = 100
 
 #: Shortest run dispatched to the vector backend.  A vector kernel call costs a
-#: fixed ~40 us of numpy dispatch for each statement however short the run,
-#: so shorter runs — the common shape when interleaved multi-relation streams
+#: fixed numpy dispatch for each of its sinks however short the run, so
+#: shorter runs — the common shape when interleaved multi-relation streams
 #: partition into many of them — replay through the fused trigger kernel.
 #: The value is the measured crossover on Q1's Lineitem trigger, the one the
 #: vector backend helps most (table in DESIGN.md "Small-run cutoff").
@@ -87,41 +93,25 @@ class TriggerAnalysis:
         self.reads_relations = frozenset().union(*(s.reads_relations() for s in statements))
         self.updates_base = relation in program.requires_base_relations()
 
-        self.safe = self._bulk_safe()
+        self.safe = trigger is None or trigger.bulk_safe()
         # Bulk at any run length: := statements then run once per run (or none run).
         self.always_bulk = self.safe and bool(self.assigns or not self.increments)
         self._program = program
-        self._vector: list[Any] | None = None
+        self._trigger = trigger
 
-    def vector_kernels(self) -> list[Any]:
-        """Columnar batch kernels, one per ``+=`` statement in order, or none.
+    @cached_property
+    def vector_kernel(self) -> VectorKernel | None:
+        """The trigger's one columnar kernel, or None (compiled on first use).
 
-        All or nothing (compiled lazily): only a bulk-safe trigger whose
-        statements all write distinct maps qualifies, and only when the
-        vector emitter lowers every ``+=`` statement.  A run then computes
-        every write list before it commits any.  Without numpy the list is
-        empty.
+        This compile attempt is the whole "does this trigger vectorize"
+        decision (numpy present, bulk safety, distinct targets, every ``+=``
+        step lowered); ``describe``, ``explain`` and ``codegen dump`` make
+        the same attempt.
         """
-        if self._vector is None:
-            kernels: list[Any] = []
-            if self.safe and len(self.writes) == len(self.increments) + len(self.assigns):
-                kernels = [try_compile_vector(s, self._program) for s in self.increments]
-            self._vector = [] if None in kernels else kernels
-        return self._vector
-
-    def _bulk_safe(self) -> bool:
-        for statement in self.increments:
-            if statement.reads_maps() & self.writes:
-                return False
-            if self.relation in statement.reads_relations():
-                return False
-        for statement in self.assigns:
-            trigger_vars = set(statement.event.trigger_vars)
-            if free_variables(statement.expr) & trigger_vars:
-                return False
-            if any(key in trigger_vars for key in statement.target_keys):
-                return False
-        return True
+        try:
+            return compile_vector(self._trigger, self._program) if self._trigger else None
+        except Unsupported:
+            return None
 
     def commutes_with(self, other: "TriggerAnalysis") -> bool:
         """True when this trigger and ``other`` can be applied in either order."""
@@ -141,24 +131,24 @@ class TriggerAnalysis:
 
         Static trigger facts and the run length decide, so a run is never
         below its events one by one: bulk wins when ``:=`` statements then
-        run once per run, or vector kernels amortise over enough rows; every
+        run once per run, or the vector kernel amortises over enough rows; every
         other run goes whole to the fused trigger kernel.
         """
         return self.always_bulk or self.vectorizes(count)
 
     def vectorizes(self, count: int) -> bool:
-        """Whether a run of ``count`` events reaches the vector kernels."""
-        return count >= DEFAULT_MIN_VECTOR_ROWS and bool(self.vector_kernels())
+        """Whether a run of ``count`` events reaches the vector kernel."""
+        return count >= DEFAULT_MIN_VECTOR_ROWS and self.vector_kernel is not None
 
     def policy(self) -> str:
         """The static half of :meth:`bulk`, as ``explain`` prints it."""
         if self.always_bulk:
             return "bulk (:= once per group)"
-        kernels = len(self.vector_kernels())  # none for a bulk-unsafe trigger
-        if not kernels:
+        kernel = self.vector_kernel  # None for a bulk-unsafe trigger
+        if kernel is None:
             return "replay (fused)"
         return (
-            f"vector ×{kernels} statements from {DEFAULT_MIN_VECTOR_ROWS} events, "
+            f"vector ×{len(kernel.sinks)} statements from {DEFAULT_MIN_VECTOR_ROWS} events, "
             "below that replay (fused)"
         )
 
@@ -285,8 +275,6 @@ class BatchedEngine(CompiledEngine):
         self.batches_flushed = self.runs_bulk = self.runs_replayed = 0
         self.fallback_events = self.vector_events = 0
         self.vector_fallbacks: dict[str, int] = {}
-        # Bound vector kernels per trigger (restores refill the same tables).
-        self._vector_bound: dict[str, list[Any]] = {}
         self._bulk_kernels = self._compile_bulk_kernels()
         self._bind_bulk_kernels()
         self._fold_hist = self._apply_hist = None
@@ -408,47 +396,29 @@ class BatchedEngine(CompiledEngine):
             for analysis, pair in self._bulk_kernels.items()
         }
 
-    def _vector_bindings(self, analysis: TriggerAnalysis) -> list[Any]:
-        bound = self._vector_bound.get(analysis.name)
-        if bound is None:
-            bound = self._vector_bound[analysis.name] = [
-                kernel.bind(self.maps, self.database) for kernel in analysis.vector_kernels()
-            ]
-        return bound
-
-    def _note_fallback(self, reason: str) -> None:
-        self.vector_fallbacks[reason] = self.vector_fallbacks.get(reason, 0) + 1
-
     def _vectorize(self, analysis: TriggerAnalysis, events, batch) -> bool:
-        """Every ``+=`` statement of a run through its vector kernel, or none.
+        """Every ``+=`` statement of a run through the trigger's vector kernel, or none.
 
-        ``compute`` touches no engine state and the statements write distinct
-        maps, so every write list is computed before any is committed.  Any
-        failure — regime violation, overflow risk, an error a masked-out
-        scalar path would never hit, a watcher on a target table — leaves
-        the tables untouched and returns False: the run goes to fused code.
+        ``compute`` builds every sink's write list before ``commit`` writes
+        any.  Any failure — regime violation, overflow risk, an error a
+        masked-out scalar path would never hit, a watcher on a target table —
+        leaves the tables untouched and returns False: the run goes to fused
+        code.
         """
         if batch is None:
             batch = ColumnBatch([event.values for event in events])
-        pending = []
-        for statement, kernel in zip(analysis.increments, self._vector_bindings(analysis)):
-            table = self.maps.table(statement.target)
-            if table._watcher is not None:
-                # set_total skips no-op notifications the per-tuple path would
-                # emit; keep watcher notifications exact on fused code.
-                self._note_fallback("watcher")
-                return False
-            try:
-                pending.append((kernel, table, kernel.compute(batch, table)))
-            except VectorFallback as exc:
-                self._note_fallback(str(exc) or "fallback")
-                return False
-            except Exception as exc:  # masked rows may poison full-array ops
-                self._note_fallback(f"error:{type(exc).__name__}")
-                return False
-        for kernel, table, writes in pending:
-            kernel.commit(table, writes)
-        return True
+        kernel = analysis.vector_kernel.bind(self.maps, self.database)
+        try:
+            writes = kernel.compute(batch)
+        except VectorFallback as exc:
+            reason = str(exc) or "fallback"
+        except Exception as exc:  # masked rows may poison full-array ops
+            reason = f"error:{type(exc).__name__}"
+        else:
+            kernel.commit(writes)
+            return True
+        self.vector_fallbacks[reason] = self.vector_fallbacks.get(reason, 0) + 1
+        return False
 
     def _apply_groups(self, groups: list[DeltaGroup], batches: Sequence = ()) -> None:
         """Dispatch each run once, in order (``batches``: staged columns by index)."""
@@ -545,8 +515,7 @@ class BatchedEngine(CompiledEngine):
             batch = None
             if analysis.vectorizes(len(run)):
                 batch = ColumnBatch([event.values for event in run])
-                for kernel in analysis.vector_kernels():
-                    batch.prewarm(kernel.uses)
+                batch.prewarm(analysis.vector_kernel.uses)
             batches.append(batch)
         return StagedBatch(groups, batches, len(events))
 
@@ -592,7 +561,9 @@ class BatchedEngine(CompiledEngine):
             "bulk_events": sum(self._bulk_events.values()),
             "fallback_events": self.fallback_events,
             "vector_reason": self.vector_reason,
-            "vector_statements": sum(len(a.vector_kernels()) for a in analyses),
+            "vector_statements": sum(
+                len(a.vector_kernel.sinks) for a in analyses if a.vector_kernel is not None
+            ),
             "vector_events": self.vector_events,
             "vector_fallbacks": dict(self.vector_fallbacks),
         }

@@ -294,10 +294,10 @@ def test_deletes_fold_and_stay_bit_identical(vector_everywhere):
 def test_one_kernel_falling_back_sends_the_whole_run_to_fused_code(vector_everywhere):
     """Vectorization is all or nothing per run.
 
-    One of Q1's eleven Lineitem kernels leaves the regime for one run, after
-    the kernels before it computed their write lists: none of those may be
-    committed.  The whole run goes to the fused kernel, the fallback counts
-    once, and ``vector_events`` excludes the run.
+    The sixth of the eleven sinks of Q1's one Lineitem:+ kernel leaves the
+    regime for one run, after the five before it built their write lists:
+    none of those may be committed.  The whole run goes to the fused kernel,
+    the fallback counts once, and ``vector_events`` excludes the run.
     """
     program, static, events, _ = _scenario("Q1")
     expected = _replay(CompiledEngine(program), program, static, events)
@@ -305,18 +305,25 @@ def test_one_kernel_falling_back_sends_the_whole_run_to_fused_code(vector_everyw
 
     engine = BatchedEngine(program, batch_size=100)
     analysis = engine.plan.analysis("Lineitem", 1)
-    kernels = engine._vector_bindings(analysis)
-    assert len(kernels) == len(analysis.increments) == 11
-    forced = kernels[5]
-    original, failed = forced._fn, []
+    kernel = analysis.vector_kernel.bind(engine.maps, engine.database)
+    assert len(kernel.spec.sinks) == len(analysis.increments) == 11
+    original, failed = kernel._fn, []
+
+    class Unreadable:
+        """Sink values whose conversion to an array leaves the regime."""
+
+        def __array__(self, *args, **kwargs):
+            raise vector.VectorFallback("forced")
 
     def fail_once(batch):
-        if not failed:
-            failed.append(batch.n)
-            raise vector.VectorFallback("forced")
-        return original(batch)
+        pairs = original(batch)
+        if failed:
+            return pairs
+        failed.append(batch.n)
+        mask, _ = pairs[5]
+        return (*pairs[:5], (mask, Unreadable()), *pairs[6:])
 
-    forced._fn = fail_once
+    kernel._fn = fail_once
     results = _replay(engine, program, static, events)
     _assert_bit_identical(expected, results, "Q1 forced fallback")
     stats = engine.statistics()["batching"]
@@ -424,6 +431,43 @@ def test_describe_reports_vector_status():
     assert reasons, "Q3 has statements the vector emitter cannot lower"
 
 
+def test_one_vectorization_decision_per_trigger():
+    """``describe``, its summary and the run policy read the engine's kernel.
+
+    Each trigger of each workload query has one vector-kernel compile
+    attempt; ``describe_program``'s per-trigger ``vectorized``, its
+    ``vectorized_statements`` count and ``BatchPlan.describe``'s policy line
+    must all agree with it, bulk safety included.
+    """
+    from repro.codegen.describe import describe_program
+
+    vectorizing = 0
+    for name in sorted(all_workloads()):
+        _, _, program = _workload_program(name)
+        plan = batching.BatchPlan(program)
+        doc = describe_program(program)
+        policies = {entry["trigger"]: entry["policy"] for entry in plan.describe()}
+        covered = 0
+        for trigger in doc["triggers"]:
+            analysis = plan.analysis(
+                trigger["relation"], 1 if trigger["op"] == "insert" else -1
+            )
+            kernel = analysis.vector_kernel
+            assert trigger["vectorized"] is (kernel is not None), (name, analysis.name)
+            policy = policies.get(analysis.name, "")
+            if kernel is None:
+                assert "vector" not in policy, (name, analysis.name, policy)
+                continue
+            assert analysis.safe, (name, analysis.name)
+            assert len(kernel.sinks) == len(analysis.increments)
+            vectorizing += 1
+            covered += len(kernel.sinks)
+            if not analysis.always_bulk:
+                assert policy.startswith(f"vector ×{len(kernel.sinks)} statements"), policy
+        assert doc["summary"]["vectorized_statements"] == covered, name
+    assert vectorizing == (20 if vector.numpy_available() else 0)
+
+
 @needs_numpy
 def test_codegen_dump_vector_backend_cli(capsys):
     from repro.codegen.__main__ import main
@@ -432,6 +476,9 @@ def test_codegen_dump_vector_backend_cli(capsys):
     out = capsys.readouterr().out
     assert "statements vectorized" in out
     assert "_vkernel" in out
+    # One kernel per trigger: Q1's eleven-statement Lineitem:+ and Lineitem:-.
+    assert main(["dump", "Q1", "--backend", "vector"]) == 0
+    assert capsys.readouterr().out.count("def _vkernel") == 2
 
 
 @needs_numpy
