@@ -19,12 +19,14 @@ functional IR → target code) with an explicit **plan → IR → emit** pipelin
   deduplicating identical probe/condition subtrees across statements;
 * :mod:`repro.codegen.emit` is the only place Python source is generated: it
   walks the IR once and renders the kernel, compiled via ``compile()``/``exec``;
-* :mod:`repro.codegen.vector` re-walks one ``+=`` statement's IR into a
-  columnar numpy kernel for the batched engine's bulk runs;
+* :mod:`repro.codegen.vector` walks the same trigger plan's ``+=`` steps
+  into one columnar numpy kernel per trigger for the batched engine's bulk
+  runs;
 * :mod:`repro.codegen.engine` ships :class:`CompiledEngine`, a drop-in
   :class:`~repro.runtime.protocol.EngineProtocol` implementation dispatching
   one fused kernel per event; a trigger the fuser declines runs whole on the
-  interpreter, so results are always bit-identical.
+  interpreter, so results are always bit-identical.  Kernels are built once
+  per program and linked per engine.
 
 ``python -m repro.codegen dump <query>`` prints the generated kernel source
 and IR operation counts.  See the "Codegen" section of DESIGN.md for the

@@ -25,7 +25,6 @@ import argparse
 
 from repro.codegen.describe import describe_program, describe_statement
 from repro.codegen.engine import CompiledEngine
-from repro.codegen.lowering import Unsupported
 from repro.compiler.hoivm import compile_query
 from repro.workloads import all_workloads, workload
 
@@ -83,12 +82,7 @@ def _dump_vector(query_name: str, program, triggers) -> int:
         print(f"{query_name}: vector backend unavailable ({vector.vector_unavailable_reason()})")
         return 2
 
-    kernels: dict[str, object] = {}
-    for trigger in triggers:
-        try:
-            kernels[trigger.name] = vector.compile_vector(trigger, program)
-        except Unsupported as exc:
-            kernels[trigger.name] = str(exc)
+    kernels = {trigger.name: vector.program_vector_kernel(trigger, program) for trigger in triggers}
     compiled = [k for k in kernels.values() if not isinstance(k, str)]
     print(
         f"{query_name}: {sum(len(k.sinks) for k in compiled)}/"

@@ -20,7 +20,7 @@ from typing import Any
 from repro.codegen import ir
 from repro.codegen.lowering import Unsupported
 from repro.codegen.statement import KernelContext, _StatementCompiler
-from repro.codegen.trigger import try_fuse_trigger
+from repro.codegen.trigger import program_kernels
 from repro.compiler.program import ASSIGN, Statement, Trigger, TriggerProgram
 
 #: Schema tag of the kernel-description document.
@@ -95,20 +95,17 @@ def describe_statement(statement: Statement, program: TriggerProgram) -> dict[st
 def describe_trigger(trigger: Trigger, program: TriggerProgram) -> dict[str, Any]:
     """One trigger's statement plans plus its fusion and vectorization outcome.
 
-    ``vectorized`` is the outcome of the trigger's one vector-kernel compile
-    attempt, the one the batched engine makes; each ``+=`` statement is
-    vectorized exactly when its trigger is, and otherwise carries the
-    attempt's reason.
+    ``fused`` and ``vectorized`` read the program's own kernels, the ones
+    its engines run: ``vectorized`` is the outcome of the trigger's one
+    vector-kernel compile attempt; each ``+=`` statement is vectorized
+    exactly when its trigger is, and otherwise carries the attempt's reason.
     """
     from repro.codegen import vector
 
     statements = [describe_statement(s, program) for s in trigger.statements]
-    fused = try_fuse_trigger(trigger, program)
-    try:
-        vector.compile_vector(trigger, program)
-        reason = None
-    except Unsupported as exc:
-        reason = str(exc)
+    fused = program_kernels(program).get((trigger.sign, trigger.relation))
+    kernel = vector.program_vector_kernel(trigger, program)
+    reason = kernel if isinstance(kernel, str) else None
     for statement in statements:
         statement["vectorized"] = reason is None and statement["operation"] != ASSIGN
         if not statement["vectorized"]:

@@ -27,10 +27,14 @@ checkpoint dictionary holds only map/relation entries and the event count,
 never code objects.  :meth:`CompiledEngine.restore_state` rebinds every
 kernel after loading, so state pickled on one process (or one library
 version) runs on another — this is what lets partitions placed in worker
-processes rebuild compiled engines from the pickled trigger program.  Fused
-kernels cache their per-database table resolution, so a restore into the
-same engine reuses the already-linked runners instead of re-``exec``-ing
-every code object.
+processes rebuild compiled engines from the pickled trigger program.
+
+Kernels belong to the program, engines only link them: the first engine
+over a program object builds its kernels, and every later one (another
+part, a partition, a fresh engine restoring a checkpoint) links the same
+code objects against its own tables.  The links live in the engine's map
+store, so a restore into the same engine reuses the already-linked runners
+instead of re-``exec``-ing every code object.
 """
 
 from __future__ import annotations
@@ -50,9 +54,11 @@ from repro.runtime.maps import MapStore
 class CompiledExecutor:
     """Applies stream events through fused trigger kernels, interpreting the rest.
 
-    Each trigger with statements gets one kernel from
-    :func:`~repro.codegen.trigger.try_fuse_trigger`; a trigger it declines
-    runs whole through the interpreter, which stays the reference.
+    Each trigger with statements has one kernel from
+    :func:`~repro.codegen.trigger.try_fuse_trigger`, built once per program
+    (:func:`~repro.codegen.trigger.program_kernels`) and linked here against
+    this engine's tables; a trigger the fuser declines runs whole through
+    the interpreter, which stays the reference.
     """
 
     def __init__(
@@ -71,22 +77,22 @@ class CompiledExecutor:
             program, database, maps, maintained_relations=maintained_relations
         )
         started = perf_counter()
-        self._trigger_kernels: dict[tuple[int, str], trigger_compiler.TriggerKernel] = {}
+        # The program's kernels, built by the first engine over it.
+        kernels = trigger_compiler.program_kernels(program)
+        self._trigger_kernels: dict[tuple[int, str], trigger_compiler.TriggerKernel] = {
+            key: kernel for key, kernel in kernels.items() if kernel is not None
+        }
         # (sign, relation) -> statement count, for the triggers that interpret.
-        self._interpreted: dict[tuple[int, str], int] = {}
-        for trigger in program.triggers.values():
-            if not trigger.statements:
-                continue
-            key = (trigger.sign, trigger.relation)
-            kernel = trigger_compiler.try_fuse_trigger(trigger, program)
-            if kernel is None:
-                self._interpreted[key] = len(trigger.statements)
-            else:
-                self._trigger_kernels[key] = kernel
+        self._interpreted: dict[tuple[int, str], int] = {
+            (sign, relation): len(program.trigger_for(sign, relation).statements)
+            for (sign, relation), kernel in kernels.items()
+            if kernel is None
+        }
         # (sign, relation) -> (fused runner, arity): the per-event fast path.
         self._fused: dict[tuple[int, str], tuple[Callable[[tuple], None], int]] = {}
         self.rebind()
-        # Always-on accounting: compile wall time (one-shot) and how many
+        # Always-on accounting: build and link wall time (one-shot; about
+        # zero when the program's kernels were already built) and how many
         # statement executions the interpreter ran for declined triggers.
         self.compile_seconds = perf_counter() - started
         self.fallback_hits = 0
@@ -94,11 +100,11 @@ class CompiledExecutor:
     def rebind(self) -> None:
         """(Re)link every kernel against the live tables.
 
-        Called after compilation and after :meth:`CompiledEngine.restore_state`;
+        Called after construction and after :meth:`CompiledEngine.restore_state`;
         binding is what turns schema-specialized code objects into closures
-        over the concrete :class:`IndexedTable` objects.  Fused kernels cache
-        their resolution per table set, so rebinding after a restore into the
-        same store is a cheap identity check, not a re-``exec``.
+        over the concrete :class:`IndexedTable` objects.  The map store keeps
+        each link with the tables it resolved, so rebinding after a restore
+        into the same store is a cheap identity check, not a re-``exec``.
         """
         self._fused = {
             key: (kernel.bind(self._maps, self._database), kernel.arity)
@@ -162,8 +168,10 @@ class CompiledEngine(IncrementalEngine):
     Behaves exactly like :class:`IncrementalEngine` — same trigger program,
     same views, same ``kind: "single"`` checkpoint states (interchangeable in
     both directions) — but executes every fused trigger through a single
-    kernel call per event.  Construction compiles; restore rebinds; the
-    pickled trigger program is all a worker process needs to rebuild one.
+    kernel call per event.  Construction links the program's kernels
+    (building them if no engine over this program object has); restore
+    rebinds; the pickled trigger program is all a worker process needs to
+    rebuild one.
     """
 
     def __init__(self, program: TriggerProgram, telemetry=None) -> None:
@@ -193,7 +201,8 @@ class CompiledEngine(IncrementalEngine):
         super()._collect_telemetry(registry)
         summary = self._executor.codegen_statistics()
         registry.gauge(
-            "repro_codegen_compile_seconds", help="Wall time spent compiling trigger kernels"
+            "repro_codegen_compile_seconds",
+            help="Wall time spent building (once per program) and linking trigger kernels",
         ).set(summary["compile_seconds"])
         registry.counter(
             "repro_codegen_fallback_hits_total",

@@ -297,14 +297,19 @@ class _GroupAggStep:
 
 
 class _TermPlan:
-    """Plan of one product term: ordered steps, factors, produced columns."""
+    """Plan of one product term: ordered steps, factors, produced columns.
 
-    __slots__ = ("steps", "atoms", "factors", "colset", "names", "dead")
+    ``constants`` holds the factor sources that are nonzero constants, known
+    at plan time: a zero guard on one of them could never fire.
+    """
+
+    __slots__ = ("steps", "atoms", "factors", "constants", "colset", "names", "dead")
 
     def __init__(self) -> None:
         self.steps: list[Any] = []
         self.atoms: list[Any] = []
         self.factors: list[str] = []
+        self.constants: set[str] = set()
         self.colset: set[str] = set()
         self.names: dict[str, str] = {}
         self.dead = False
@@ -624,7 +629,9 @@ class _StatementCompiler:
                         return plan
                     if const == 1 and not isinstance(const, float):
                         continue
-                    plan.factors.append(const_source(const, self.ctx.env))
+                    source = const_source(const, self.ctx.env)
+                    plan.factors.append(source)
+                    plan.constants.add(source)
                     continue
                 deps = value_variables(node.vexpr)
                 step = _ScalarStep("value", self._slot_for(deps, bound, plan))
@@ -1135,7 +1142,7 @@ class _StatementCompiler:
             return "1"
         if len(plan.factors) == 1:
             factor = plan.factors[0]
-            self._guard_nonzero(nodes, factor)
+            self._guard_nonzero(nodes, factor, plan)
             return factor
         product = self._fresh("p")
         nodes.append(ir.Let(product, " * ".join(plan.factors)))
@@ -1260,21 +1267,24 @@ class _StatementCompiler:
             return "1"
         if len(plan.factors) == 1:
             factor = plan.factors[0]
-            self._guard_nonzero(nodes, factor)
+            self._guard_nonzero(nodes, factor, plan)
             return factor
         acc = self._fresh("acc")
         nodes.append(ir.Let(acc, " * ".join(plan.factors)))
         nodes.append(ir.GuardZero(acc))
         return acc
 
-    def _guard_nonzero(self, nodes: list[ir.Node], expr: str) -> None:
-        """Zero-guard ``expr`` unless the previous node just guarded it.
+    def _guard_nonzero(self, nodes: list[ir.Node], expr: str, plan) -> None:
+        """Zero-guard ``expr`` unless the guard is provably dead.
 
-        A single-factor delta whose factor is a value-step local arrives
-        here immediately after that step's own zero guard; between two
-        consecutive nodes the local cannot change, so the repeat guard is
-        provably dead and skipping it is exact.
+        It is dead for a nonzero constant factor (``-1`` of a delete
+        trigger), and when the previous node just guarded ``expr``: a
+        single-factor delta whose factor is a value-step local arrives here
+        immediately after that step's own zero guard, and between two
+        consecutive nodes the local cannot change.  Skipping either is exact.
         """
+        if expr in plan.constants:
+            return
         last = nodes[-1] if nodes else None
         if isinstance(last, ir.GuardZero) and last.expr == expr:
             return

@@ -349,15 +349,18 @@ class FusionCache:
 
 
 class LinkedKernel:
-    """Generated source, linked against live tables on :meth:`bind`.
+    """Generated source, compiled once, linked against live tables on :meth:`bind`.
 
-    ``bind`` resolves every table handle and **caches per table set**:
-    restoring a checkpoint mutates tables in place, so a rebind against the
-    same store resolves to the same table objects and returns the callable
-    already linked, without re-``exec``-ing the code object.
+    The kernel belongs to its program and is shared by every engine over it;
+    only a link is per engine.  ``bind`` resolves every table handle and
+    keeps the link in the map store it was given (``maps.links``), checked
+    against the resolved tables: restoring a checkpoint mutates tables in
+    place, so a rebind against the same store returns the callable already
+    linked, without re-``exec``-ing the code object, and the kernel itself
+    holds no engine's tables.
     """
 
-    __slots__ = ("source", "_code", "_env", "_tables", "_bound_tables", "_bound")
+    __slots__ = ("source", "_code", "_env", "_tables")
     #: The function the source defines.
     _entry = "_kernel"
 
@@ -372,8 +375,6 @@ class LinkedKernel:
         self._code = compile(source, label, "exec")
         self._env = env
         self._tables = tuple(tables)
-        self._bound_tables: tuple | None = None
-        self._bound: Any = None
 
     def _link(self, fn: Callable, namespace: dict[str, Any]) -> Any:
         """What :meth:`bind` returns for one freshly linked function."""
@@ -384,16 +385,16 @@ class LinkedKernel:
             maps.table(name) if kind == "map" else database.table(name)
             for _, kind, name in self._tables
         )
-        cached = self._bound_tables
-        if cached is not None and all(a is b for a, b in zip(cached, resolved)):
-            return self._bound
+        cached = maps.links.get(self)
+        if cached is not None and all(a is b for a, b in zip(cached[0], resolved)):
+            return cached[1]
         namespace = dict(self._env)
         for (handle, _, _), table in zip(self._tables, resolved):
             namespace[handle] = table
         exec(self._code, namespace)
-        self._bound_tables = resolved
-        self._bound = self._link(namespace[self._entry], namespace)
-        return self._bound
+        bound = self._link(namespace[self._entry], namespace)
+        maps.links[self] = (resolved, bound)
+        return bound
 
 
 class TriggerKernel(LinkedKernel):
@@ -422,6 +423,23 @@ class TriggerKernel(LinkedKernel):
         self.fused_statements = sum(1 for statement, _ in plan.steps if statement)
         self.deduped_probes = plan.cache.deduped_probes
         self.deduped_scalars = plan.cache.deduped_scalars
+
+
+def program_kernels(program: TriggerProgram) -> dict[tuple[int, str], TriggerKernel | None]:
+    """Each trigger's fused kernel, keyed ``(sign, relation)``; None where it declines.
+
+    Built once per program object and shared by every engine over it.
+    Triggers without statements are absent.
+    """
+    return program.built("fused", _fuse_all)
+
+
+def _fuse_all(program: TriggerProgram) -> dict[tuple[int, str], TriggerKernel | None]:
+    return {
+        (trigger.sign, trigger.relation): try_fuse_trigger(trigger, program)
+        for trigger in program.triggers.values()
+        if trigger.statements
+    }
 
 
 class TriggerPlan(NamedTuple):

@@ -9,7 +9,10 @@ guards narrow one shared mask, each step's guards its own sink's), the
 plan's deduplicated loads and probes computed once, hash-probe gathers
 against the table primaries, prefix-sum range probes against
 :class:`~repro.runtime.ordered.OrderedRangeIndex`, and per sink a segmented
-seeded-cumsum write list that reproduces the scalar add chain.
+seeded-cumsum write list that reproduces the scalar add chain (sinks with
+the same mask and key positions share one segment layout and one cumsum).
+The kernel is built once per program (:func:`program_vector_kernel`) and
+linked per engine.
 
 Fast-numeric regime and the bit-identity contract
 -------------------------------------------------
@@ -555,12 +558,7 @@ class BoundVectorKernel:
                 # set_total skips no-op notifications the per-tuple path would
                 # emit; keep watcher notifications exact on fused code.
                 raise VectorFallback("watcher")
-        return [
-            _sink_writes(batch, table, positions, mask, acc)
-            for (mask, acc), table, (_, positions) in zip(
-                self._fn(batch), self._tables, self.spec.sinks
-            )
-        ]
+        return _sink_writes(batch, self._fn(batch), self._tables, self.spec.sinks)
 
     def commit(self, writes: list[list[tuple[tuple, float]]]) -> None:
         for table, sink in zip(self._tables, writes):
@@ -569,62 +567,171 @@ class BoundVectorKernel:
                 set_total(key, total)
 
 
-def _sink_writes(batch: ColumnBatch, table, positions: tuple[int, ...],
-                 mask, acc) -> list[tuple[tuple, float]]:
-    """One sink's ordered write list: seeded per-key add chains (no mutations)."""
-    deltas = np.asarray(acc, dtype=np.float64)
-    if deltas.ndim == 0:
-        deltas = np.full(batch.n, float(deltas))
-    # One row per event (multiplicity 1): the seeded cumsum below adds
-    # each event's delta in arrival order, as per-event execution does.
-    deltas = _ck(deltas)
-    if mask is not None:
-        selected = np.flatnonzero(mask)
-        if selected.size == 0:
-            return []
-        deltas = deltas[selected]
-    else:
-        selected = None
-    primary = table.primary
-    if not positions:
-        seed = _seed_value(primary.get(()))
-        return [((), _chain(seed, deltas))]
-    keys, inverse = batch.key_groups(positions)
-    if selected is not None:
-        inverse = inverse[selected]
-    count = len(inverse)
-    order = np.argsort(inverse, kind="stable")
-    inv_sorted = inverse[order]
-    d_sorted = deltas[order]
-    starts = np.concatenate(
-        ([0], np.flatnonzero(np.diff(inv_sorted)) + 1, [count])
-    )
-    n_segments = len(starts) - 1
-    if n_segments > _MAX_SEGMENTS:
-        if count != n_segments:
-            raise VectorFallback("segments")
-        # Every key occurs once: one exact seeded add, fully vectorized.
-        ids = inv_sorted
-        seeds = np.empty(n_segments, dtype=np.float64)
-        for j, u in enumerate(ids.tolist()):
-            seeds[j] = _seed_value(primary.get(keys[u]))
-        totals = seeds + d_sorted
-        if not np.all(np.abs(totals) < _LIMIT):
-            raise VectorFallback("magnitude")
-        firsts = order  # singleton segments: sorted position = first use
-        commit_order = np.argsort(firsts, kind="stable")
-        total_list = totals.tolist()
-        return [(keys[ids[j]], total_list[j]) for j in commit_order.tolist()]
-    firsts = np.full(len(keys), count, dtype=np.int64)
-    np.minimum.at(firsts, inverse, np.arange(count))
-    segments = []
-    for j in range(n_segments):
-        u = int(inv_sorted[starts[j]])
-        seed = _seed_value(primary.get(keys[u]))
-        total = _chain(seed, d_sorted[starts[j]:starts[j + 1]])
-        segments.append((int(firsts[u]), keys[u], total))
-    segments.sort(key=lambda entry: entry[0])
-    return [(key, total) for _, key, total in segments]
+def _sink_writes(batch: ColumnBatch, pairs, tables, sinks) -> list[list[tuple[tuple, float]]]:
+    """Every sink's ordered write list: seeded per-key add chains (no mutations).
+
+    Sinks with the same mask and key positions share one :class:`_Layout`
+    and one seeded cumsum.  A failure raises for the first failing sink in
+    sink order, the one sink-by-sink evaluation would have raised for.
+    """
+    orders: dict[tuple[int, ...], Any] = {}
+    layouts: dict[tuple, _Layout] = {}
+    members: dict[tuple, list[int]] = {}
+    sorted_deltas: list[Any] = [None] * len(sinks)
+    writes: list[Any] = [[] for _ in sinks]
+    failures: list[Exception | None] = [None] * len(sinks)
+    for index, ((mask, acc), (_, positions)) in enumerate(zip(pairs, sinks)):
+        try:
+            deltas = np.asarray(acc, dtype=np.float64)
+            if deltas.ndim == 0:
+                deltas = np.full(batch.n, float(deltas))
+            # One row per event (multiplicity 1): the seeded cumsum adds
+            # each event's delta in arrival order, as per-event execution does.
+            deltas = _ck(deltas)
+            key = (None if mask is None else id(mask), positions)
+            layout = layouts.get(key)
+            if layout is None:
+                layout = layouts[key] = _Layout(batch, mask, positions, orders)
+        except Exception as exc:
+            # Sink by sink, no later sink would be reached; an earlier one
+            # may still fail first, in its chains below.
+            failures[index] = exc
+            break
+        if layout.count:
+            sorted_deltas[index] = deltas[layout.rows]
+            members.setdefault(key, []).append(index)
+    for key, indices in members.items():
+        layouts[key].chains(indices, sorted_deltas, tables, writes, failures)
+    for failure in failures:
+        if failure is not None:
+            raise failure
+    return writes
+
+
+class _Layout:
+    """The rows of one run that reach a mask, grouped by sink key.
+
+    ``rows`` are the selected row indices sorted by key, arrival order kept
+    within a key (one stable argsort per key-position tuple per run, then
+    filtered by the mask); ``bounds`` delimit one segment per key, in that
+    order; ``commit`` orders the segments by first use, the order the
+    scalar chain first inserts each key.
+    """
+
+    __slots__ = ("count", "rows", "bounds", "keys", "commit", "commit_keys")
+
+    def __init__(self, batch: ColumnBatch, mask, positions: tuple[int, ...], orders) -> None:
+        keep = None if mask is None else np.asarray(mask, dtype=bool)
+        if positions:
+            keys, inverse = batch.key_groups(positions)
+            order = orders.get(positions)
+            if order is None:
+                order = orders[positions] = np.argsort(inverse, kind="stable")
+            rows = order if keep is None else order[keep[order]]
+        else:
+            rows = np.arange(batch.n) if keep is None else np.flatnonzero(keep)
+        self.rows = rows
+        self.count = count = len(rows)
+        if not count:
+            return
+        if positions:
+            ids = inverse[rows]
+            self.bounds = np.concatenate(([0], np.flatnonzero(np.diff(ids)) + 1, [count]))
+            segment_keys = [keys[u] for u in ids[self.bounds[:-1]].tolist()]
+        else:
+            self.bounds = np.array([0, count])
+            segment_keys = [()]
+        self.commit = np.argsort(rows[self.bounds[:-1]])
+        self.keys = segment_keys
+        self.commit_keys = [segment_keys[j] for j in self.commit.tolist()]
+
+    def chains(self, indices, deltas, tables, writes, failures) -> None:
+        """Write lists of the sinks ``indices`` (or their failures), from
+        their ``deltas`` in ``rows`` order."""
+        segments = len(self.keys)
+        lengths = np.diff(self.bounds)
+        width = int(lengths.max()) + 1
+        if segments > _MAX_SEGMENTS or segments * width > 4 * (self.count + segments):
+            # Many keys (each must then occur once) or a skewed layout whose
+            # padding would outgrow the run: one sink at a time.
+            for index in indices:
+                try:
+                    writes[index] = self._one_sink(deltas[index], tables[index].primary)
+                except VectorFallback as exc:
+                    failures[index] = exc
+            return
+        # One zero-padded row per segment, the seed in column 0: a cumsum
+        # along the last axis is each key's left-sequential add chain.
+        grid = np.zeros((len(indices), segments, width))
+        segment_of = np.repeat(np.arange(segments), lengths)
+        column_of = np.arange(self.count) - self.bounds[segment_of] + 1
+        seeded = []
+        for row, index in enumerate(indices):
+            seeded.append(_seed_row(grid[row, :, 0], self.keys, tables[index].primary))
+            grid[row, segment_of, column_of] = deltas[index]
+        partials = np.cumsum(grid, axis=-1)[:, :, 1:]
+        size = np.abs(partials)
+        last = lengths[:, None] - 1
+        position = np.arange(width - 1)
+        magnitude = (~(size < _LIMIT) & (position <= last)).any(axis=-1)
+        # The scalar chain would delete and re-insert a key whose partial
+        # is zero-ish before its last one, moving it to the end of the dict.
+        interzero = ((size <= _EPS) & (position < last)).any(axis=-1)
+        clean = ~(magnitude | interzero).any(axis=-1)
+        # Each total at its segment's last real position, not at the padding.
+        totals = partials[:, np.arange(segments), lengths - 1][:, self.commit].tolist()
+        for row, index in enumerate(indices):
+            ok, failure = seeded[row]
+            if failure is None and clean[row]:
+                writes[index] = list(zip(self.commit_keys, totals[row]))
+                continue
+            # The first failing segment decides, as the chains one by one
+            # would: its seed, then the magnitude, then an interior zero.
+            first_magnitude = _first(magnitude[row, :ok], ok)
+            first_interzero = _first(interzero[row, :ok], ok)
+            first = min(ok, first_magnitude, first_interzero)
+            failures[index] = (
+                failure if first == ok
+                else VectorFallback("magnitude" if first == first_magnitude else "interzero")
+            )
+
+    def _one_sink(self, deltas, primary) -> list[tuple[tuple, float]]:
+        keys, bounds = self.keys, self.bounds
+        if len(keys) > _MAX_SEGMENTS:
+            if self.count != len(keys):
+                raise VectorFallback("segments")
+            # Every key occurs once: one exact seeded add, fully vectorized.
+            seeds = np.empty(len(keys), dtype=np.float64)
+            _, failure = _seed_row(seeds, keys, primary)
+            if failure is not None:
+                raise failure
+            sums = seeds + deltas
+            if not np.all(np.abs(sums) < _LIMIT):
+                raise VectorFallback("magnitude")
+            totals = sums.tolist()
+        else:
+            totals = [
+                _chain(_seed_value(primary.get(key)), deltas[bounds[j]:bounds[j + 1]])
+                for j, key in enumerate(keys)
+            ]
+        return list(zip(self.commit_keys, [totals[j] for j in self.commit.tolist()]))
+
+
+def _seed_row(out, keys, primary) -> tuple[int, VectorFallback | None]:
+    """Fill ``out`` with the stored seed of each key, in order, up to the
+    first that leaves the regime: ``(how many were filled, its failure)``."""
+    for j, key in enumerate(keys):
+        try:
+            out[j] = _seed_value(primary.get(key))
+        except VectorFallback as exc:
+            return j, exc
+    return len(keys), None
+
+
+def _first(flags, default: int) -> int:
+    """Index of the first True in ``flags``, else ``default``."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if hits.size else default
 
 
 def _seed_value(stored) -> float:
@@ -655,6 +762,22 @@ _KERNEL_GLOBALS = {
     "_vdiv": _vdiv, "_vprobe": _vprobe, "_vprobe0": _vprobe0,
     "_vrange": _vrange,
 }
+
+
+def program_vector_kernel(trigger: Trigger, program: TriggerProgram) -> VectorKernel | str:
+    """The trigger's vector kernel, or the reason it has none (a string).
+
+    :func:`compile_vector` attempted once per program object; the engine,
+    ``describe``, ``explain`` and ``codegen dump`` all read this outcome.
+    """
+
+    def attempt(program: TriggerProgram) -> VectorKernel | str:
+        try:
+            return compile_vector(trigger, program)
+        except Unsupported as exc:
+            return str(exc)
+
+    return program.built(("vector", trigger.sign, trigger.relation), attempt)
 
 
 def compile_vector(trigger: Trigger, program: TriggerProgram) -> VectorKernel:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterator, Sequence, TypeVar
 
 from repro.agca.ast import Expr, free_variables, maps_of, relations_of
 from repro.agca.printer import to_string
@@ -29,6 +29,8 @@ from repro.delta.events import TriggerEvent
 
 ASSIGN = ":="
 INCREMENT = "+="
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -214,6 +216,30 @@ class TriggerProgram:
         # Two independent 32-bit checksums from zlib (already loaded for the
         # WAL); hashlib would pull OpenSSL into every process for 3.5 MB.
         return f"{zlib.crc32(text):08x}{zlib.adler32(text):08x}"
+
+    def built(self, key: Hashable, build: Callable[["TriggerProgram"], T]) -> T:
+        """``build(self)``, run once per program object and kept for later callers.
+
+        Later stages keep here what they build from a compiled program (the
+        trigger kernels, the batch plan), so every engine over one program
+        shares them and only links them against its own tables.  The cache is
+        not a field: it takes no part in ``==``, :meth:`pretty` or
+        :attr:`digest`, it is not pickled or copied (a process that receives
+        a program builds again on first use), and it goes with the program.
+        A program is not modified after compilation, so nothing kept here
+        goes stale.
+        """
+        cache = self.__dict__.setdefault("_built", {})
+        try:
+            return cache[key]
+        except KeyError:
+            value = cache[key] = build(self)
+            return value
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_built", None)
+        return state
 
     def map_count(self) -> int:
         """Number of materialized views (including roots)."""

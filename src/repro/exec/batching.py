@@ -35,8 +35,11 @@ or sends its events one by one through fused code; a fallback never leaves a
 run half-committed.  Whether a trigger vectorizes is that kernel's compile
 attempt (:attr:`TriggerAnalysis.vector_kernel`), nothing else.  A bulk-safe
 trigger with ``:=`` statements gets two fused kernels besides its per-event
-one, built with the engine: the ``+=`` steps with the base apply, and the
-``:=`` steps.
+one: the ``+=`` steps with the base apply, and the ``:=`` steps.
+
+The plan and every kernel belong to the program (:func:`batch_plan`,
+:attr:`BatchPlan.bulk_kernels`): the first engine over a program object
+builds them, later ones only link them against their own tables.
 """
 
 from __future__ import annotations
@@ -46,13 +49,12 @@ from time import perf_counter
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from repro.codegen.engine import CompiledEngine
-from repro.codegen.lowering import Unsupported
-from repro.codegen.trigger import try_fuse_trigger
+from repro.codegen.trigger import TriggerKernel, program_kernels, try_fuse_trigger
 from repro.codegen.vector import (
     ColumnBatch,
     VectorFallback,
     VectorKernel,
-    compile_vector,
+    program_vector_kernel,
     vector_unavailable_reason,
 )
 from repro.compiler.program import ASSIGN, INCREMENT, Statement, TriggerProgram
@@ -105,13 +107,13 @@ class TriggerAnalysis:
 
         This compile attempt is the whole "does this trigger vectorize"
         decision (numpy present, bulk safety, distinct targets, every ``+=``
-        step lowered); ``describe``, ``explain`` and ``codegen dump`` make
-        the same attempt.
+        step lowered); it is made once per program, and ``describe``,
+        ``explain`` and ``codegen dump`` read the same outcome.
         """
-        try:
-            return compile_vector(self._trigger, self._program) if self._trigger else None
-        except Unsupported:
+        if self._trigger is None:
             return None
+        kernel = program_vector_kernel(self._trigger, self._program)
+        return None if isinstance(kernel, str) else kernel
 
     def commutes_with(self, other: "TriggerAnalysis") -> bool:
         """True when this trigger and ``other`` can be applied in either order."""
@@ -160,10 +162,17 @@ class DeltaGroup(NamedTuple):
     events: list[StreamEvent]
 
 
+def batch_plan(program: TriggerProgram) -> "BatchPlan":
+    """The program's batch plan, built once per program object and shared by
+    every batched engine over it (``explain`` reads the same one)."""
+    return program.built("batch-plan", BatchPlan)
+
+
 class BatchPlan:
     """Per-program analysis driving batched execution (shared across engines)."""
 
     def __init__(self, program: TriggerProgram) -> None:
+        self._program = program
         self._analyses: dict[TriggerKey, TriggerAnalysis] = {}
         for relation in program.stream_relations:
             for sign in (1, -1):
@@ -180,6 +189,41 @@ class BatchPlan:
 
     def analysis(self, relation: str, sign: int) -> TriggerAnalysis:
         return self._analyses[(relation, sign)]
+
+    @cached_property
+    def bulk_kernels(self) -> dict[TriggerAnalysis, tuple[TriggerKernel | None, TriggerKernel | None]]:
+        """``(increments, assigns)`` fused kernels per trigger that may run bulk.
+
+        A bulk-safe trigger without ``:=`` statements runs its per-event
+        kernel over the run.  One with them gets its ``+=`` steps (with the
+        base apply) and its ``:=`` steps fused apart, so the ``:=`` steps run
+        once per run.  Where a trigger has no ``+=`` statement the bulk path
+        applies the base relation itself (None); a trigger left on the
+        interpreter is absent, and its runs replay.  Built once per plan,
+        like the per-event kernels; each engine links them.
+        """
+        program = self._program
+        per_event = program_kernels(program)
+        kernels: dict[TriggerAnalysis, tuple[TriggerKernel | None, TriggerKernel | None]] = {}
+        for analysis in self._analyses.values():
+            if not analysis.safe:
+                continue
+            trigger = program.trigger_for(analysis.sign, analysis.relation)
+            fused = per_event.get((analysis.sign, analysis.relation))
+            if fused is None and (analysis.increments or analysis.assigns):
+                continue
+            if not analysis.assigns:
+                kernels[analysis] = (fused, None)
+                continue
+            increments = None
+            if analysis.increments:
+                increments = try_fuse_trigger(trigger, program, assigns=False)
+                if increments is None:
+                    continue
+            assigns = try_fuse_trigger(trigger, program, increments=False)
+            if assigns is not None:
+                kernels[analysis] = (increments, assigns)
+        return kernels
 
     def fold(self, events: Iterable[StreamEvent]) -> list[DeltaGroup]:
         """Partition an event slice into ordered runs, one pass.
@@ -250,8 +294,9 @@ class BatchedEngine(CompiledEngine):
     provenance, checkpoint and delta state, program digest and telemetry —
     except that ``apply`` buffers: every ``batch_size`` events the buffer is
     partitioned into runs (:meth:`BatchPlan.fold`) and each run is dispatched
-    once, to the bulk path or whole to the fused kernel.  The extra fused
-    kernels bulk runs call are built here, with the engine.  Reads flush first,
+    once, to the bulk path or whole to the fused kernel.  The plan and the
+    extra fused kernels bulk runs call are the program's; the engine links
+    them.  Reads flush first,
     so observable results are identical to per-event execution.
     ``events_processed`` counts accepted events, buffered ones included.
     """
@@ -271,11 +316,10 @@ class BatchedEngine(CompiledEngine):
         # Why vector dispatch is off (numpy missing or REPRO_NO_NUMPY), else None.
         self.vector_reason: str | None = vector_unavailable_reason()
         self.batch_size = batch_size
-        self.plan = BatchPlan(program)
+        self.plan = batch_plan(program)
         self.batches_flushed = self.runs_bulk = self.runs_replayed = 0
         self.fallback_events = self.vector_events = 0
         self.vector_fallbacks: dict[str, int] = {}
-        self._bulk_kernels = self._compile_bulk_kernels()
         self._bind_bulk_kernels()
         self._fold_hist = self._apply_hist = None
         if self.telemetry.enabled:
@@ -358,42 +402,11 @@ class BatchedEngine(CompiledEngine):
             self._fold_hist.observe(folded - started)
             self._apply_hist.observe(perf_counter() - folded)
 
-    def _compile_bulk_kernels(self) -> dict[TriggerAnalysis, tuple[Any, Any]]:
-        """``(increments, assigns)`` fused kernels per trigger that may run bulk.
-
-        A bulk-safe trigger without ``:=`` statements runs its per-event
-        kernel over the run.  One with them gets its ``+=`` steps (with the
-        base apply) and its ``:=`` steps fused apart, so the ``:=`` steps run
-        once per run.  Where a trigger has no ``+=`` statement the bulk path
-        applies the base relation itself (None); a trigger left on the
-        interpreter is absent, and its runs replay.
-        """
-        kernels: dict[TriggerAnalysis, tuple[Any, Any]] = {}
-        for analysis in self.plan._analyses.values():
-            if not analysis.safe:
-                continue
-            trigger = self.program.trigger_for(analysis.sign, analysis.relation)
-            fused = self._executor.trigger_kernel_for(analysis.sign, analysis.relation)
-            if fused is None and (analysis.increments or analysis.assigns):
-                continue
-            if not analysis.assigns:
-                kernels[analysis] = (fused, None)
-                continue
-            increments = None
-            if analysis.increments:
-                increments = try_fuse_trigger(trigger, self.program, assigns=False)
-                if increments is None:
-                    continue
-            assigns = try_fuse_trigger(trigger, self.program, increments=False)
-            if assigns is not None:
-                kernels[analysis] = (increments, assigns)
-        return kernels
-
     def _bind_bulk_kernels(self) -> None:
         maps, database = self.maps, self.database
         self._bulk = {
             analysis: tuple(k and k.bind(maps, database) for k in pair)
-            for analysis, pair in self._bulk_kernels.items()
+            for analysis, pair in self.plan.bulk_kernels.items()
         }
 
     def _vectorize(self, analysis: TriggerAnalysis, events, batch) -> bool:

@@ -25,7 +25,7 @@ from typing import Any, Mapping
 
 from repro.codegen.describe import KERNELS_SCHEMA, describe_program
 from repro.compiler.program import TriggerProgram
-from repro.exec.batching import BatchPlan, render_policies
+from repro.exec.batching import batch_plan, render_policies
 from repro.exec.partitioning import TABLE_COUNTERS
 
 #: Schema tag of the explain document.
@@ -81,7 +81,7 @@ def build_explain_report(
         "maps": joined,
         # Static per program: how a BatchedEngine dispatches each trigger's
         # runs, and which triggers' events its merges may not cross.
-        "batching": BatchPlan(program).describe(),
+        "batching": batch_plan(program).describe(),
         "observed": observed,
     }
 

@@ -45,6 +45,7 @@ class IndexedTable:
     __slots__ = (
         "columns", "_arity", "_row", "_data", "_indexes", "_ordered", "probes",
         "scans", "range_probes", "_watcher", "write_epoch", "_vector_cache",
+        "__weakref__",  # tests check that a dropped engine's tables are freed
     )
 
     def __init__(self, columns: Sequence[str]) -> None:
@@ -433,12 +434,19 @@ class IndexedTable:
 
 
 class MapStore:
-    """All materialized views of one engine, addressable by name."""
+    """All materialized views of one engine, addressable by name.
 
-    __slots__ = ("_tables",)
+    ``links`` holds the generated kernels linked against this store's tables
+    (:meth:`repro.codegen.trigger.LinkedKernel.bind` fills it): the kernels
+    are shared by every engine over one program, the links are this
+    engine's and go with it.
+    """
+
+    __slots__ = ("_tables", "links")
 
     def __init__(self) -> None:
         self._tables: dict[str, IndexedTable] = {}
+        self.links: dict[Any, tuple[tuple, Any]] = {}
 
     def declare(self, name: str, columns: Sequence[str]) -> IndexedTable:
         """Create (or return) the table backing map ``name``."""

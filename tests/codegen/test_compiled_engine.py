@@ -8,6 +8,7 @@ for forced interpreter fallback, checkpoint/restore recompilation and the
 service integration.
 """
 
+import copy
 import inspect
 import pickle
 
@@ -128,7 +129,9 @@ def test_forced_full_fallback_is_still_identical(cases, monkeypatch):
     """With fusion disabled entirely, the engine degrades to the interpreter."""
     spec, translated, program, events, expected = cases("Q3")
     monkeypatch.setattr(trigger_module, "try_fuse_trigger", lambda *args, **kwargs: None)
-    engine = CompiledEngine(program)
+    # Kernels are built once per program object: a copy has none yet, so
+    # the patched fuser is what builds its kernels.
+    engine = CompiledEngine(copy.copy(program))
     stats = engine.codegen.codegen_statistics()
     assert stats["compiled_statements"] == stats["fused_kernels"] == 0
     got = _views(engine, translated, spec, program, events)
@@ -158,7 +161,7 @@ def test_forced_trigger_fallback_is_identical(cases, monkeypatch, query_name):
     """
     spec, translated, program, events, expected = cases(query_name)
     _every_other_trigger_declines(monkeypatch)
-    engine = CompiledEngine(program)
+    engine = CompiledEngine(copy.copy(program))  # a program with no kernels built yet
     stats = engine.codegen.codegen_statistics()
     assert stats["fused_kernels"] > 0 and stats["fallback_statements"] > 0
     got = _views(engine, translated, spec, program, events)

@@ -10,6 +10,7 @@ tests for the fusion mechanics: cross-statement dedup, its write-ordering
 safety rule, common-guard hoisting, and per-database bind caching.
 """
 
+import copy
 import inspect
 import pickle
 
@@ -42,10 +43,14 @@ def _stream(spec):
 
 
 def declined(program):
-    """A compiled engine whose triggers all decline fusion: each interprets."""
+    """A compiled engine whose triggers all decline fusion: each interprets.
+
+    Kernels are built once per program object, so the engine runs a copy of
+    ``program``: the same statements, with no kernels built yet.
+    """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trigger_module, "try_fuse_trigger", lambda trigger, program: None)
-        return CompiledEngine(program)
+        return CompiledEngine(copy.copy(program))
 
 
 def _build_case(name):
@@ -575,7 +580,7 @@ def test_fusion_skipped_when_any_statement_falls_back(cases, monkeypatch):
         return original(self)
 
     monkeypatch.setattr(statement_module._StatementCompiler, "compile", refuse_one)
-    engine = CompiledEngine(program)
+    engine = CompiledEngine(copy.copy(program))  # a program with no kernels built yet
     stats = engine.codegen.codegen_statistics()
     orders = len(program.trigger_for(1, "Orders").statements)
     assert stats["fallback_statements"] == orders

@@ -1,5 +1,7 @@
 """Tests for the run partition, trigger safety analysis and BatchedEngine."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -232,7 +234,8 @@ def test_interpreted_triggers_never_take_the_bulk_path(name, monkeypatch):
         return None if toggle["count"] % 2 == 0 else original(trigger, program, **steps)
 
     monkeypatch.setattr(trigger_module, "try_fuse_trigger", every_other)
-    mixed = BatchedEngine(program, 400)
+    # Kernels are built once per program object: a copy has none yet.
+    mixed = BatchedEngine(copy.copy(program), 400)
     interpreted = {
         analysis for analysis in mixed.plan._analyses.values()
         if (analysis.increments or analysis.assigns)

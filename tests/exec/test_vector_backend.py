@@ -333,6 +333,120 @@ def test_one_kernel_falling_back_sends_the_whole_run_to_fused_code(vector_everyw
 
 
 # ---------------------------------------------------------------------------
+# Sink write lists against the scalar add chains they replay
+# ---------------------------------------------------------------------------
+
+
+def _chain_writes(rows, pairs, tables, sinks):
+    """The loop reference: sink by sink, key by key, each chain left to right.
+
+    Keys are visited in order of first appearance in the run (the order the
+    vector path sorts segments in), so the first violation found is the one
+    the vector path must report; writes list keys in first-use order.
+    """
+    limit, eps = float(2**53), 1e-12
+
+    def seed(stored):
+        if stored is None:
+            return 0.0
+        if type(stored) in (int, float):
+            if not -(2**53) < stored < 2**53:
+                raise vector.VectorFallback("seed-magnitude")
+            return float(stored)
+        raise vector.VectorFallback("seed-type")
+
+    out = []
+    for (mask, acc), table, (_, positions) in zip(pairs, tables, sinks):
+        deltas = [float(acc)] * len(rows) if isinstance(acc, float) else [float(d) for d in acc]
+        if not all(abs(d) < limit for d in deltas):
+            raise vector.VectorFallback("magnitude")
+        first_seen = {}
+        for row in rows:
+            first_seen.setdefault(tuple(row[p] for p in positions), len(first_seen))
+        chains = {}
+        for i, row in enumerate(rows):
+            if mask is None or mask[i]:
+                chains.setdefault(tuple(row[p] for p in positions), []).append(deltas[i])
+        totals = {}
+        in_order = sorted(chains, key=first_seen.get)
+        if positions and len(chains) > 64:
+            if any(len(chain) > 1 for chain in chains.values()):
+                raise vector.VectorFallback("segments")
+            seeds = {key: seed(table.primary.get(key)) for key in in_order}
+            for key in in_order:
+                totals[key] = seeds[key] + chains[key][0]
+            if not all(abs(total) < limit for total in totals.values()):
+                raise vector.VectorFallback("magnitude")
+        else:
+            for key in in_order:
+                partial, partials = seed(table.primary.get(key)), []
+                for delta in chains[key]:
+                    partial += delta
+                    partials.append(partial)
+                if not all(abs(p) < limit for p in partials):
+                    raise vector.VectorFallback("magnitude")
+                if any(abs(p) <= eps for p in partials[:-1]):
+                    raise vector.VectorFallback("interzero")
+                totals[key] = partials[-1]
+        out.append([(key, totals[key]) for key in chains])
+    return out
+
+
+def _outcome(compute, *args):
+    try:
+        return repr(compute(*args))  # repr: -0.0 and 0.0 differ
+    except vector.VectorFallback as exc:
+        return f"fallback {exc}"
+
+
+@needs_numpy
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_sink_layouts_match_the_scalar_chains(seed):
+    """Random sinks sharing masks and key positions; seeds, deltas and key
+    counts reach every fallback (2**53, interior zeros, seed types, more
+    than 64 keys) and the skewed layouts that go one sink at a time."""
+    import random
+
+    import numpy as np
+
+    rng = random.Random(seed)
+    reasons = set()
+    for _ in range(250):
+        n = rng.choice([1, 2, 5, 20, 70, 150])
+        keys = rng.choice([1, 2, 5, 70, 200])
+        rows = [(rng.randrange(keys), rng.choice("ab"), rng.randrange(3)) for _ in range(n)]
+        if keys > 64 and rng.random() < 0.5:
+            rows = [(i, "a", 0) for i in range(n)]
+        masks = [None] + [np.array([rng.random() < p for _ in range(n)]) for p in (0.0, 0.5, 0.9)]
+        pairs, tables, sinks = [], [], []
+        for position in range(rng.randint(1, 6)):
+            positions = rng.choice([(), (0,), (1, 0), (0, 2)])
+            kind = rng.random()
+            if kind < 0.15:
+                acc = float(rng.choice([1, -1, 0.5, 0]))
+            elif kind < 0.3:
+                acc = np.array([rng.choice([1.0, -1.0]) for _ in range(n)])
+            elif kind < 0.4:  # huge partials, some after an interior zero
+                acc = np.array([rng.choice([1.0, -1.0, 2.0**52, 1.5 * 2.0**52]) for _ in range(n)])
+            else:
+                acc = np.array([rng.choice([1.0, 2.5, -3.0, 0.1, 7.0]) for _ in range(n)])
+            table = IndexedTable(tuple(f"c{p}" for p in positions))
+            for row in rows[: rng.randint(0, n)]:
+                draw = rng.random()
+                stored = (Fraction(1, 3) if draw < 0.03 else 2**60 if draw < 0.06
+                          else rng.choice([1, -1, 2.5, 3]))
+                table.set(tuple(row[p] for p in positions), stored)
+            pairs.append((rng.choice(masks), acc))
+            tables.append(table)
+            sinks.append((f"M{position}", positions))
+        got = _outcome(vector._sink_writes, vector.ColumnBatch(rows), tuple(pairs), tables, sinks)
+        want = _outcome(_chain_writes, rows, pairs, tables, sinks)
+        assert got == want
+        reasons.add(want.split()[1] if want.startswith("fallback") else "ok")
+    assert {"ok", "interzero", "magnitude", "seed-type"} <= reasons
+
+
+# ---------------------------------------------------------------------------
 # Checkpoint / restore mid-stream
 # ---------------------------------------------------------------------------
 
