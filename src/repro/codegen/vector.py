@@ -85,7 +85,8 @@ class VectorFallback(Exception):
 #: Magnitude bound for exact float64 arithmetic over int-valued data.
 _LIMIT = float(2**53)
 _EPS = 1e-12
-#: Above this many key segments the per-segment cumsum loop stops paying off.
+#: Above this many key segments a run vectorizes only if every key occurs
+#: once; up to it, the padded cumsum grid stays within this many cells per row.
 _MAX_SEGMENTS = 64
 _MISSING = object()
 
@@ -649,19 +650,19 @@ class _Layout:
         """Write lists of the sinks ``indices`` (or their failures), from
         their ``deltas`` in ``rows`` order."""
         segments = len(self.keys)
-        lengths = np.diff(self.bounds)
-        width = int(lengths.max()) + 1
-        if segments > _MAX_SEGMENTS or segments * width > 4 * (self.count + segments):
-            # Many keys (each must then occur once) or a skewed layout whose
-            # padding would outgrow the run: one sink at a time.
+        if segments > _MAX_SEGMENTS:
             for index in indices:
                 try:
-                    writes[index] = self._one_sink(deltas[index], tables[index].primary)
+                    writes[index] = self._singletons(deltas[index], tables[index].primary)
                 except VectorFallback as exc:
                     failures[index] = exc
             return
         # One zero-padded row per segment, the seed in column 0: a cumsum
-        # along the last axis is each key's left-sequential add chain.
+        # along the last axis is each key's left-sequential add chain.  The
+        # longest segment is at most the run, so a sink's grid holds at most
+        # _MAX_SEGMENTS * (rows + 1) cells, however skewed the keys.
+        lengths = np.diff(self.bounds)
+        width = int(lengths.max()) + 1
         grid = np.zeros((len(indices), segments, width))
         segment_of = np.repeat(np.arange(segments), lengths)
         column_of = np.arange(self.count) - self.bounds[segment_of] + 1
@@ -695,26 +696,19 @@ class _Layout:
                 else VectorFallback("magnitude" if first == first_magnitude else "interzero")
             )
 
-    def _one_sink(self, deltas, primary) -> list[tuple[tuple, float]]:
-        keys, bounds = self.keys, self.bounds
-        if len(keys) > _MAX_SEGMENTS:
-            if self.count != len(keys):
-                raise VectorFallback("segments")
-            # Every key occurs once: one exact seeded add, fully vectorized.
-            seeds = np.empty(len(keys), dtype=np.float64)
-            _, failure = _seed_row(seeds, keys, primary)
-            if failure is not None:
-                raise failure
-            sums = seeds + deltas
-            if not np.all(np.abs(sums) < _LIMIT):
-                raise VectorFallback("magnitude")
-            totals = sums.tolist()
-        else:
-            totals = [
-                _chain(_seed_value(primary.get(key)), deltas[bounds[j]:bounds[j + 1]])
-                for j, key in enumerate(keys)
-            ]
-        return list(zip(self.commit_keys, [totals[j] for j in self.commit.tolist()]))
+    def _singletons(self, deltas, primary) -> list[tuple[tuple, float]]:
+        """More keys than _MAX_SEGMENTS: each must occur once, and its total
+        is one exact seeded add, fully vectorized."""
+        if self.count != len(self.keys):
+            raise VectorFallback("segments")
+        seeds = np.empty(self.count, dtype=np.float64)
+        _, failure = _seed_row(seeds, self.keys, primary)
+        if failure is not None:
+            raise failure
+        sums = seeds + deltas
+        if not np.all(np.abs(sums) < _LIMIT):
+            raise VectorFallback("magnitude")
+        return list(zip(self.commit_keys, sums[self.commit].tolist()))
 
 
 def _seed_row(out, keys, primary) -> tuple[int, VectorFallback | None]:
@@ -743,18 +737,6 @@ def _seed_value(stored) -> float:
             raise VectorFallback("seed-magnitude")
         return float(stored)
     raise VectorFallback("seed-type")
-
-
-def _chain(seed: float, deltas) -> float:
-    """One key's seeded add chain, left to right: its final total."""
-    partials = np.cumsum(np.concatenate(([seed], deltas)))[1:]
-    if not np.all(np.abs(partials) < _LIMIT):
-        raise VectorFallback("magnitude")
-    if partials.size > 1 and np.any(np.abs(partials[:-1]) <= _EPS):
-        # The scalar chain would delete and re-insert this key, moving it
-        # to the end of the dict: insertion-order hazard.
-        raise VectorFallback("interzero")
-    return float(partials[-1])
 
 
 _KERNEL_GLOBALS = {

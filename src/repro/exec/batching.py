@@ -101,14 +101,15 @@ class TriggerAnalysis:
         self._program = program
         self._trigger = trigger
 
-    @cached_property
+    @property
     def vector_kernel(self) -> VectorKernel | None:
         """The trigger's one columnar kernel, or None (compiled on first use).
 
         This compile attempt is the whole "does this trigger vectorize"
         decision (numpy present, bulk safety, distinct targets, every ``+=``
-        step lowered); it is made once per program, and ``describe``,
-        ``explain`` and ``codegen dump`` read the same outcome.
+        step lowered); the program keeps it (:func:`program_vector_kernel`),
+        and ``describe``, ``explain`` and ``codegen dump`` read the same
+        outcome.
         """
         if self._trigger is None:
             return None

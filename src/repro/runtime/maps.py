@@ -45,7 +45,6 @@ class IndexedTable:
     __slots__ = (
         "columns", "_arity", "_row", "_data", "_indexes", "_ordered", "probes",
         "scans", "range_probes", "_watcher", "write_epoch", "_vector_cache",
-        "__weakref__",  # tests check that a dropped engine's tables are freed
     )
 
     def __init__(self, columns: Sequence[str]) -> None:

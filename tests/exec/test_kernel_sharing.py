@@ -10,7 +10,6 @@ engines), and that nothing of it travels with a pickled program.
 
 import gc
 import pickle
-import weakref
 
 import pytest
 
@@ -20,6 +19,7 @@ from repro.codegen import vector
 from repro.compiler.hoivm import compile_query
 from repro.exec import BatchedEngine
 from repro.exec.partitioning import PartitionedEngine
+from repro.runtime.maps import IndexedTable
 from repro.workloads import workload
 
 needs_numpy = pytest.mark.skipif(
@@ -171,10 +171,14 @@ def test_a_dropped_engine_leaves_its_tables_collectable(monkeypatch):
     kept = _replay(BatchedEngine(program, 1000), program, static, events)
     dropped = _replay(BatchedEngine(program, 1000), program, static, events)
     assert dropped.statistics()["batching"]["vector_events"] > 0
-    tables = [weakref.ref(dropped.maps.table(name)) for name in dropped.maps.names()]
+    # Tables take no weakrefs: look their ids up among the live tables.  No
+    # table is made in between, so no id can be reused.
+    dropped_ids = {id(dropped.maps.table(name)) for name in dropped.maps.names()}
     del dropped
     gc.collect()
-    assert all(table() is None for table in tables)
+    live = {id(obj) for obj in gc.get_objects() if type(obj) is IndexedTable}
+    assert len(dropped_ids) > 1 and not dropped_ids & live
+    assert {id(kept.maps.table(name)) for name in kept.maps.names()} <= live
     # The kept engine, linked to the same kernels, still runs.
     kept.apply_many(events[:10])
     kept.flush()

@@ -404,7 +404,7 @@ def _outcome(compute, *args):
 def test_shared_sink_layouts_match_the_scalar_chains(seed):
     """Random sinks sharing masks and key positions; seeds, deltas and key
     counts reach every fallback (2**53, interior zeros, seed types, more
-    than 64 keys) and the skewed layouts that go one sink at a time."""
+    than 64 keys) and skewed layouts, whose grid is mostly padding."""
     import random
 
     import numpy as np
@@ -417,6 +417,8 @@ def test_shared_sink_layouts_match_the_scalar_chains(seed):
         rows = [(rng.randrange(keys), rng.choice("ab"), rng.randrange(3)) for _ in range(n)]
         if keys > 64 and rng.random() < 0.5:
             rows = [(i, "a", 0) for i in range(n)]
+        elif rng.random() < 0.2:  # one key takes nearly every row
+            rows = [(0, "a", 0) if i % 16 else row for i, row in enumerate(rows)]
         masks = [None] + [np.array([rng.random() < p for _ in range(n)]) for p in (0.0, 0.5, 0.9)]
         pairs, tables, sinks = [], [], []
         for position in range(rng.randint(1, 6)):
